@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import dispersion, modes, verify
-from .config import RunConfig, load_config
+from .config import RunConfig, config_from_dict, read_config
 from .errors import ConfigError, RtmhdError
 from .forms import assemble_forms
 from .growth import growth_rate
@@ -47,23 +47,24 @@ def _parse_xi(text: str) -> Frequency:
         raise ConfigError(f"--xi expects 'a,b', got {text!r}") from exc
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    raw = cfg.to_dict()
-    if args.M is not None:
-        raw["mag"]["magnitude"] = args.M
-    if args.n is not None:
-        raw["grid"]["n"] = args.n
-    if args.Lz is not None:
-        raw["grid"]["half_length"] = args.Lz
-    if args.radius is not None:
-        raw["sweep"]["radius"] = args.radius
-    out = os.environ.get("RTMHD_OUT")
-    if args.out is not None:
-        out = args.out
+def _effective_config(args) -> RunConfig:
+    """The config file with the command-line overrides, built once."""
+    raw = read_config(args.config)
+    overrides = (
+        ("mag", "magnitude", args.M),
+        ("grid", "n", args.n),
+        ("grid", "half_length", args.Lz),
+        ("sweep", "radius", args.radius),
+    )
+    try:
+        for section, key, value in overrides:
+            if value is not None:
+                raw.setdefault(section, {})[key] = value
+    except TypeError as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    out = args.out if args.out is not None else os.environ.get("RTMHD_OUT")
     if out is not None:
         raw["output_dir"] = out
-    from .config import config_from_dict
-
     return config_from_dict(raw)
 
 
@@ -330,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _effective_config(args)
         os.makedirs(cfg.output_dir, exist_ok=True)
         _write_json(
             os.path.join(cfg.output_dir, "effective_config.json"), cfg.to_dict()

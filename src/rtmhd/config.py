@@ -21,7 +21,7 @@ from .profiles import (
     build_profile,
 )
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig", "config_from_dict", "load_config", "read_config"]
 
 
 @dataclass
@@ -119,7 +119,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def read_config(path: str) -> dict:
+    """The raw JSON object of a config file, before any validation."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -127,4 +128,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return raw
+
+
+def load_config(path: str) -> RunConfig:
+    return config_from_dict(read_config(path))

@@ -11,7 +11,6 @@ critical-frequency constant), and both routes agree up to solver tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .eig import max_generalized_eig, min_generalized_eig
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange, ZeroFrequency
 from .forms import assemble_forms
-from .growth import GrowthResult, growth_rate
+from .growth import growth_rate
 from .operators import band_combine, grad_stiffness_band, mass_band
 from .profiles import (
     DensityProfile,
@@ -279,7 +278,6 @@ class DispersionEntry:
     xi2: float
     member: bool
     lam: float | None
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -316,21 +314,6 @@ def _representatives(radius: float, L: float) -> list[tuple[int, int]]:
     return reps
 
 
-def _solve_rep(args) -> tuple[int, int, bool, float | None, str | None]:
-    profile, grid, mag, params, tol, i, j = args
-    xi = Frequency.lattice(i, j, params.L)
-    try:
-        if not in_growing_domain(profile, grid, xi, mag, params):
-            return i, j, False, None, None
-        forms = assemble_forms(profile, grid, xi, mag, params)
-        res = growth_rate(forms, tol=tol)
-        if res is None:
-            return i, j, False, None, None
-        return i, j, True, res.lam, None
-    except Exception as exc:  # per-point failures are recorded, not raised
-        return i, j, False, None, f"{type(exc).__name__}: {exc}"
-
-
 def lattice_sweep(
     profile: DensityProfile,
     grid: Grid1D,
@@ -338,33 +321,29 @@ def lattice_sweep(
     params: PhysicalParams,
     radius: float,
     tol: float = 1e-8,
-    workers: int = 1,
 ) -> DispersionTable:
     """Membership and growth rate on all lattice points with 0 < |xi| <= radius.
 
     The rate is even in each frequency component, so one representative per
-    sign orbit is solved and mirrored to the remaining quadrants.
+    sign orbit is solved and mirrored to the remaining quadrants.  A point
+    whose solve fails raises; no point is left out of the table.
     """
     if radius <= 0:
         raise ValueError("sweep radius must be positive")
-    reps = _representatives(radius, params.L)
-    jobs = [(profile, grid, mag, params, tol, i, j) for (i, j) in reps]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_rep, jobs))
-    else:
-        solved = [_solve_rep(job) for job in jobs]
-
     by_index: dict[tuple[int, int], DispersionEntry] = {}
-    for i, j, member, lam, err in solved:
+    for i, j in _representatives(radius, params.L):
+        xi = Frequency.lattice(i, j, params.L)
+        lam = None
+        if in_growing_domain(profile, grid, xi, mag, params):
+            res = growth_rate(assemble_forms(profile, grid, xi, mag, params), tol=tol)
+            lam = None if res is None else res.lam
         for si in (1, -1) if i else (1,):
             for sj in (1, -1) if j else (1,):
-                xi = Frequency.lattice(si * i, sj * j, params.L)
+                mirror = Frequency.lattice(si * i, sj * j, params.L)
                 by_index[(si * i, sj * j)] = DispersionEntry(
-                    xi1=xi.xi1, xi2=xi.xi2, member=member, lam=lam, error=err
+                    xi1=mirror.xi1, xi2=mirror.xi2, member=lam is not None, lam=lam
                 )
-    keys = sorted(by_index)
-    entries = tuple(by_index[k] for k in keys)
+    entries = tuple(by_index[k] for k in sorted(by_index))
     return DispersionTable(
         entries=entries, lattice_radius=radius, params=params, mag=mag
     )
@@ -392,19 +371,6 @@ def sup_rate(table: DispersionTable) -> SupRate:
         lam_star=best.lam,
         on_boundary=on_boundary,
     )
-
-
-def growth_at(
-    profile: DensityProfile,
-    grid: Grid1D,
-    xi: Frequency,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-    tol: float = 1e-8,
-) -> GrowthResult | None:
-    """Convenience: assemble forms and run the fixed point at one frequency."""
-    forms = assemble_forms(profile, grid, xi, mag, params)
-    return growth_rate(forms, tol=tol)
 
 
 # --- exports -----------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Smallest eigenvalue of a symmetric banded pencil (A, B), B positive definite.
 
-Strategy: Sylvester inertia counts from unpivoted banded LDL^T factorizations
-of A - sigma*B drive a bisection that isolates the smallest pencil eigenvalue,
-then a few inverse-iteration steps polish the eigenpair.  Zero pivots are
-handled by perturbing the shift and retrying a bounded number of times.
+Strategy: banded Cholesky (LAPACK dpbtrf) definiteness bisection + inverse
+iteration.  By Sylvester's law of inertia, A - sigma*B is positive definite
+exactly when sigma lies below every pencil eigenvalue, so one dpbtrf call per
+step (info != 0 means not positive definite) isolates the smallest pencil
+eigenvalue; a few inverse-iteration steps then polish the eigenpair.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eig_banded, solve_banded
+from scipy.linalg.lapack import dpbtrf
 
 from .errors import FactorizationBreakdown
 from .operators import band_combine, band_matvec, band_to_lu
@@ -22,56 +24,25 @@ _INVERSE_STEPS = 5
 _RESIDUAL_TOL = 1e-8
 
 
-def _ldlt_negative_count(w: np.ndarray, p: int) -> int:
-    """Negative pivots of the in-place banded LDL^T; -1 flags a zero pivot."""
-    n = w.shape[1]
-    neg = 0
-    for j in range(n):
-        d = w[0, j]
-        if d == 0.0:
-            return -1
-        if d < 0.0:
-            neg += 1
-        m = min(p, n - 1 - j)
-        for b in range(1, m + 1):
-            wb = w[b, j] / d
-            for a in range(b, m + 1):
-                w[a - b, j + b] -= wb * w[a, j]
-    return neg
-
-
-try:  # optional JIT; the pure-Python kernel stays the reference implementation
-    from numba import njit
-
-    _ldlt_negative_count_jit = njit(cache=True)(_ldlt_negative_count)
-except ImportError:  # pragma: no cover - exercised only without numba
-    _ldlt_negative_count_jit = _ldlt_negative_count
-
-
 def _band_scale(ab: np.ndarray) -> float:
     return float(np.max(np.abs(ab))) if ab.size else 1.0
 
 
-def _count_at(a: np.ndarray, b: np.ndarray, sigma: float) -> int:
-    """Inertia count with bounded shift perturbation on pivot breakdown."""
-    p = max(a.shape[0], b.shape[0]) - 1
-    scale = max(1.0, abs(sigma))
-    eps = 1e-14
-    for _ in range(5):
-        w = band_combine([(1.0, a), (-sigma, b)])
-        c = _ldlt_negative_count_jit(w, p)
-        if c >= 0:
-            return c
-        sigma += eps * scale
-        eps *= 100.0
-    raise FactorizationBreakdown(
-        f"banded LDL^T kept hitting zero pivots near shift {sigma:.6g}"
-    )
+def _definite(a: np.ndarray, b: np.ndarray, sigma: float) -> bool:
+    """True iff A - sigma*B is positive definite (its banded Cholesky exists)."""
+    _, info = dpbtrf(band_combine([(1.0, a), (-sigma, b)]), lower=1)
+    return info == 0
 
 
 def inertia_count(a: np.ndarray, b: np.ndarray, sigma: float) -> int:
-    """Number of pencil eigenvalues strictly below sigma."""
-    return _count_at(a, b, sigma)
+    """Number of pencil eigenvalues strictly below sigma.
+
+    With B positive definite, Sylvester's law makes this the number of
+    negative eigenvalues of A - sigma*B.
+    """
+    shifted = band_combine([(1.0, a), (-sigma, b)])
+    w = eig_banded(shifted, lower=True, eigvals_only=True)
+    return int(np.count_nonzero(w < 0.0))
 
 
 @dataclass
@@ -93,17 +64,17 @@ class EigenPair:
 def _expand_bracket(
     a: np.ndarray, b: np.ndarray, lo: float, hi: float
 ) -> tuple[float, float, int]:
-    """Grow [lo, hi] until count(lo) == 0 and count(hi) >= 1."""
+    """Grow [lo, hi] until A - lo*B is positive definite and A - hi*B is not."""
     iters = 0
     span = max(1.0, abs(lo), abs(hi))
-    while _count_at(a, b, lo) > 0:
+    while not _definite(a, b, lo):
         iters += 1
         lo -= span
         span *= 4.0
         if iters > 200:
             raise FactorizationBreakdown("could not bracket the smallest eigenvalue")
     span = max(1.0, abs(lo), abs(hi))
-    while _count_at(a, b, hi) < 1:
+    while _definite(a, b, hi):
         iters += 1
         hi += span
         span *= 4.0
@@ -138,10 +109,10 @@ def min_generalized_eig(
     while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         iters += 1
-        if _count_at(a, b, mid) >= 1:
-            hi = mid
-        else:
+        if _definite(a, b, mid):
             lo = mid
+        else:
+            hi = mid
 
     # Inverse iteration from the bracket midpoint; the shift is within tol of
     # the eigenvalue so a handful of steps reaches the residual floor.  The

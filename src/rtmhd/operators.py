@@ -17,7 +17,6 @@ from .profiles import Grid1D
 __all__ = [
     "DiffOps",
     "band_zeros",
-    "band_pad",
     "band_combine",
     "band_to_dense",
     "band_matvec",
@@ -89,15 +88,6 @@ class DiffOps:
 
 def band_zeros(p: int, n: int) -> np.ndarray:
     return np.zeros((p + 1, n))
-
-
-def band_pad(ab: np.ndarray, p: int) -> np.ndarray:
-    """Extend storage to band width p (zero-filled)."""
-    if ab.shape[0] == p + 1:
-        return ab
-    out = np.zeros((p + 1, ab.shape[1]))
-    out[: ab.shape[0]] = ab
-    return out
 
 
 def band_combine(terms: list[tuple[float, np.ndarray]]) -> np.ndarray:

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 import rtmhd
-from rtmhd.forms import assemble_forms
-from rtmhd.growth import growth_rate
 
 # canonical setup: single positive bump on a unit-density background
 CANON_SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
@@ -13,19 +11,6 @@ CANON_PARAMS = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
 JUMP_NEG_SPEC = rtmhd.ProfileSpec(
     5.0, (rtmhd.Bump(0.6, 1.0, 0.5), rtmhd.Bump(-1.8, -1.0, 0.5))
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger the JIT compile once so timed tests measure solve time."""
-    grid = rtmhd.Grid1D(4.0, 32)
-    prof = rtmhd.build_profile(rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),)), grid)
-    forms = assemble_forms(
-        prof, grid, rtmhd.Frequency(1.0, 0.0),
-        rtmhd.MagneticConfig(rtmhd.Orientation.HORIZONTAL, 0.0),
-        rtmhd.PhysicalParams(mu=1.0, g=1.0, L=1.0),
-    )
-    growth_rate(forms)
 
 
 @pytest.fixture(scope="session")

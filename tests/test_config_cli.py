@@ -65,6 +65,12 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+    # an override into a section that is not a JSON object
+    path = _write_config(tmp_path / "flat.json", mag="horizontal")
+    code = main(["profile", path, "--M", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
 
 
 def test_cli_growth_matches_library(tmp_path, capsys):
@@ -205,3 +211,41 @@ def test_canonical_config_ships_with_repo():
     root = os.path.join(os.path.dirname(__file__), "..", "configs", "canonical.json")
     cfg = load_config(root)
     assert cfg.radius == 4.0
+
+
+def test_cli_sweep_point_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import rtmhd.dispersion
+    from rtmhd.errors import BracketFailure
+
+    real = rtmhd.dispersion.growth_rate
+
+    def failing(forms, **kwargs):
+        if (forms.xi.xi1, forms.xi.xi2) == (1.0, 0.0):
+            raise BracketFailure("injected failure at xi = (1, 0)")
+        return real(forms, **kwargs)
+
+    monkeypatch.setattr(rtmhd.dispersion, "growth_rate", failing)
+    path = _write_config(tmp_path / "c.json", grid={"half_length": 8.0, "n": 201})
+    code = main(["sweep", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    err = json.loads(captured.out.strip().splitlines()[-1])
+    assert err["error"] == "BracketFailure"
+    out = load_config(path).output_dir
+    assert not os.path.exists(os.path.join(out, "sweep_summary.json"))
+
+
+def test_cli_builds_profile_once(tmp_path, monkeypatch):
+    import rtmhd.config
+
+    calls = []
+    real = rtmhd.config.build_profile
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.config, "build_profile", counting)
+    path = _write_config(tmp_path / "c.json")
+    assert main(["profile", path, "--n", "257", "--M", "0.7"]) == 0
+    assert len(calls) == 1

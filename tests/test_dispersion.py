@@ -288,15 +288,6 @@ def test_csv_exports(canon_sweep, jumpneg_profile):
     assert len(trace) == len(cn.trace) + 1
 
 
-def test_parallel_sweep_matches_serial(canon_profile):
-    grid = rtmhd.Grid1D(8.0, 201)
-    prof = rtmhd.build_profile(canon_profile.spec, grid)
-    mag = rtmhd.MagneticConfig(H, 0.3)
-    serial = lattice_sweep(prof, grid, mag, CANON_PARAMS, radius=1.5, workers=1)
-    parallel = lattice_sweep(prof, grid, mag, CANON_PARAMS, radius=1.5, workers=2)
-    assert serial.entries == parallel.entries
-
-
 def test_openness_no_isolated_members(canon_profile, canon_grid):
     mag = rtmhd.MagneticConfig(H, 1.2)
     table = lattice_sweep(canon_profile, canon_grid, mag, CANON_PARAMS, radius=3.0)

@@ -37,6 +37,18 @@ def test_diagonal_pencil():
     assert np.argmax(np.abs(pair.vec)) == 1
 
 
+def test_bisection_midpoint_on_eigenvalue():
+    # the first bisection midpoint of (0, 2) is exactly the eigenvalue 1.0,
+    # where A - sigma*B is singular and so not positive definite
+    a = band_zeros(0, 3)
+    a[0] = [3.0, 1.0, 2.0]
+    b = band_zeros(0, 3)
+    b[0] = 1.0
+    pair = min_generalized_eig(a, b, bracket=(0.0, 2.0))
+    assert pair.value == pytest.approx(1.0, abs=1e-12)
+    assert inertia_count(a, b, 1.0) == dense_count_below(a, b, 1.0) == 0
+
+
 def test_random_pencil_matches_dense_oracle():
     rng = np.random.default_rng(11)
     a, b = _random_pencil(rng, n=40, p=2)
