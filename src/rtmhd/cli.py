@@ -176,19 +176,28 @@ def cmd_growth(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _sweep_stamp(cfg: RunConfig) -> dict:
+    """The effective config a sweep's results depend on, as JSON reads it back."""
+    full = cfg.to_dict()
+    stamp = {key: full[key] for key in ("profile", "params", "mag", "grid")}
+    stamp["radius"] = cfg.radius
+    return json.loads(json.dumps(stamp))
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
     table = dispersion.lattice_sweep(
         cfg.profile, cfg.grid, cfg.mag, cfg.params, cfg.radius
     )
+    top = dispersion.sup_rate(table)
     with open(os.path.join(cfg.output_dir, "dispersion.csv"), "w") as f:
         f.write(dispersion.table_to_csv(table))
-    top = dispersion.sup_rate(table)
     payload = {
         "Lambda": top.lam_max,
         "Lambda_star": top.lam_star,
         "xi1": [top.xi_pair[0].xi1, top.xi_pair[0].xi2],
         "on_boundary": top.on_boundary,
         "radius": cfg.radius,
+        "config": _sweep_stamp(cfg),
     }
     _write_json(os.path.join(cfg.output_dir, "sweep_summary.json"), payload)
     if top.on_boundary:
@@ -239,6 +248,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if os.path.exists(summary_path) and os.path.exists(table_path):
         with open(summary_path) as f:
             summary = json.load(f)
+        if summary.get("config") != _sweep_stamp(cfg):
+            raise ConfigError(
+                f"{summary_path} was not written by a sweep of this config; "
+                "rerun sweep with it or choose another output directory"
+            )
         xi1 = Frequency(*summary["xi1"])
         lam_cap = float(summary["Lambda"])
         members = _read_members_csv(table_path)

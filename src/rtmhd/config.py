@@ -79,25 +79,29 @@ class RunConfig:
         }
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing key '{key}' in {where}")
-    return d[key]
+def _section(raw: dict, key: str, required: bool = True) -> dict:
+    """The config section ``key``, which must be a JSON object."""
+    if key not in raw:
+        if required:
+            raise ConfigError(f"missing key '{key}' in config")
+        return {}
+    if not isinstance(raw[key], dict):
+        raise ConfigError(f"config section '{key}' must be a JSON object")
+    return raw[key]
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     try:
-        spec = ProfileSpec.from_dict(_require(raw, "profile", "config"))
-        p = _require(raw, "params", "config")
+        spec = ProfileSpec.from_dict(_section(raw, "profile"))
+        p = _section(raw, "params")
         params = PhysicalParams(float(p["mu"]), float(p["g"]), float(p["L"]))
-        m = _require(raw, "mag", "config")
+        m = _section(raw, "mag")
         mag = MagneticConfig(Orientation(m["orientation"]), float(m["magnitude"]))
-        g = _require(raw, "grid", "config")
+        g = _section(raw, "grid")
         grid = Grid1D(float(g["half_length"]), int(g["n"]))
-        sweep = raw.get("sweep", {})
-        radius = sweep.get("radius")
+        radius = _section(raw, "sweep", required=False).get("radius")
         radius = float(radius) if radius is not None else None
-        verify = raw.get("verify", {})
+        verify = _section(raw, "verify", required=False)
         dt = verify.get("dt")
         T = verify.get("T")
         seeds = tuple(int(s) for s in verify.get("seeds", [0, 1, 2, 3, 4]))

@@ -6,18 +6,24 @@ every term implicitly at the half step: the density and induction updates are
 affine in the new velocity, so they are eliminated analytically and the step
 reduces to one sparse solve for (u, q) with the incompressibility row kept as
 an exact constraint (pressure as multiplier).
+
+The stepper works on the stacked state z = [rho; u1; u2; u3; N1; N2; N3]
+(7n rows, one column per solution).  The whole step is two sparse products
+around one factored solve: ``rhs`` (4n x 7n) maps z to the right-hand side
+of the (u, q) system, and ``update`` (7n x 11n) maps [z; u+; q] to the new z.
+The sharpness test steps all random seeds of one frequency as the columns
+of one block, so each frequency is factored once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DegenerateSeries, SharpnessViolation, SolverSingular
-from .growth import GrowthResult
 from .modes import NormalMode
 from .operators import d1_apply
 from .profiles import (
@@ -57,14 +63,8 @@ class LinearState:
     q: np.ndarray
 
     def copy(self) -> "LinearState":
-        return LinearState(
-            xi=self.xi,
-            grid=self.grid,
-            t=self.t,
-            rho=self.rho.copy(),
-            u=self.u.copy(),
-            N=self.N.copy(),
-            q=self.q.copy(),
+        return replace(
+            self, rho=self.rho.copy(), u=self.u.copy(), N=self.N.copy(), q=self.q.copy()
         )
 
     def norm_u(self) -> float:
@@ -113,7 +113,12 @@ def _sparse_d2(n: int, h: float) -> sp.csr_matrix:
 
 
 class LinearEvolver:
-    """Factored Crank-Nicolson stepper for one frequency and step size."""
+    """Factored Crank-Nicolson stepper for one frequency and step size.
+
+    With A the velocity operator at dt/2 weight (viscosity, the Lorentz force
+    of the induced field and the buoyancy of the advected density), the solve
+    is (rho/dt - A) u+ + grad q = (rho/dt + A) u + F N - g rho e3, div u+ = 0.
+    """
 
     def __init__(
         self,
@@ -131,55 +136,43 @@ class LinearEvolver:
         x = grid.points()
         rho = profile.rho(x)
         drho = profile.drho(x)
-        xi2 = xi.norm2
-        mu = params.mu
         M = mag.magnitude
 
         ident = sp.identity(n, format="csr", dtype=complex)
+        zero = sp.csr_matrix((n, n), dtype=complex)
         d1 = _sparse_d1(n, h).astype(complex)
         d1f = _sparse_d1_free(n, h).astype(complex)
-        lap = (_sparse_d2(n, h) - xi2 * sp.identity(n, format="csr")).astype(complex)
-        zero = sp.csr_matrix((n, n), dtype=complex)
+        lap = _sparse_d2(n, h) - xi.norm2 * sp.identity(n, format="csr")
 
-        # induction operator T: N_t = T u, and Lorentz force blocks F[i][j]
+        # induction operator T: N_t = T u, and Lorentz force F N
         if mag.orientation is Orientation.HORIZONTAL:
-            t_op = [1j * M * xi.xi1 * ident] * 3
-            f_blocks = [
-                [zero, zero, zero],
-                [-1j * M * xi.xi2 * ident, 1j * M * xi.xi1 * ident, zero],
-                [-M * d1f, zero, 1j * M * xi.xi1 * ident],
-            ]
+            t_op = sp.block_diag([1j * M * xi.xi1 * ident] * 3)
+            f_op = sp.bmat(
+                [
+                    [None, None, zero],
+                    [-1j * M * xi.xi2 * ident, 1j * M * xi.xi1 * ident, None],
+                    [-M * d1f, None, 1j * M * xi.xi1 * ident],
+                ]
+            )
         else:
-            t_op = [M * d1] * 3
-            f_blocks = [
-                [M * d1f, zero, -1j * M * xi.xi1 * ident],
-                [zero, M * d1f, -1j * M * xi.xi2 * ident],
-                [zero, zero, zero],
-            ]
+            t_op = sp.block_diag([M * d1] * 3)
+            f_op = sp.bmat(
+                [
+                    [M * d1f, None, -1j * M * xi.xi1 * ident],
+                    [None, M * d1f, -1j * M * xi.xi2 * ident],
+                    [None, None, zero],
+                ]
+            )
 
-        grad = [1j * xi.xi1 * ident, 1j * xi.xi2 * ident, d1]
-        div = [1j * xi.xi1 * ident, 1j * xi.xi2 * ident, d1]
-
-        rho_dt = sp.diags(rho / dt).astype(complex)
-        blocks: list[list] = [[None] * 4 for _ in range(4)]
-        for c in range(3):
-            acc = {c: rho_dt - 0.5 * mu * lap}
-            # implicit Lorentz contribution F(T u+) scaled by dt/4
-            for j in range(3):
-                fij = f_blocks[c][j] @ t_op[j]
-                if fij.nnz:
-                    acc[j] = acc.get(j, zero) - 0.25 * dt * fij
-            if c == 2:
-                acc[2] = acc.get(2, zero) + sp.diags(
-                    -0.25 * dt * params.g * drho
-                ).astype(complex)
-            for j, blk in acc.items():
-                blocks[c][j] = blk
-            blocks[c][3] = grad[c]
-        for j in range(3):
-            blocks[3][j] = div[j]
-
-        system = sp.bmat(blocks, format="csc")
+        buoy = sp.block_diag([zero, zero, sp.diags(params.g * drho)])
+        a_op = 0.5 * params.mu * sp.block_diag([lap] * 3) + 0.25 * dt * (
+            f_op @ t_op + buoy
+        )
+        rho_dt = sp.diags(np.tile(rho / dt, 3))
+        grad = sp.vstack([1j * xi.xi1 * ident, 1j * xi.xi2 * ident, d1])
+        div = sp.hstack([1j * xi.xi1 * ident, 1j * xi.xi2 * ident, d1])
+        system = sp.bmat([[rho_dt - a_op, grad], [div, None]], format="csc")
+        system.eliminate_zeros()
         try:
             self._lu = splu(system)
         except RuntimeError as exc:
@@ -187,63 +180,62 @@ class LinearEvolver:
                 f"time-step system is singular at dt = {dt:g}: {exc}"
             ) from exc
 
+        # rows u of the right-hand side; the divergence rows are zero
+        g_col = sp.vstack([zero, zero, -params.g * ident])
+        self._rhs = sp.bmat(
+            [[g_col, rho_dt + a_op, f_op], [zero, None, None]], format="csr"
+        )
+        # [z; u+; q] -> z+: rho+ = rho - (dt/2) drho (u3 + u3+), u+ from the
+        # solve, N+ = N + (dt/2) T (u + u+)
+        d_u3 = sp.hstack([zero, zero, sp.diags(-0.5 * dt * drho)])
+        ident3 = sp.identity(3 * n, dtype=complex)
+        self._update = sp.bmat(
+            [
+                [ident, d_u3, None, d_u3, zero],
+                [None, None, None, ident3, None],
+                [None, 0.5 * dt * t_op, ident3, 0.5 * dt * t_op, None],
+            ],
+            format="csr",
+        )
+        for op in (self._rhs, self._update):
+            op.eliminate_zeros()
         self.grid = grid
         self.xi = xi
         self.dt = dt
-        self._rho = rho
-        self._drho = drho
-        self._g = params.g
-        self._mu = mu
-        self._lap = lap
-        self._t_op = t_op
-        self._f_blocks = f_blocks
         self._n = n
 
-    def _induction(self, u: np.ndarray) -> np.ndarray:
-        return np.stack([self._t_op[j] @ u[j] for j in range(3)])
+    def step(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step of the stacked state z, shape (7n,) or (7n, k).
 
-    def _lorentz(self, N: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(N)
-        for c in range(3):
-            for j in range(3):
-                blk = self._f_blocks[c][j]
-                if blk.nnz:
-                    out[c] += blk @ N[j]
-        return out
+        Returns z at the new time and the pressure q at the half step.
+        """
+        sol = self._lu.solve(self._rhs @ z)
+        return self._update @ np.concatenate([z, sol]), sol[3 * self._n :]
 
-    def step(self, state: LinearState) -> LinearState:
-        dt = self.dt
-        n = self._n
-        u, N, rho_p = state.u, state.N, state.rho
 
-        n_half_known = N + 0.25 * dt * self._induction(u)
-        rho_half_known = rho_p - 0.25 * dt * self._drho * u[2]
-        force = self._lorentz(n_half_known)
+def _pack(state: LinearState) -> np.ndarray:
+    return np.concatenate([state.rho, state.u.ravel(), state.N.ravel()])
 
-        rhs = np.empty(4 * n, dtype=complex)
-        for c in range(3):
-            r = (self._rho / dt) * u[c] + 0.5 * self._mu * (self._lap @ u[c])
-            r += force[c]
-            if c == 2:
-                r -= self._g * rho_half_known
-            rhs[c * n : (c + 1) * n] = r
-        rhs[3 * n :] = 0.0
 
-        sol = self._lu.solve(rhs)
-        u_new = np.stack([sol[c * n : (c + 1) * n] for c in range(3)])
-        q_half = sol[3 * n :]
+def _norm_u(z: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Velocity norm of each column of a stacked state."""
+    n = grid.n
+    return np.sqrt(grid.h * np.sum(np.abs(z[n : 4 * n]) ** 2, axis=0))
 
-        rho_new = rho_p - 0.5 * dt * self._drho * (u[2] + u_new[2])
-        n_new = N + 0.5 * dt * (self._induction(u) + self._induction(u_new))
-        return LinearState(
-            xi=state.xi,
-            grid=state.grid,
-            t=state.t + dt,
-            rho=rho_new,
-            u=u_new,
-            N=n_new,
-            q=q_half,
-        )
+
+def _march(
+    stepper: LinearEvolver, z: np.ndarray, t: float, T: float, record_every: int | None
+):
+    """Step z to time T, yielding (t, z, q) every ``record_every`` steps and
+    at the last step; the default records about 60 times."""
+    n_steps = max(1, int(round(T / stepper.dt)))
+    if record_every is None:
+        record_every = max(1, n_steps // 60)
+    for k in range(1, n_steps + 1):
+        z, q = stepper.step(z)
+        t += stepper.dt
+        if k % record_every == 0 or k == n_steps:
+            yield t, z, q
 
 
 def evolve(
@@ -257,15 +249,11 @@ def evolve(
 ) -> list[LinearState]:
     """Integrate to time T, recording every ``record_every`` steps."""
     stepper = LinearEvolver(profile, mag, params, init.grid, init.xi, dt)
-    n_steps = max(1, int(round(T / dt)))
-    if record_every is None:
-        record_every = max(1, n_steps // 60)
+    n = init.grid.n
     out = [init.copy()]
-    state = init
-    for k in range(1, n_steps + 1):
-        state = stepper.step(state)
-        if k % record_every == 0 or k == n_steps:
-            out.append(state)
+    for t, z, q in _march(stepper, _pack(init), init.t, T, record_every):
+        u, N = z[n : 4 * n].reshape(3, n), z[4 * n :].reshape(3, n)
+        out.append(replace(init, t=t, rho=z[:n], u=u, N=N, q=q))
     return out
 
 
@@ -415,11 +403,18 @@ def sharpness_test(
     """
     worst = -np.inf
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
+        # every seed is one column of the same stepped block
         dt = 1.0 / (steps_per_efold * lam)
-        T = horizon / lam
-        for seed in seeds:
-            init = random_divfree_state(profile, grid, xi, seed)
-            est, _ = run_rate(init, profile, mag, params, dt, T)
+        stepper = LinearEvolver(profile, mag, params, grid, xi, dt)
+        z = np.stack(
+            [_pack(random_divfree_state(profile, grid, xi, seed)) for seed in seeds],
+            axis=1,
+        )
+        series = [(0.0, _norm_u(z, grid))]
+        for t, zk, _ in _march(stepper, z, 0.0, horizon / lam, None):
+            series.append((t, _norm_u(zk, grid)))
+        for i, seed in enumerate(seeds):
+            est = measured_rate([(t, norms[i]) for t, norms in series])
             if est.rate > lam * (1.0 + RATE_SLACK):
                 raise SharpnessViolation(
                     f"seed {seed}, xi = ({xi.xi1:g}, {xi.xi2:g}): measured "

@@ -71,6 +71,15 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+    # optional sections that are present but not JSON objects
+    for section, value in (("sweep", None), ("verify", None), ("sweep", [])):
+        path = _write_config(tmp_path / "section.json", **{section: value})
+        with pytest.raises(ConfigError):
+            load_config(path)
+        code = main(["profile", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
 
 
 def test_cli_growth_matches_library(tmp_path, capsys):
@@ -249,3 +258,26 @@ def test_cli_builds_profile_once(tmp_path, monkeypatch):
     path = _write_config(tmp_path / "c.json")
     assert main(["profile", path, "--n", "257", "--M", "0.7"]) == 0
     assert len(calls) == 1
+
+
+def test_cli_verify_refuses_another_configs_sweep(tmp_path, capsys):
+    path = _write_config(tmp_path / "c.json", grid={"half_length": 8.0, "n": 201})
+    out = load_config(path).output_dir
+    assert main(["sweep", path, "--M", "0.3"]) == 0
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not os.path.exists(os.path.join(out, "verify.json"))
+
+    # a summary without the stamp is refused too
+    assert main(["sweep", path]) == 0
+    summary_path = os.path.join(out, "sweep_summary.json")
+    summary = json.load(open(summary_path))
+    assert summary["config"]["mag"]["magnitude"] == 0.0
+    assert summary["config"]["radius"] == 2.0
+    del summary["config"]
+    with open(summary_path, "w") as f:
+        json.dump(summary, f)
+    capsys.readouterr()
+    assert main(["verify", path]) == 2

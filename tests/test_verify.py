@@ -8,7 +8,9 @@ from rtmhd.errors import DegenerateSeries, SharpnessViolation
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 from rtmhd.modes import build_mode
+import rtmhd.verify
 from rtmhd.verify import (
+    LinearEvolver,
     LinearState,
     eigenmode_state,
     evolve,
@@ -20,6 +22,7 @@ from rtmhd.verify import (
 )
 
 from .conftest import CANON_PARAMS, CANON_SPEC
+from .oracles import cn_step_reference
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -224,3 +227,83 @@ def test_series_csv(setup_horizontal):
     lines = text.strip().split("\n")
     assert lines[0] == "t,norm_rho,norm_u,norm_N"
     assert len(lines) == len(states) + 1
+
+
+def _stacked(state):
+    return np.concatenate([state.rho, state.u.ravel(), state.N.ravel()])
+
+
+@pytest.mark.parametrize(
+    "orientation, M", [(H, 0.0), (H, 0.3), (V, 0.3)], ids=["h-M0", "h-M0.3", "v-M0.3"]
+)
+def test_step_matches_per_component_reference(orientation, M):
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(orientation, M)
+    xi = rtmhd.Frequency(1.0, 2.0)
+    dt = 0.03
+    states = [random_divfree_state(prof, grid, xi, seed) for seed in (3, 4, 5)]
+    init = states[0]
+    init.N = states[1].u  # a divergence-free field, so the Lorentz terms act
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt)
+
+    z, q = stepper.step(_stacked(init))
+    rho, u, N, q_ref = cn_step_reference(
+        prof, mag, CANON_PARAMS, grid, xi, dt, init.rho, init.u, init.N
+    )
+    z_ref = np.concatenate([rho, u.ravel(), N.ravel()])
+    assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+    assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
+
+    # a block of columns steps like each column alone
+    block = np.stack([_stacked(s) for s in states], axis=1)
+    z_block, q_block = stepper.step(block)
+    for k in range(3):
+        z_k, q_k = stepper.step(block[:, k])
+        assert np.linalg.norm(z_block[:, k] - z_k) <= 1e-13 * np.linalg.norm(z_k)
+        assert np.linalg.norm(q_block[:, k] - q_k) <= 1e-13 * np.linalg.norm(q_k)
+
+
+def _sharpness_per_seed(prof, mag, grid, seeds, xi_rates):
+    """The sharpness check one seed at a time: the message of its first
+    violation, or None."""
+    for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
+        for seed in seeds:
+            init = random_divfree_state(prof, grid, xi, seed)
+            est, _ = run_rate(init, prof, mag, CANON_PARAMS, 1.0 / (100 * lam), 3.0 / lam)
+            if est.rate > lam * 1.02:
+                return f"seed {seed}, xi = ({xi.xi1:g}, {xi.xi2:g}): measured"
+    return None
+
+
+def test_sharpness_factors_once_per_frequency(monkeypatch):
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(H, 0.3)
+    rates = {}
+    for xi in (rtmhd.Frequency(1.0, 0.0), rtmhd.Frequency(0.0, 1.0)):
+        rates[xi] = growth_rate(assemble_forms(prof, grid, xi, mag, CANON_PARAMS)).lam
+    calls = []
+    real = rtmhd.verify.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.verify, "splu", counting)
+    seeds = [0, 1, 2]
+    worst = sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
+                           seeds=seeds, xi_rates=rates)
+    assert len(calls) == 2
+    assert 0.9 * max(rates.values()) <= worst <= 1.02 * max(rates.values())
+
+    # a bound 5% too small at the second frequency in check order: seeds 0
+    # and 1 stay inside it, seed 2 does not
+    forced = dict(rates)
+    forced[rtmhd.Frequency(1.0, 0.0)] *= 0.95
+    expected = _sharpness_per_seed(prof, mag, grid, seeds, forced)
+    assert expected == "seed 2, xi = (1, 0): measured"
+    with pytest.raises(SharpnessViolation) as info:
+        sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
+                       seeds=seeds, xi_rates=forced)
+    assert str(info.value).startswith(expected)
