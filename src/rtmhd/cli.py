@@ -292,9 +292,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     print(f"rel_err={rel_err:.3e}")
 
     # sharpness: random data at the strongest member frequencies must stay
-    # below the per-frequency rates and the sweep maximum
+    # below the per-frequency rates and the sweep maximum; the rate is even
+    # in each component, so one (|xi1|, |xi2|) stands for each sign orbit
+    orbits = {Frequency(abs(x.xi1), abs(x.xi2)): lam for x, lam in members.items()}
     ranked = sorted(
-        members.items(), key=lambda kv: (-kv[1], kv[0].norm, kv[0].xi1, kv[0].xi2)
+        orbits.items(), key=lambda kv: (-kv[1], kv[0].norm, kv[0].xi1, kv[0].xi2)
     )[:8]
     worst = verify.sharpness_test(
         cfg.profile, cfg.mag, cfg.params, cfg.grid, lam_cap,

@@ -2,10 +2,12 @@
 
 The growing-mode domain of a field configuration is the set of frequencies
 where the magnetic + buoyancy form E0 is indefinite.  Membership is decided
-by the sign of the smallest eigenvalue of (E0, mass); the same threshold can
-be located through dedicated critical quantities (the critical field
-strength, the horizontal critical-frequency function, and the vertical
-critical-frequency constant), and both routes agree up to solver tolerance.
+by one banded Cholesky test: the smallest eigenvalue of (E0, mass) lies
+below -floor exactly when E0 + floor * mass is not positive definite.  The
+same threshold can be located through dedicated critical quantities (the
+critical field strength, the horizontal critical-frequency function, and
+the vertical critical-frequency constant), and both routes agree up to
+solver tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import max_generalized_eig, min_generalized_eig
+from .eig import definite, max_generalized_eig
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange, ZeroFrequency
 from .forms import assemble_forms
 from .growth import growth_rate
@@ -59,12 +61,16 @@ def in_growing_domain(
     mag: MagneticConfig,
     params: PhysicalParams,
 ) -> bool:
-    """True iff E0 is indefinite at xi (strictly negative with a noise floor)."""
+    """True iff E0 is indefinite at xi (negative beyond a noise floor).
+
+    That is: E0 + floor * mass is not positive definite, so the smallest
+    eigenvalue of (E0, mass) is at or below -floor.
+    """
     if xi.is_zero():
         raise ZeroFrequency("xi = 0 is excluded from the growing domain")
     forms = assemble_forms(profile, grid, xi, mag, params)
-    pair = min_generalized_eig(forms.e0, forms.mass)
-    return pair.value < -_MEMBERSHIP_FLOOR * params.g * profile.sup_ratio
+    floor = _MEMBERSHIP_FLOOR * params.g * profile.sup_ratio
+    return not definite(forms.e0, forms.mass, -floor)
 
 
 # --- critical field strength -------------------------------------------------
@@ -212,18 +218,19 @@ def critical_freq_horizontal(
     return float(np.sqrt(pair.value))
 
 
-def _vertical_e0_min(
+def _vertical_indefinite(
     profile: DensityProfile,
     grid: Grid1D,
     xi_norm: float,
     M: float,
     g: float,
-) -> float:
+) -> bool:
+    """True iff the vertical-field E0 at |xi| is not positive definite."""
     xi = Frequency(0.0, xi_norm)
     mag = MagneticConfig(Orientation.VERTICAL, abs(M))
     params = PhysicalParams(mu=1.0, g=g, L=1.0)
     forms = assemble_forms(profile, grid, xi, mag, params)
-    return min_generalized_eig(forms.e0, forms.mass).value
+    return not definite(forms.e0, forms.mass, 0.0)
 
 
 def critical_freq_vertical(
@@ -235,8 +242,9 @@ def critical_freq_vertical(
 ) -> float:
     """Threshold |xi|_vc for a vertical field; instability requires |xi| > it.
 
-    Located by bisection in |xi| on the sign of the smallest eigenvalue of
-    (vertical E0, mass), which is nonincreasing in |xi|.  A positive total
+    Located by bisection in |xi| on whether the vertical E0 is positive
+    definite (one banded Cholesky per step); its smallest eigenvalue against
+    the mass is nonincreasing in |xi|.  A positive total
     density jump makes the threshold zero.
     """
     if profile.total_jump > 0:
@@ -246,7 +254,7 @@ def critical_freq_vertical(
 
     hi = 1.0
     for _ in range(60):
-        if _vertical_e0_min(profile, grid, hi, M, g) < 0.0:
+        if _vertical_indefinite(profile, grid, hi, M, g):
             break
         hi *= 2.0
     else:
@@ -255,14 +263,14 @@ def critical_freq_vertical(
             "appears to be at or above critical"
         )
     lo = hi / 2.0
-    while _vertical_e0_min(profile, grid, lo, M, g) < 0.0:
+    while _vertical_indefinite(profile, grid, lo, M, g):
         hi = lo
         lo /= 2.0
         if lo < 1e-12:
             return 0.0
     while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
-        if _vertical_e0_min(profile, grid, mid, M, g) < 0.0:
+        if _vertical_indefinite(profile, grid, mid, M, g):
             hi = mid
         else:
             lo = mid

@@ -1,10 +1,14 @@
 """Smallest eigenvalue of a symmetric banded pencil (A, B), B positive definite.
 
-Strategy: banded Cholesky (LAPACK dpbtrf) definiteness bisection + inverse
-iteration.  By Sylvester's law of inertia, A - sigma*B is positive definite
-exactly when sigma lies below every pencil eigenvalue, so one dpbtrf call per
-step (info != 0 means not positive definite) isolates the smallest pencil
-eigenvalue; a few inverse-iteration steps then polish the eigenpair.
+By Sylvester's law of inertia, A - sigma*B is positive definite exactly when
+sigma lies below every pencil eigenvalue, and one banded Cholesky (LAPACK
+dpbtrf, info != 0 means not positive definite) answers that: ``definite``.
+
+Cold, the smallest eigenvalue is isolated by definiteness bisection and
+polished by a few inverse-iteration steps.  Warm, Rayleigh-quotient
+iteration runs from a given start vector, and a single definiteness test
+just below the result certifies that no smaller eigenvalue was missed; a
+result that fails the test falls back to the cold path.
 """
 
 from __future__ import annotations
@@ -18,9 +22,16 @@ from scipy.linalg.lapack import dpbtrf
 from .errors import FactorizationBreakdown
 from .operators import band_combine, band_matvec, band_to_lu
 
-__all__ = ["EigenPair", "inertia_count", "min_generalized_eig", "max_generalized_eig"]
+__all__ = [
+    "EigenPair",
+    "definite",
+    "inertia_count",
+    "min_generalized_eig",
+    "max_generalized_eig",
+]
 
 _INVERSE_STEPS = 5
+_RQI_STEPS = 6
 _RESIDUAL_TOL = 1e-8
 
 
@@ -28,8 +39,12 @@ def _band_scale(ab: np.ndarray) -> float:
     return float(np.max(np.abs(ab))) if ab.size else 1.0
 
 
-def _definite(a: np.ndarray, b: np.ndarray, sigma: float) -> bool:
-    """True iff A - sigma*B is positive definite (its banded Cholesky exists)."""
+def definite(a: np.ndarray, b: np.ndarray, sigma: float) -> bool:
+    """True iff A - sigma*B is positive definite (its banded Cholesky exists).
+
+    By Sylvester's law this says every pencil eigenvalue lies above sigma;
+    a singular shift is not positive definite.
+    """
     _, info = dpbtrf(band_combine([(1.0, a), (-sigma, b)]), lower=1)
     return info == 0
 
@@ -67,14 +82,14 @@ def _expand_bracket(
     """Grow [lo, hi] until A - lo*B is positive definite and A - hi*B is not."""
     iters = 0
     span = max(1.0, abs(lo), abs(hi))
-    while not _definite(a, b, lo):
+    while not definite(a, b, lo):
         iters += 1
         lo -= span
         span *= 4.0
         if iters > 200:
             raise FactorizationBreakdown("could not bracket the smallest eigenvalue")
     span = max(1.0, abs(lo), abs(hi))
-    while _definite(a, b, hi):
+    while definite(a, b, hi):
         iters += 1
         hi += span
         span *= 4.0
@@ -91,41 +106,31 @@ def _solve_shifted(
     return solve_banded(l_and_u, full, rhs)
 
 
-def min_generalized_eig(
+def _inverse_iteration(
     a: np.ndarray,
     b: np.ndarray,
-    tol: float = 1e-10,
-    bracket: tuple[float, float] | None = None,
-) -> EigenPair:
-    """Smallest alpha with A psi = alpha B psi; psi normalized to psi^T B psi = 1."""
-    n = a.shape[1]
-    if bracket is not None:
-        lo, hi = bracket
-    else:
-        guess = _band_scale(a) / max(np.min(b[0]), 1e-300)
-        lo, hi = -max(1.0, guess), max(1.0, guess)
-    lo, hi, iters = _expand_bracket(a, b, lo, hi)
+    x: np.ndarray,
+    shift: float,
+    tol: float,
+    steps: int,
+    rounds: int,
+) -> tuple[np.ndarray, float, float, float, int]:
+    """Inverse iteration from x in rounds of `steps` solves.
 
-    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if _definite(a, b, mid):
-            lo = mid
-        else:
-            hi = mid
-
-    # Inverse iteration from the bracket midpoint; the shift is within tol of
-    # the eigenvalue so a handful of steps reaches the residual floor.  The
-    # acceptable floor scales with the matvec roundoff eps*|A|*|x|/|Bx|, which
-    # dominates 1e-8 once the forms carry 1/h^3-sized fourth-order entries.
-    shift = 0.5 * (lo + hi)
-    x = np.ones(n) / np.sqrt(n)
+    After each round the shift moves to the Rayleigh quotient, so steps=1 is
+    Rayleigh-quotient iteration.  Returns the B-normalized vector, its
+    Rayleigh quotient, residual, residual floor and the number of solves.
+    The acceptable floor scales with the matvec roundoff eps*|A|*|x|/|Bx|,
+    which dominates 1e-8 once the forms carry 1/h^3-sized fourth-order
+    entries.
+    """
+    iters = 0
     residual = np.inf
     value = shift
     floor = _RESIDUAL_TOL
-    for _ in range(3):
+    for _ in range(rounds):
         try:
-            for _ in range(_INVERSE_STEPS):
+            for _ in range(steps):
                 y = _solve_shifted(a, b, shift, band_matvec(b, x))
                 iters += 1
                 s = float(y @ band_matvec(b, y))
@@ -151,11 +156,12 @@ def min_generalized_eig(
         if residual <= floor:
             break
         shift = value  # Rayleigh-shift retry
-    if residual > floor:
-        raise FactorizationBreakdown(
-            f"inverse iteration stalled at residual {residual:.3g}"
-        )
+    return x, value, residual, floor, iters
 
+
+def _pair(
+    b: np.ndarray, x: np.ndarray, value: float, residual: float, iters: int
+) -> EigenPair:
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:
         x = -x
@@ -165,6 +171,65 @@ def min_generalized_eig(
     return EigenPair(
         value=value, vec=x, residual=residual, iterations=iters, value_tol=value_tol
     )
+
+
+def min_generalized_eig(
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float = 1e-10,
+    bracket: tuple[float, float] | None = None,
+    start: np.ndarray | None = None,
+) -> EigenPair:
+    """Smallest alpha with A psi = alpha B psi; psi normalized to psi^T B psi = 1.
+
+    With a start vector, Rayleigh-quotient iteration runs from it first; its
+    result is accepted only if A - (value - delta) B is positive definite,
+    delta = tol*max(1, |value|) + 2*value_tol, which proves that no pencil
+    eigenvalue lies more than delta below it.  Otherwise (and without a start
+    vector) the smallest eigenvalue is bisected inside the verified bracket.
+    """
+    iters = 0
+    if start is not None:
+        x = start / np.sqrt(float(start @ band_matvec(b, start)))
+        x, value, residual, floor, iters = _inverse_iteration(
+            a, b, x, float(x @ band_matvec(a, x)), tol, steps=1, rounds=_RQI_STEPS
+        )
+        if residual <= floor:
+            iters += 1  # the certifying factorization
+            pair = _pair(b, x, value, residual, iters)
+            delta = tol * max(1.0, abs(value)) + 2.0 * pair.value_tol
+            if definite(a, b, value - delta):
+                return pair
+
+    n = a.shape[1]
+    if bracket is not None:
+        lo, hi = bracket
+    else:
+        guess = _band_scale(a) / max(np.min(b[0]), 1e-300)
+        lo, hi = -max(1.0, guess), max(1.0, guess)
+    lo, hi, k = _expand_bracket(a, b, lo, hi)
+    iters += k
+
+    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        iters += 1
+        if definite(a, b, mid):
+            lo = mid
+        else:
+            hi = mid
+
+    # inverse iteration from the bracket midpoint; the shift is within tol of
+    # the eigenvalue so a handful of steps reaches the residual floor
+    x, value, residual, floor, k = _inverse_iteration(
+        a, b, np.ones(n) / np.sqrt(n), 0.5 * (lo + hi), tol,
+        steps=_INVERSE_STEPS, rounds=3,
+    )
+    iters += k
+    if residual > floor:
+        raise FactorizationBreakdown(
+            f"inverse iteration stalled at residual {residual:.3g}"
+        )
+    return _pair(b, x, value, residual, iters)
 
 
 def max_generalized_eig(

@@ -281,3 +281,24 @@ def test_cli_verify_refuses_another_configs_sweep(tmp_path, capsys):
         json.dump(summary, f)
     capsys.readouterr()
     assert main(["verify", path]) == 2
+
+
+def test_cli_verify_covers_distinct_sign_orbits(tmp_path):
+    path = _write_config(tmp_path / "c.json", grid={"half_length": 8.0, "n": 201})
+    out = load_config(path).output_dir
+    assert main(["sweep", path]) == 0
+    assert main(["verify", path]) == 0
+    member_orbits = set()
+    with open(os.path.join(out, "dispersion.csv")) as f:
+        next(f)
+        for line in f:
+            x1, x2, member, _ = line.strip().split(",")
+            if member == "1":
+                member_orbits.add((abs(float(x1)), abs(float(x2))))
+    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
+    sharp = json.load(open(os.path.join(out, "sharpness.json")))
+    orbits = [(abs(x1), abs(x2)) for x1, x2 in sharp["frequencies"]]
+    assert len(set(orbits)) == len(orbits)
+    assert len(orbits) == min(8, len(member_orbits))
+    assert set(orbits) <= member_orbits
+    assert tuple(abs(v) for v in summary["xi1"]) in orbits

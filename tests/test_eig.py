@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
-from rtmhd.eig import inertia_count, max_generalized_eig, min_generalized_eig
+from rtmhd.eig import (
+    definite,
+    inertia_count,
+    max_generalized_eig,
+    min_generalized_eig,
+)
 from rtmhd.operators import band_to_dense, band_zeros
 
 from .oracles import dense_count_below, dense_smallest
@@ -47,6 +53,35 @@ def test_bisection_midpoint_on_eigenvalue():
     pair = min_generalized_eig(a, b, bracket=(0.0, 2.0))
     assert pair.value == pytest.approx(1.0, abs=1e-12)
     assert inertia_count(a, b, 1.0) == dense_count_below(a, b, 1.0) == 0
+
+
+def test_warm_start_on_second_eigenvector_is_rejected():
+    # Rayleigh-quotient iteration from the second eigenvector converges to the
+    # second eigenvalue; the definiteness certificate must reject it
+    rng = np.random.default_rng(7)
+    a, b = _random_pencil(rng, n=30, p=2)
+    w, v = eigh(band_to_dense(a), band_to_dense(b))
+    pair = min_generalized_eig(a, b, start=v[:, 1])
+    assert pair.value == pytest.approx(dense_smallest(a, b), abs=1e-10)
+    assert abs(pair.value - w[1]) > 1e-3
+
+
+def test_warm_start_near_smallest_eigenvector_is_certified():
+    rng = np.random.default_rng(9)
+    a, b = _random_pencil(rng, n=30, p=2)
+    cold = min_generalized_eig(a, b)
+    start = cold.vec + 1e-3 * rng.standard_normal(cold.vec.size)
+    warm = min_generalized_eig(a, b, start=start)
+    assert warm.value == pytest.approx(dense_smallest(a, b), abs=1e-10)
+    assert warm.iterations < cold.iterations
+
+
+def test_definite_matches_dense_signs():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        a, b = _random_pencil(rng, n=30)
+        for sigma in rng.standard_normal(4) * 3.0:
+            assert definite(a, b, sigma) == (dense_count_below(a, b, sigma) == 0)
 
 
 def test_random_pencil_matches_dense_oracle():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rtmhd
-from rtmhd.errors import ZeroFrequency
+import rtmhd.growth
+from rtmhd.errors import BracketFailure, ZeroFrequency
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import alpha, growth_rate
 
@@ -58,6 +59,47 @@ def test_fixed_point_residual(canon_profile, canon_grid):
         assert abs(res.s_star - res.lam) <= 1e-8 * max(1.0, res.lam)
         assert res.alpha_at_s < 0
         assert res.s_frontier >= res.s_star
+
+
+# criterion 3's setups: (xi, horizontal field strength)
+FIXED_POINT_SETUPS = (((1.0, 0.0), 0.0), ((1.0, 1.0), 0.3), ((0.0, 2.0), 1.0))
+
+
+def test_fixed_point_needs_few_alpha_evaluations(
+    canon_profile, canon_grid, monkeypatch
+):
+    calls = []
+    real = rtmhd.growth.alpha
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.growth, "alpha", counting)
+    for xi, M in FIXED_POINT_SETUPS:
+        calls.clear()
+        res = growth_rate(_forms(canon_profile, canon_grid, xi=xi, M=M))
+        assert res is not None
+        assert len(calls) <= 8, f"xi = {xi}, M = {M}: {len(calls)} alpha calls"
+
+
+def test_fixed_point_bracket_certificate(canon_profile, canon_grid):
+    tol = 1e-8
+    for xi, M in FIXED_POINT_SETUPS:
+        fs = _forms(canon_profile, canon_grid, xi=xi, M=M)
+        res = growth_rate(fs, tol=tol)
+        assert 0.0 < res.bracket_width <= tol * max(1.0, res.lam)
+        assert res.s_frontier >= res.s_star
+        # the root of g(s) = s^2 + alpha(s) lies within the bracket width
+        below, above = res.s_star - res.bracket_width, res.s_star + res.bracket_width
+        assert below**2 + alpha(fs, below)[0] < 0.0 <= above**2 + alpha(fs, above)[0]
+
+
+def test_rate_above_s_hi_raises(canon_profile, canon_grid):
+    fs = _forms(canon_profile, canon_grid, xi=(1.0, 0.0))
+    lam = growth_rate(fs).lam
+    with pytest.raises(BracketFailure):
+        growth_rate(fs, s_hi=0.5 * lam)
 
 
 def test_perturbed_bracket_returns_same_rate(canon_profile, canon_grid):
