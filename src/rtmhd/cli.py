@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dispersion, modes, verify
 from .config import RunConfig, config_from_dict, read_config
-from .errors import ConfigError, RtmhdError
+from .errors import ConfigError, OutOfRange, RtmhdError
 from .forms import assemble_forms
 from .growth import growth_rate
 from .profiles import Frequency, Grid1D, MagneticConfig
@@ -133,7 +133,7 @@ def cmd_freq_thresholds(cfg: RunConfig, args) -> int:
                         cfg.profile, cfg.grid, xi, cfg.mag.magnitude, g=cfg.params.g
                     )
                     lines.append(f"{_fmt(xi.xi1)},{_fmt(xi.xi2)},{_fmt(s_val)}")
-                except RtmhdError:
+                except OutOfRange:
                     lines.append(f"{_fmt(xi.xi1)},{_fmt(xi.xi2)},")
         path = os.path.join(cfg.output_dir, "thresholds.csv")
         with open(path, "w") as f:

@@ -22,7 +22,7 @@ class ZeroFrequency(RtmhdError):
 
 
 class FactorizationBreakdown(RtmhdError):
-    """Shifted LDL^T factorization hit a zero pivot even after perturbing the shift."""
+    """Bracket expansion or inverse iteration failed in an eig.py eigen-solve."""
 
 
 class BracketFailure(RtmhdError):

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ZeroFrequency
 from .operators import (
     band_combine,
-    composite_gram_band,
-    d1_gram_band,
-    d2_gram_band,
+    composite_stencil,
+    d1_stencil,
+    d2_stencil,
     grad_stiffness_band,
     mass_band,
 )
@@ -73,6 +73,7 @@ def assemble_forms(
     rho_mid = profile.rho(xm)
     xi2 = xi.norm2
     m2 = mag.magnitude**2
+    w = np.full(grid.n, grid.h)
 
     buoyancy = mass_band(grid, -params.g * drho)
     k_grad = grad_stiffness_band(grid)
@@ -90,15 +91,15 @@ def assemble_forms(
         e0 = band_combine(
             [
                 (m2, k_grad),
-                (m2 / xi2, d2_gram_band(grid)),
+                (m2 / xi2, d2_stencil(grid).gram(w)),
                 (1.0, buoyancy),
             ]
         )
 
     e1 = band_combine(
         [
-            (4.0 * params.mu * xi2, d1_gram_band(grid)),
-            (params.mu, composite_gram_band(grid, xi2)),
+            (4.0 * params.mu * xi2, d1_stencil(grid).gram(w)),
+            (params.mu, composite_stencil(grid, xi2).gram(w)),
         ]
     )
 

@@ -24,11 +24,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
 from .errors import ResidualTooLarge
 from .growth import GrowthResult
-from .operators import d1_apply, d2_apply
+from .operators import d1_stencil, d2_stencil, grad_stiffness_band
 from .profiles import (
     DensityProfile,
     Frequency,
@@ -89,18 +89,19 @@ def _magnetic_rhs(
     mode_arrays: dict,
     xi: Frequency,
     mag: MagneticConfig,
-    h: float,
+    grid: Grid1D,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The M^2-scaled coupling terms of the three momentum equations."""
     phi, theta, psi = mode_arrays["phi"], mode_arrays["theta"], mode_arrays["psi"]
-    psi1 = d1_apply(psi, h)
+    d1, d2 = d1_stencil(grid), d2_stencil(grid)
+    psi1 = d1.apply(psi)
     if mag.orientation is Orientation.HORIZONTAL:
         b1 = np.zeros_like(psi)
         b2 = xi.xi1 * xi.xi2 * phi - xi.xi1**2 * theta
-        b3 = -(xi.xi1**2 * psi + xi.xi1 * d1_apply(phi, h))
+        b3 = -(xi.xi1**2 * psi + xi.xi1 * d1.apply(phi))
     else:
-        b1 = d2_apply(phi, h) + xi.xi1 * psi1
-        b2 = d2_apply(theta, h) + xi.xi2 * psi1
+        b1 = d2.apply(phi) + xi.xi1 * psi1
+        b2 = d2.apply(theta) + xi.xi2 * psi1
         b3 = np.zeros_like(psi)
     return b1, b2, b3
 
@@ -138,8 +139,9 @@ def mode_residuals(
     xi2 = xi.norm2
     mu = params.mu
     m2 = mag.magnitude**2
+    d1, d2 = d1_stencil(grid), d2_stencil(grid)
     b1, b2, b3 = _magnetic_rhs(
-        {"phi": phi, "theta": theta, "psi": psi}, xi, mag, h
+        {"phi": phi, "theta": theta, "psi": psi}, xi, mag, grid
     )
     cut = slice(_STENCIL_TRIM, len(psi) - _STENCIL_TRIM)
 
@@ -152,23 +154,23 @@ def mode_residuals(
     t1 = [
         lam**2 * rho * phi,
         -lam * xi.xi1 * pi,
-        lam * mu * (xi2 * phi - d2_apply(phi, h)),
+        lam * mu * (xi2 * phi - d2.apply(phi)),
         -(m2 * b1),
     ]
     t2 = [
         lam**2 * rho * theta,
         -lam * xi.xi2 * pi,
-        lam * mu * (xi2 * theta - d2_apply(theta, h)),
+        lam * mu * (xi2 * theta - d2.apply(theta)),
         -(m2 * b2),
     ]
     t3 = [
         lam**2 * rho * psi,
-        lam * d1_apply(pi, h),
-        lam * mu * (xi2 * psi - d2_apply(psi, h)),
+        lam * d1.apply(pi),
+        lam * mu * (xi2 * psi - d2.apply(psi)),
         -params.g * drho * psi,
         -(m2 * b3),
     ]
-    psi1 = d1_apply(psi, h)
+    psi1 = d1.apply(psi)
     div = xi.xi1 * phi + xi.xi2 * theta + psi1
     div_terms = [xi.xi1 * phi, xi.xi2 * theta, psi1]
     return {
@@ -177,16 +179,6 @@ def mode_residuals(
         "eq3": rel(sum(t3), t3),
         "div": rel(div, div_terms),
     }
-
-
-def _solve_clamped(sigma: np.ndarray, rhs: np.ndarray, h: float) -> np.ndarray:
-    """Solve -v'' + sigma v = rhs with zero boundary values (tridiagonal)."""
-    n = len(rhs)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1] = 2.0 / h**2 + sigma
-    ab[2, :-1] = -1.0 / h**2
-    return solve_banded((1, 1), ab, rhs)
 
 
 def build_mode(
@@ -202,7 +194,6 @@ def build_mode(
         raise ValueError("mode construction needs a positive growth rate")
     xi = growth.xi
     lam = growth.lam
-    h = grid.h
     x = grid.points()
     rho = profile.rho(x)
     mu = params.mu
@@ -210,8 +201,9 @@ def build_mode(
     m2 = mag.magnitude**2
 
     psi = np.array(growth.psi.vec, dtype=float)
-    psi1 = d1_apply(psi, h)
-    psi3 = d1_apply(d2_apply(psi, h), h)
+    d1, d2 = d1_stencil(grid), d2_stencil(grid)
+    psi1 = d1.apply(psi)
+    psi3 = d1.apply(d2.apply(psi))
 
     if mag.orientation is Orientation.HORIZONTAL:
         beta = lam**2 * rho + lam * mu * xi2 + m2 * xi.xi1**2
@@ -223,7 +215,11 @@ def build_mode(
         else:
             sigma = beta / (lam * mu)
             omega = xi.xi1 * (lam * mu * psi3 - beta * psi1) / (lam * mu * xi2)
-            phi = _solve_clamped(sigma, omega, h)
+            # -phi'' + sigma phi = omega with zero boundary values, times h:
+            # the midpoint-gradient stiffness is -h D2 on the clamped grid
+            a = grad_stiffness_band(grid)
+            a[0] += grid.h * sigma
+            phi = solveh_banded(a, grid.h * omega, lower=True)
         pi = (lam * mu * psi3 - beta * psi1 - m2 * xi.xi1 * xi2 * phi) / (lam * xi2)
         if xi.xi2 != 0.0:
             theta = -(xi.xi1 * phi + psi1) / xi.xi2
@@ -234,7 +230,7 @@ def build_mode(
         theta = -xi.xi2 * psi1 / xi2
         pi = -(
             lam**2 * rho * psi1
-            + (lam * mu + m2) * (xi2 * psi1 - d2_apply(psi1, h))
+            + (lam * mu + m2) * (xi2 * psi1 - d2.apply(psi1))
         ) / (lam * xi2)
 
     residuals = mode_residuals(
@@ -292,9 +288,10 @@ def assemble_real_solution(
         fields["N2"] = (2.0 * M * xi.xi1 * mode.theta * amp, zero)
         fields["N3"] = (zero, -2.0 * M * xi.xi1 * mode.psi * amp)
     else:
-        fields["N1"] = (zero, 2.0 * M * d1_apply(mode.phi, h) * amp)
-        fields["N2"] = (zero, 2.0 * M * d1_apply(mode.theta, h) * amp)
-        fields["N3"] = (2.0 * M * d1_apply(mode.psi, h) * amp, zero)
+        d1 = d1_stencil(grid)
+        fields["N1"] = (zero, 2.0 * M * d1.apply(mode.phi) * amp)
+        fields["N2"] = (zero, 2.0 * M * d1.apply(mode.theta) * amp)
+        fields["N3"] = (2.0 * M * d1.apply(mode.psi) * amp, zero)
 
     two_pi_l = 2.0 * np.pi * params.L
     norms = {
@@ -312,15 +309,17 @@ def snapshot_divergence(snap: FieldSnapshot, names: tuple[str, str, str]) -> flo
     h = snap.grid.h
     xi = snap.xi
     (c1, s1), (c2, s2), (c3, s3) = (snap.fields[k] for k in names)
-    cos_part = xi.xi1 * s1 + xi.xi2 * s2 + d1_apply(c3, h)
-    sin_part = -xi.xi1 * c1 - xi.xi2 * c2 + d1_apply(s3, h)
+    d1 = d1_stencil(snap.grid)
+    dc3, ds3 = d1.apply(c3), d1.apply(s3)
+    cos_part = xi.xi1 * s1 + xi.xi2 * s2 + dc3
+    sin_part = -xi.xi1 * c1 - xi.xi2 * c2 + ds3
     num = np.sqrt(_l2(cos_part, h) ** 2 + _l2(sin_part, h) ** 2)
     scale = sum(
         np.sqrt(_l2(a, h) ** 2 + _l2(b, h) ** 2)
         for a, b in (
             (xi.xi1 * s1, xi.xi1 * c1),
             (xi.xi2 * s2, xi.xi2 * c2),
-            (d1_apply(c3, h), d1_apply(s3, h)),
+            (dc3, ds3),
         )
     )
     if scale == 0.0:

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DegenerateSeries, SharpnessViolation, SolverSingular
 from .modes import NormalMode
-from .operators import d1_apply
+from .operators import d1_free_stencil, d1_stencil, d2_stencil
 from .profiles import (
     DensityProfile,
     Frequency,
@@ -84,32 +84,12 @@ class LinearState:
 
 
 def _relative_div(v: np.ndarray, xi: Frequency, grid: Grid1D) -> float:
-    h = grid.h
-    parts = [1j * xi.xi1 * v[0], 1j * xi.xi2 * v[1], d1_apply(v[2], h)]
+    parts = [1j * xi.xi1 * v[0], 1j * xi.xi2 * v[1], d1_stencil(grid).apply(v[2])]
     num = np.linalg.norm(parts[0] + parts[1] + parts[2])
     scale = sum(np.linalg.norm(p) for p in parts)
     if scale == 0.0:
         return 0.0
     return float(num / scale)
-
-
-def _sparse_d1(n: int, h: float) -> sp.csr_matrix:
-    c = 1.0 / (2.0 * h)
-    return sp.diags([-c, c], offsets=[-1, 1], shape=(n, n), format="csr")
-
-
-def _sparse_d1_free(n: int, h: float) -> sp.csr_matrix:
-    d = _sparse_d1(n, h).tolil()
-    d[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-    d[n - 1, n - 3 : n] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-    return d.tocsr()
-
-
-def _sparse_d2(n: int, h: float) -> sp.csr_matrix:
-    c = 1.0 / (h * h)
-    return sp.diags(
-        [c, -2.0 * c, c], offsets=[-1, 0, 1], shape=(n, n), format="csr"
-    )
 
 
 class LinearEvolver:
@@ -132,7 +112,6 @@ class LinearEvolver:
         if dt <= 0:
             raise ValueError("dt must be positive")
         n = grid.n
-        h = grid.h
         x = grid.points()
         rho = profile.rho(x)
         drho = profile.drho(x)
@@ -140,9 +119,9 @@ class LinearEvolver:
 
         ident = sp.identity(n, format="csr", dtype=complex)
         zero = sp.csr_matrix((n, n), dtype=complex)
-        d1 = _sparse_d1(n, h).astype(complex)
-        d1f = _sparse_d1_free(n, h).astype(complex)
-        lap = _sparse_d2(n, h) - xi.norm2 * sp.identity(n, format="csr")
+        d1 = d1_stencil(grid).sparse().astype(complex)
+        d1f = d1_free_stencil(grid).sparse().astype(complex)
+        lap = d2_stencil(grid).sparse() - xi.norm2 * sp.identity(n, format="csr")
 
         # induction operator T: N_t = T u, and Lorentz force F N
         if mag.orientation is Orientation.HORIZONTAL:
@@ -262,7 +241,6 @@ def eigenmode_state(
 ) -> LinearState:
     """Initial data matching the growing mode at t = 0."""
     grid = mode.grid
-    h = grid.h
     lam = mode.lam
     M = mode.mag.magnitude
     xi = mode.xi
@@ -285,11 +263,12 @@ def eigenmode_state(
             ]
         )
     else:
+        d1 = d1_stencil(grid)
         N = np.stack(
             [
-                -1j * M * d1_apply(mode.phi, h).astype(complex),
-                -1j * M * d1_apply(mode.theta, h).astype(complex),
-                M * d1_apply(mode.psi, h).astype(complex),
+                -1j * M * d1.apply(mode.phi).astype(complex),
+                -1j * M * d1.apply(mode.theta).astype(complex),
+                M * d1.apply(mode.psi).astype(complex),
             ]
         )
     q = lam * mode.pi.astype(complex)
@@ -326,10 +305,9 @@ def random_divfree_state(
     divergence-free), rho is an independent random profile.
     """
     rng = np.random.default_rng(seed)
-    h = grid.h
     u3 = _random_smooth_compact(grid, rng)
     beta = _random_smooth_compact(grid, rng)
-    chi = d1_apply(u3, h) / xi.norm2
+    chi = d1_stencil(grid).apply(u3) / xi.norm2
     u1 = 1j * xi.xi1 * chi + 1j * xi.xi2 * beta
     u2 = 1j * xi.xi2 * chi - 1j * xi.xi1 * beta
     rho = _random_smooth_compact(grid, rng)

@@ -66,6 +66,38 @@ def cone_infimum_dense(a_band: np.ndarray, b_band: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
+def dense_forms(profile, grid, xi, mag, params) -> dict[str, np.ndarray]:
+    """E0, E1, J and the mass as dense matrices, written out from the paper.
+
+    D1, D2 and the midpoint gradient G are built here with zero boundary
+    values; every form is a weighted product of them with trapezoid weights.
+    """
+    n, h = grid.n, grid.h
+    x, xm = grid.points(), grid.midpoints()
+    off = np.ones(n - 1)
+    d1 = (np.diag(off, 1) - np.diag(off, -1)) / (2.0 * h)
+    d2 = (np.diag(off, 1) - 2.0 * np.eye(n) + np.diag(off, -1)) / h**2
+    grad = (np.eye(n + 1, n) - np.eye(n + 1, n, -1)) / h  # onto the midpoints
+
+    def mass(q):
+        return h * np.diag(q * np.ones(n))
+
+    def stiffness(q_mid):
+        return grad.T @ (h * q_mid[:, None] * grad)
+
+    xi2, m2 = xi.norm2, mag.magnitude**2
+    buoyancy = mass(-params.g * profile.drho(x))
+    k = stiffness(np.ones(n + 1))
+    if mag.orientation is Orientation.HORIZONTAL:
+        e0 = m2 * xi.xi1**2 * (mass(1.0) + k / xi2) + buoyancy
+    else:
+        e0 = m2 * k + (m2 / xi2) * h * d2.T @ d2 + buoyancy
+    core = xi2 * np.eye(n) + d2
+    e1 = params.mu * h * (4.0 * xi2 * d1.T @ d1 + core.T @ core)
+    j = xi2 * mass(profile.rho(x)) + stiffness(profile.rho(xm))
+    return {"e0": e0, "e1": e1, "j": j, "mass": mass(1.0)}
+
+
 def eoc(err_coarse: float, err_fine: float) -> float:
     """Observed order of convergence for one grid halving."""
     return float(np.log2(err_coarse / err_fine))

@@ -137,6 +137,29 @@ def test_cli_freq_thresholds(tmp_path, capsys):
     assert payload["xi_vc"] == 0.0  # positive total jump
 
 
+def test_cli_freq_thresholds_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # only OutOfRange means "no threshold"; a failed solve must not look like one
+    import rtmhd.dispersion
+    from rtmhd.errors import FactorizationBreakdown
+
+    def failing(*args, **kwargs):
+        raise FactorizationBreakdown("injected eigen-solve failure")
+
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", failing)
+    path = _write_config(
+        tmp_path / "h.json",
+        mag={"orientation": "horizontal", "magnitude": 1.0},
+        grid={"half_length": 8.0, "n": 201},
+    )
+    code = main(["freq-thresholds", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    err = json.loads(captured.out.strip().splitlines()[-1])
+    assert err["error"] == "FactorizationBreakdown"
+    out = load_config(path).output_dir
+    assert not os.path.exists(os.path.join(out, "thresholds.csv"))
+
+
 def test_cli_sweep_artifacts_deterministic(tmp_path):
     path = _write_config(tmp_path / "c.json")
     out = load_config(path).output_dir

@@ -185,11 +185,12 @@ def test_xi_vc_matches_direct_formula_oracle(jumpneg_profile):
 def test_xi_vc_direct_formula_cross_method(jumpneg_profile, canon_grid):
     # same-grid cross check: membership-threshold bisection vs dense
     # evaluation of the variational quotient over the admissible cone
-    from rtmhd.operators import band_combine, d2_gram_band, grad_stiffness_band, mass_band
+    from rtmhd.operators import band_combine, d2_stencil, grad_stiffness_band, mass_band
 
     M = M_HALF_CRITICAL
     x = canon_grid.points()
-    a = band_combine([(M**2, d2_gram_band(canon_grid))])
+    d2_gram = d2_stencil(canon_grid).gram(np.full(canon_grid.n, canon_grid.h))
+    a = band_combine([(M**2, d2_gram)])
     b = band_combine(
         [
             (1.0, mass_band(canon_grid, jumpneg_profile.drho(x))),

@@ -9,7 +9,7 @@ from rtmhd.growth import alpha
 from rtmhd.operators import band_matvec, band_to_dense
 
 from .conftest import CANON_PARAMS, CANON_SPEC
-from .oracles import eoc
+from .oracles import dense_forms, eoc
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -24,6 +24,18 @@ def _forms(profile, grid, xi=(1.0, 0.0), orient=H, M=0.3, params=CANON_PARAMS):
 def test_zero_frequency_rejected(canon_profile, canon_grid):
     with pytest.raises(ZeroFrequency):
         _forms(canon_profile, canon_grid, xi=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("orient", [H, V], ids=["horizontal", "vertical"])
+@pytest.mark.parametrize("xi", [(1.0, 0.0), (1.0, 2.0), (3.0, 1.0)])
+def test_forms_match_dense_oracle(orient, xi):
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    fs = _forms(prof, grid, xi=xi, orient=orient)
+    expected = dense_forms(prof, grid, fs.xi, fs.mag, CANON_PARAMS)
+    for name, dense in expected.items():
+        err = np.abs(band_to_dense(getattr(fs, name)) - dense).max()
+        assert err <= 1e-13 * np.abs(dense).max(), name
 
 
 def test_forms_symmetry_is_exact(canon_profile, canon_grid):

@@ -14,7 +14,9 @@ from rtmhd.modes import (
     mode_residuals,
     snapshot_divergence,
 )
-from rtmhd.operators import band_matvec, d1_apply
+from rtmhd.operators import band_matvec, d1_stencil
+
+from .oracles import eoc
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -57,13 +59,13 @@ def test_residuals_below_default_tolerance(horizontal_mode, vertical_mode):
 def test_axis_case_phi_vanishes_theta_closes_divergence():
     mode, _, _ = _mode(MODE_SPEC_A, (0.0, K), H, 0.3)
     assert np.all(mode.phi == 0.0)
-    psi1 = d1_apply(mode.psi, mode.grid.h)
+    psi1 = d1_stencil(mode.grid).apply(mode.psi)
     assert np.allclose(mode.theta, -psi1 / K, rtol=0, atol=1e-14 * np.abs(psi1).max())
 
 
 def test_vertical_ansatz_divergence_exact(vertical_mode):
     mode, _, _ = vertical_mode
-    psi1 = d1_apply(mode.psi, mode.grid.h)
+    psi1 = d1_stencil(mode.grid).apply(mode.psi)
     div = mode.xi.xi1 * mode.phi + mode.xi.xi2 * mode.theta + psi1
     assert np.abs(div).max() <= 1e-14 * np.abs(psi1).max()
 
@@ -103,9 +105,19 @@ def test_uniform_boundedness_over_frequency_sample():
         h = mode.grid.h
         for arr in (mode.psi, mode.phi, mode.theta, mode.pi):
             l2 = np.sqrt(h * np.sum(arr**2))
-            h1 = np.sqrt(h * np.sum(d1_apply(arr, h) ** 2))
+            h1 = np.sqrt(h * np.sum(d1_stencil(mode.grid).apply(arr) ** 2))
             assert np.isfinite(l2) and np.isfinite(h1)
             assert l2 <= ceiling and h1 <= ceiling
+
+
+def test_oblique_horizontal_mode_closes_first_two_equations():
+    # xi1 xi2 != 0: phi comes from the clamped solve, so the first two momentum
+    # equations hold to roundoff, and eq3 converges at second order
+    coarse, _, _ = _mode(MODE_SPEC_A, (K, K), H, 0.3, n=1001, mode_tol=1.0)
+    fine, _, _ = _mode(MODE_SPEC_A, (K, K), H, 0.3, n=2001, mode_tol=1.0)
+    for mode in (coarse, fine):
+        assert max(mode.residuals[k] for k in ("eq1", "eq2", "div")) <= 1e-8
+    assert 1.8 <= eoc(coarse.residuals["eq3"], fine.residuals["eq3"]) <= 2.2
 
 
 def test_residual_too_large_on_coarse_grid():
@@ -182,25 +194,21 @@ def test_snapshot_vertical_field_component_positive(vertical_mode):
     snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
     assert snap.norms["N3"] > 0
     h = mode.grid.h
-    expected = (
-        2.0
-        * np.pi
-        * MODE_PARAMS.L
-        * np.sqrt(0.5 * h * np.sum((2 * mode.mag.magnitude * d1_apply(mode.psi, h)) ** 2))
-    )
+    n3 = 2 * mode.mag.magnitude * d1_stencil(mode.grid).apply(mode.psi)
+    expected = 2.0 * np.pi * MODE_PARAMS.L * np.sqrt(0.5 * h * np.sum(n3**2))
     assert snap.norms["N3"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_snapshot_initial_norms_finite(horizontal_mode):
     mode, prof, _ = horizontal_mode
     snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
-    h = mode.grid.h
+    d1 = d1_stencil(mode.grid)
     for name, (c, s) in snap.fields.items():
         assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
         # H^k proxies up to second differences stay finite
         for arr in (c, s):
-            assert np.isfinite(np.sum(d1_apply(arr, h) ** 2))
-            assert np.isfinite(np.sum(d1_apply(d1_apply(arr, h), h) ** 2))
+            assert np.isfinite(np.sum(d1.apply(arr) ** 2))
+            assert np.isfinite(np.sum(d1.apply(d1.apply(arr)) ** 2))
 
 
 def test_snapshot_csv_export(tmp_path, horizontal_mode):

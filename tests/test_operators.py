@@ -3,17 +3,16 @@ import pytest
 
 import rtmhd
 from rtmhd.operators import (
-    DiffOps,
     band_matvec,
     band_to_dense,
     band_to_lu,
-    composite_gram_band,
-    d1_gram_band,
-    d2_gram_band,
+    composite_stencil,
+    d1_free_stencil,
+    d1_stencil,
+    d2_stencil,
     grad_stiffness_band,
-    mass_band,
-    stencil_gram,
     gradient_stencil,
+    mass_band,
 )
 
 from .oracles import eoc
@@ -35,13 +34,12 @@ def test_d1_d2_convergence_order():
     errs1, errs2 = [], []
     for n in (400, 800):
         grid = rtmhd.Grid1D(4.0, n)
-        ops = DiffOps(grid)
         x = grid.points()
         f = _smooth(x)
         d1_exact = _smooth_d1(x)
         d2_exact = (_smooth(x + 1e-4) - 2 * _smooth(x) + _smooth(x - 1e-4)) / 1e-8
-        errs1.append(np.max(np.abs(ops.d1(f) - d1_exact)))
-        errs2.append(np.max(np.abs(ops.d2(f) - d2_exact)))
+        errs1.append(np.max(np.abs(d1_stencil(grid).apply(f) - d1_exact)))
+        errs2.append(np.max(np.abs(d2_stencil(grid).apply(f) - d2_exact)))
     assert 1.8 <= eoc(errs1[0], errs1[1]) <= 2.2
     assert 1.8 <= eoc(errs2[0], errs2[1]) <= 2.2
 
@@ -50,11 +48,10 @@ def test_d1_free_second_order_at_ends():
     errs = []
     for n in (400, 800):
         grid = rtmhd.Grid1D(4.0, n)
-        ops = DiffOps(grid)
         x = grid.points()
         f = np.cos(0.7 * x)  # nonzero at the boundary
         exact = -0.7 * np.sin(0.7 * x)
-        errs.append(np.max(np.abs(ops.d1_free(f) - exact)))
+        errs.append(np.max(np.abs(d1_free_stencil(grid).apply(f) - exact)))
     assert 1.8 <= eoc(errs[0], errs[1]) <= 2.2
 
 
@@ -63,7 +60,7 @@ def test_gram_products_match_dense_einsum():
     rng = np.random.default_rng(7)
     st = gradient_stencil(grid)
     w = rng.uniform(0.5, 2.0, st.n_rows)
-    gram = stencil_gram(st, w)
+    gram = st.gram(w)
     # dense comparison
     op = np.zeros((st.n_rows, grid.n))
     for o, c in zip(st.offsets, st.coeffs):
@@ -79,9 +76,9 @@ def test_gram_products_match_dense_einsum():
     "builder",
     [
         lambda g: grad_stiffness_band(g),
-        lambda g: d1_gram_band(g),
-        lambda g: d2_gram_band(g),
-        lambda g: composite_gram_band(g, 1.7),
+        lambda g: d1_stencil(g).gram(np.full(g.n, g.h)),
+        lambda g: d2_stencil(g).gram(np.full(g.n, g.h)),
+        lambda g: composite_stencil(g, 1.7).gram(np.full(g.n, g.h)),
         lambda g: mass_band(g, 2.2),
     ],
 )
@@ -92,6 +89,34 @@ def test_gram_forms_are_psd_and_symmetric(builder):
     assert np.array_equal(dense, dense.T)
     w = np.linalg.eigvalsh(dense)
     assert w.min() >= -1e-10 * max(1.0, abs(w).max())
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        d1_stencil,
+        d1_free_stencil,
+        d2_stencil,
+        gradient_stencil,
+        lambda g: composite_stencil(g, 1.7),
+    ],
+    ids=["d1", "d1_free", "d2", "gradient", "composite"],
+)
+def test_stencil_views_agree(builder):
+    # apply, sparse and gram are three views of one set of coefficients
+    grid = rtmhd.Grid1D(3.0, 23)
+    st = builder(grid)
+    dense = st.sparse().toarray()
+    assert dense.shape == (st.n_rows, grid.n)
+    # apply divides out its largest coefficient, so the views agree to one rounding
+    columns = np.stack([st.apply(e) for e in np.eye(grid.n)], axis=1)
+    assert np.abs(columns - dense).max() <= 1e-15 * np.abs(dense).max()
+    v = np.random.default_rng(5).standard_normal(grid.n) * (1 + 2j)
+    assert np.allclose(st.apply(v), dense @ v, rtol=0, atol=1e-13 * np.abs(dense).max())
+    w = np.random.default_rng(7).uniform(0.5, 2.0, st.n_rows)
+    expected = dense.T @ np.diag(w) @ dense
+    err = np.abs(band_to_dense(st.gram(w)) - expected).max()
+    assert err <= 1e-14 * np.abs(expected).max()
 
 
 def test_band_matvec_and_lu_layout():
