@@ -6,13 +6,11 @@ Usage:
     python scripts/dispersion_survey.py [output_dir]
 """
 
+import argparse
 import os
-import sys
 
 import rtmhd
 from rtmhd.dispersion import lattice_sweep, sup_rate, table_to_csv
-
-OUT = sys.argv[1] if len(sys.argv) > 1 else "out/survey"
 
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
 PARAMS = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
@@ -20,7 +18,15 @@ GRID = rtmhd.Grid1D(8.0, 601)
 
 
 def main():
-    os.makedirs(OUT, exist_ok=True)
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "output_dir", nargs="?", default="out/survey", help="default: %(default)s"
+    )
+    out = parser.parse_args().output_dir
+    os.makedirs(out, exist_ok=True)
     profile = rtmhd.build_profile(SPEC, GRID)
     rows = ["orientation,M,Lambda,xi1_1,xi1_2"]
     for orientation in (rtmhd.Orientation.HORIZONTAL, rtmhd.Orientation.VERTICAL):
@@ -30,7 +36,7 @@ def main():
             mag = rtmhd.MagneticConfig(orientation, M)
             table = lattice_sweep(profile, GRID, mag, PARAMS, radius=4.0)
             name = f"dispersion_{orientation.value}_M{M:g}.csv"
-            with open(os.path.join(OUT, name), "w") as f:
+            with open(os.path.join(out, name), "w") as f:
                 f.write(table_to_csv(table))
             top = sup_rate(table)
             rows.append(
@@ -41,9 +47,9 @@ def main():
                 f"{orientation.value:10s} M={M:4.1f}: Lambda = {top.lam_max:.6f} "
                 f"at xi = ({top.xi_pair[0].xi1:g}, {top.xi_pair[0].xi2:g})"
             )
-    with open(os.path.join(OUT, "summary.csv"), "w") as f:
+    with open(os.path.join(out, "summary.csv"), "w") as f:
         f.write("\n".join(rows) + "\n")
-    print(f"wrote {OUT}/summary.csv")
+    print(f"wrote {out}/summary.csv")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ Usage:
     python scripts/rate_verification.py [output_dir]
 """
 
+import argparse
 import os
-import sys
 
 import rtmhd
 from rtmhd.dispersion import lattice_sweep, sup_rate
@@ -17,8 +17,6 @@ from rtmhd.growth import growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, export_mode, export_snapshot
 from rtmhd.verify import eigenmode_state, run_rate, series_to_csv
 
-OUT = sys.argv[1] if len(sys.argv) > 1 else "out/verification"
-
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
 PARAMS = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
 GRID = rtmhd.Grid1D(8.0, 801)
@@ -26,7 +24,18 @@ MAG = rtmhd.MagneticConfig(rtmhd.Orientation.HORIZONTAL, 0.3)
 
 
 def main():
-    os.makedirs(OUT, exist_ok=True)
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "output_dir",
+        nargs="?",
+        default="out/verification",
+        help="default: %(default)s",
+    )
+    out = parser.parse_args().output_dir
+    os.makedirs(out, exist_ok=True)
     profile = rtmhd.build_profile(SPEC, GRID)
 
     table = lattice_sweep(profile, GRID, MAG, PARAMS, radius=4.0)
@@ -37,19 +46,19 @@ def main():
     forms = assemble_forms(profile, GRID, xi1, MAG, PARAMS)
     result = growth_rate(forms)
     mode = build_mode(result, MAG, PARAMS, profile, GRID, mode_tol=1e-3)
-    export_mode(mode, profile, PARAMS, os.path.join(OUT, "mode"))
+    export_mode(mode, profile, PARAMS, os.path.join(out, "mode"))
     snap = assemble_real_solution(mode, 0.0, PARAMS, profile)
-    export_snapshot(snap, os.path.join(OUT, "snapshot_t0.csv"))
+    export_snapshot(snap, os.path.join(out, "snapshot_t0.csv"))
 
     lam = result.lam
     init = eigenmode_state(mode, profile, PARAMS)
     est, states = run_rate(init, profile, MAG, PARAMS, dt=0.01 / lam, T=3.0 / lam)
-    with open(os.path.join(OUT, "timeseries.csv"), "w") as f:
+    with open(os.path.join(out, "timeseries.csv"), "w") as f:
         f.write(series_to_csv(states))
     rel = abs(est.rate - lam) / lam
     print(f"predicted rate  {lam:.8f}")
     print(f"measured rate   {est.rate:.8f}   (relative error {rel:.2e})")
-    print(f"artifacts in {OUT}/")
+    print(f"artifacts in {out}/")
 
 
 if __name__ == "__main__":

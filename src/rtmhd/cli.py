@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import dispersion, modes, verify
 from .config import RunConfig, config_from_dict, read_config
-from .errors import ConfigError, OutOfRange, RtmhdError
+from .errors import ConfigError, RtmhdError
 from .forms import assemble_forms
 from .growth import growth_rate
 from .profiles import Frequency, Grid1D, MagneticConfig
@@ -119,22 +118,18 @@ def cmd_freq_thresholds(cfg: RunConfig, args) -> int:
     from .profiles import Orientation
 
     if cfg.mag.orientation is Orientation.HORIZONTAL:
-        radius = cfg.radius
-        kmax = int(math.floor(radius * cfg.params.L))
+        rows = dispersion.threshold_rows(
+            cfg.profile,
+            cfg.grid,
+            cfg.mag.magnitude,
+            cfg.radius,
+            cfg.params.L,
+            g=cfg.params.g,
+        )
         lines = ["xi1,xi2,S"]
-        L = cfg.params.L
-        for i in range(1, kmax + 1):
-            for j in range(0, kmax + 1):
-                xi = Frequency.lattice(i, j, L)
-                if xi.norm > radius:
-                    continue
-                try:
-                    s_val = dispersion.critical_freq_horizontal(
-                        cfg.profile, cfg.grid, xi, cfg.mag.magnitude, g=cfg.params.g
-                    )
-                    lines.append(f"{_fmt(xi.xi1)},{_fmt(xi.xi2)},{_fmt(s_val)}")
-                except OutOfRange:
-                    lines.append(f"{_fmt(xi.xi1)},{_fmt(xi.xi2)},")
+        for xi, s_val in rows:
+            s_text = "" if s_val is None else _fmt(s_val)
+            lines.append(f"{_fmt(xi.xi1)},{_fmt(xi.xi2)},{s_text}")
         path = os.path.join(cfg.output_dir, "thresholds.csv")
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")

@@ -13,13 +13,14 @@ solver tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import definite, max_generalized_eig
+from .eig import EigenPair, definite, max_generalized_eig
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange, ZeroFrequency
-from .forms import assemble_forms
+from .forms import assemble_forms, e0_builder
 from .growth import growth_rate
 from .operators import band_combine, grad_stiffness_band, mass_band
 from .profiles import (
@@ -42,6 +43,7 @@ __all__ = [
     "default_truncation_grids",
     "critical_freq_horizontal",
     "critical_freq_vertical",
+    "threshold_rows",
     "lattice_sweep",
     "sup_rate",
     "default_sweep_radius",
@@ -85,15 +87,49 @@ class CriticalNumber:
     trace: tuple[tuple[float, float], ...]  # (Lz, value) per truncation
 
 
-def _critical_value_on(profile: DensityProfile, grid: Grid1D, g: float) -> float:
-    """sqrt of the largest eigenvalue of (g drho mass, gradient stiffness)."""
+def _critical_pair(
+    profile: DensityProfile, grid: Grid1D, g: float, start: np.ndarray | None
+) -> EigenPair:
+    """Largest eigenpair of (g drho mass, gradient stiffness)."""
     x = grid.points()
     a = mass_band(grid, g * profile.drho(x))
     b = grad_stiffness_band(grid)
-    pair = max_generalized_eig(a, b)
+    pair = max_generalized_eig(a, b, start=start)
     if pair.value <= 0:
         raise OutOfRange("profile admits no positive Rayleigh quotient")
-    return float(np.sqrt(pair.value))
+    return pair
+
+
+def _continued(vec: np.ndarray, old: Grid1D, new: Grid1D) -> np.ndarray:
+    """vec on old's points, interpolated onto new's, zero outside old's domain.
+
+    On a fixed-spacing doubling of Lz the old points are the centre of the new
+    ones, so this is exactly zero padding.
+    """
+    xs = np.concatenate(([-old.half_length], old.points(), [old.half_length]))
+    vs = np.concatenate(([0.0], vec, [0.0]))
+    return np.interp(new.points(), xs, vs)
+
+
+def _truncations(
+    profile: DensityProfile, grids: list[Grid1D], g: float
+) -> Iterator[tuple[float, float]]:
+    """(Lz, value) per truncation, each solve continued from the one before.
+
+    The previous eigenvector, carried onto the new grid, starts the next
+    solve; max_generalized_eig certifies the result, so a start that lands on
+    a lower eigenvalue costs a cold solve, not a wrong value.
+    """
+    pair = None
+    for k, grid in enumerate(grids):
+        start = None if pair is None else _continued(pair.vec, grids[k - 1], grid)
+        pair = _critical_pair(profile, grid, g, start)
+        yield grid.half_length, float(np.sqrt(pair.value))
+
+
+def _critical_value_on(profile: DensityProfile, grid: Grid1D, g: float) -> float:
+    """sqrt of the largest eigenvalue of (g drho mass, gradient stiffness)."""
+    return next(_truncations(profile, [grid], g))[1]
 
 
 def default_truncation_grids(
@@ -150,6 +186,27 @@ def _classify_trace(
     return None
 
 
+def _classified_trace(
+    profile: DensityProfile, grids: list[Grid1D], g: float, early: bool
+) -> CriticalNumber:
+    """Run the truncation trace over grids and classify it.
+
+    With early=True the trace stops at the first prefix (of at least three
+    truncations) that classifies; the full trace is always classified
+    strictly, so an undecided trace raises.
+    """
+    trace: list[tuple[float, float]] = []
+    for point in _truncations(profile, grids, g):
+        trace.append(point)
+        if early and 3 <= len(trace) < len(grids):
+            result = _classify_trace(trace, profile.total_jump, strict=False)
+            if result is not None:
+                return result
+    result = _classify_trace(trace, profile.total_jump, strict=True)
+    assert result is not None  # strict classification raises instead
+    return result
+
+
 def critical_number(
     profile: DensityProfile, grids: list[Grid1D], g: float = 1.0
 ) -> CriticalNumber:
@@ -158,17 +215,17 @@ def critical_number(
     Divergence (>= 1.5x growth per doubling over the last two doublings) means
     infinite; a settled trace (< 1e-4 relative change at the last doubling)
     means finite with the last value.  Either way the numerical decision is
-    cross-checked against the sign of the total density jump.
+    cross-checked against the sign of the total density jump.  Each
+    truncation's eigen-solve starts from the previous eigenvector,
+    interpolated onto the doubled domain and zero outside the old one, and
+    is certified like a cold solve.
     """
     if len(grids) < 3:
         raise ValueError("need at least 3 truncations, each doubling Lz")
     for ga, gb in zip(grids, grids[1:]):
         if not math.isclose(gb.half_length, 2.0 * ga.half_length, rel_tol=1e-9):
             raise ValueError("each truncation must double the previous Lz")
-    trace = [(grid.half_length, _critical_value_on(profile, grid, g)) for grid in grids]
-    result = _classify_trace(trace, profile.total_jump, strict=True)
-    assert result is not None
-    return result
+    return _classified_trace(profile, grids, g, early=False)
 
 
 def critical_number_auto(
@@ -178,21 +235,42 @@ def critical_number_auto(
     g: float = 1.0,
     max_doublings: int = 14,
 ) -> CriticalNumber:
-    """Extend the doubling-Lz trace until the classification rules trigger."""
-    grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3)
-    trace = [(gr.half_length, _critical_value_on(profile, gr, g)) for gr in grids]
-    for _ in range(max_doublings):
-        result = _classify_trace(trace, profile.total_jump, strict=False)
-        if result is not None:
-            return result
-        last = grids[-1]
-        nxt = Grid1D(2.0 * last.half_length, (last.n + 1) * 2 - 1)
-        grids.append(nxt)
-        trace.append((nxt.half_length, _critical_value_on(profile, nxt, g)))
-    return critical_number(profile, grids, g=g)  # raises with diagnostics
+    """Extend the doubling-Lz trace until the classification rules trigger.
+
+    The trace runs over ``default_truncation_grids`` with up to
+    3 + max_doublings truncations and stops at the first one that
+    classifies; the last is classified strictly and raises if undecided.
+    Every truncation after the first is warm-started as in
+    ``critical_number``: on a settling trace that takes 2-4 iterations
+    (``EigenPair.iterations``) in place of a 40-step bisection.
+    """
+    grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3 + max_doublings)
+    return _classified_trace(profile, grids, g, early=True)
 
 
 # --- critical frequencies ----------------------------------------------------
+
+
+def _horizontal_bands(
+    profile: DensityProfile, grid: Grid1D
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The xi-independent bands of the S(xi) pencil: drho mass, stiffness, mass."""
+    x = grid.points()
+    return mass_band(grid, profile.drho(x)), grad_stiffness_band(grid), mass_band(grid)
+
+
+def _horizontal_pair(
+    bands: tuple[np.ndarray, np.ndarray, np.ndarray],
+    xi: Frequency,
+    M: float,
+    g: float,
+    start: np.ndarray | None = None,
+) -> EigenPair:
+    """Largest eigenpair of (g|xi|^2/(M xi1)^2 drho mass - stiffness, mass)."""
+    drho_mass, stiffness, mass = bands
+    coeff = g * xi.norm2 / (M * xi.xi1) ** 2
+    a = band_combine([(coeff, drho_mass), (-1.0, stiffness)])
+    return max_generalized_eig(a, mass, start=start)
 
 
 def critical_freq_horizontal(
@@ -201,15 +279,7 @@ def critical_freq_horizontal(
     """Threshold S(xi) for a horizontal field; instability requires |xi| < S."""
     if M * xi.xi1 == 0.0:
         raise OutOfRange("S(xi) requires M * xi1 != 0")
-    x = grid.points()
-    coeff = g * xi.norm2 / (M * xi.xi1) ** 2
-    a = band_combine(
-        [
-            (coeff, mass_band(grid, profile.drho(x))),
-            (-1.0, grad_stiffness_band(grid)),
-        ]
-    )
-    pair = max_generalized_eig(a, mass_band(grid))
+    pair = _horizontal_pair(_horizontal_bands(profile, grid), xi, M, g)
     if pair.value <= 0:
         raise OutOfRange(
             f"field ratio |M xi1|/|xi| = {abs(M * xi.xi1) / xi.norm:.6g} is at or "
@@ -218,19 +288,35 @@ def critical_freq_horizontal(
     return float(np.sqrt(pair.value))
 
 
-def _vertical_indefinite(
+def threshold_rows(
     profile: DensityProfile,
     grid: Grid1D,
-    xi_norm: float,
     M: float,
-    g: float,
-) -> bool:
-    """True iff the vertical-field E0 at |xi| is not positive definite."""
-    xi = Frequency(0.0, xi_norm)
-    mag = MagneticConfig(Orientation.VERTICAL, abs(M))
-    params = PhysicalParams(mu=1.0, g=g, L=1.0)
-    forms = assemble_forms(profile, grid, xi, mag, params)
-    return not definite(forms.e0, forms.mass, 0.0)
+    radius: float,
+    L: float,
+    g: float = 1.0,
+) -> list[tuple[Frequency, float | None]]:
+    """S(xi) on the lattice points with xi1 > 0, xi2 >= 0 and |xi| <= radius.
+
+    The rows are the sweep's representatives with i >= 1, in the sweep's
+    order; a row without a threshold carries None.  The pencil depends on xi
+    only through xi2/xi1, so the rows are solved in order of that slope, each
+    solve starting from the eigenvector of the one before and certified like
+    a cold solve.
+    """
+    points = [(i, j) for i, j in _representatives(radius, L) if i >= 1]
+    bands = _horizontal_bands(profile, grid)
+    s_of: dict[tuple[int, int], float | None] = {}
+    start = None
+    for i, j in sorted(points, key=lambda p: p[1] / p[0]):
+        xi = Frequency.lattice(i, j, L)
+        s_of[(i, j)] = None
+        if M * xi.xi1 != 0.0:
+            pair = _horizontal_pair(bands, xi, M, g, start)
+            start = pair.vec
+            if pair.value > 0:
+                s_of[(i, j)] = float(np.sqrt(pair.value))
+    return [(Frequency.lattice(i, j, L), s_of[(i, j)]) for i, j in points]
 
 
 def critical_freq_vertical(
@@ -244,17 +330,28 @@ def critical_freq_vertical(
 
     Located by bisection in |xi| on whether the vertical E0 is positive
     definite (one banded Cholesky per step); its smallest eigenvalue against
-    the mass is nonincreasing in |xi|.  A positive total
-    density jump makes the threshold zero.
+    the mass is nonincreasing in |xi|.  The bands of E0 that do not depend
+    on |xi| are built once.  A positive total density jump makes the
+    threshold zero.
     """
     if profile.total_jump > 0:
         return 0.0
     if M == 0.0:
         raise OutOfRange("the vertical threshold needs M != 0")
+    e0 = e0_builder(
+        profile,
+        grid,
+        MagneticConfig(Orientation.VERTICAL, abs(M)),
+        PhysicalParams(mu=1.0, g=g, L=1.0),
+    )
+    mass = mass_band(grid)
+
+    def indefinite(xi_norm: float) -> bool:
+        return not definite(e0(Frequency(0.0, xi_norm)), mass, 0.0)
 
     hi = 1.0
     for _ in range(60):
-        if _vertical_indefinite(profile, grid, hi, M, g):
+        if indefinite(hi):
             break
         hi *= 2.0
     else:
@@ -263,14 +360,14 @@ def critical_freq_vertical(
             "appears to be at or above critical"
         )
     lo = hi / 2.0
-    while _vertical_indefinite(profile, grid, lo, M, g):
+    while indefinite(lo):
         hi = lo
         lo /= 2.0
         if lo < 1e-12:
             return 0.0
     while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
-        if _vertical_indefinite(profile, grid, mid, M, g):
+        if indefinite(mid):
             hi = mid
         else:
             lo = mid

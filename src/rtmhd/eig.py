@@ -1,4 +1,4 @@
-"""Smallest eigenvalue of a symmetric banded pencil (A, B), B positive definite.
+"""Extreme eigenvalues of a symmetric banded pencil (A, B), B positive definite.
 
 By Sylvester's law of inertia, A - sigma*B is positive definite exactly when
 sigma lies below every pencil eigenvalue, and one banded Cholesky (LAPACK
@@ -237,11 +237,20 @@ def max_generalized_eig(
     b: np.ndarray,
     tol: float = 1e-10,
     bracket: tuple[float, float] | None = None,
+    start: np.ndarray | None = None,
 ) -> EigenPair:
-    """Largest pencil eigenvalue, via the smallest eigenvalue of (-A, B)."""
+    """Largest pencil eigenvalue, via the smallest eigenvalue of (-A, B).
+
+    A start vector is used and certified as in ``min_generalized_eig``: the
+    result is accepted only if A - (value + delta) B is negative definite,
+    so a start that converges to a lower eigenvalue falls back to the cold
+    bisection.
+    """
     neg = None
     if bracket is not None:
         neg = (-bracket[1], -bracket[0])
-    pair = min_generalized_eig(band_combine([(-1.0, a)]), b, tol=tol, bracket=neg)
+    pair = min_generalized_eig(
+        band_combine([(-1.0, a)]), b, tol=tol, bracket=neg, start=start
+    )
     pair.value = -pair.value
     return pair

@@ -11,6 +11,7 @@ All forms are symmetric banded Gram assemblies on the clamped interior grid
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .profiles import (
     PhysicalParams,
 )
 
-__all__ = ["FormSet", "assemble_forms"]
+__all__ = ["FormSet", "assemble_forms", "e0_builder"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,49 @@ class FormSet:
         return band_combine([(self.xi.norm2, self.e0), (s, self.e1)])
 
 
+def e0_builder(
+    profile: DensityProfile,
+    grid: Grid1D,
+    mag: MagneticConfig,
+    params: PhysicalParams,
+) -> Callable[[Frequency], np.ndarray]:
+    """E0 as a function of xi, with the bands that do not depend on xi built once.
+
+    A loop over many frequencies of one setup (the |xi|_vc bisection) pays one
+    band combination per frequency instead of a full assembly.
+    """
+    buoyancy = mass_band(grid, -params.g * profile.drho(grid.points()))
+    k_grad = grad_stiffness_band(grid)
+    m2 = mag.magnitude**2
+
+    if mag.orientation is Orientation.HORIZONTAL:
+        mass = mass_band(grid)
+
+        def e0(xi: Frequency) -> np.ndarray:
+            m2xi1 = m2 * xi.xi1**2
+            return band_combine(
+                [
+                    (m2xi1, mass),
+                    (m2xi1 / xi.norm2, k_grad),
+                    (1.0, buoyancy),
+                ]
+            )
+
+    else:
+        d2_gram = d2_stencil(grid).gram(np.full(grid.n, grid.h))
+
+        def e0(xi: Frequency) -> np.ndarray:
+            return band_combine(
+                [
+                    (m2, k_grad),
+                    (m2 / xi.norm2, d2_gram),
+                    (1.0, buoyancy),
+                ]
+            )
+
+    return e0
+
+
 def assemble_forms(
     profile: DensityProfile,
     grid: Grid1D,
@@ -69,32 +113,9 @@ def assemble_forms(
     x = grid.points()
     xm = grid.midpoints()
     rho = profile.rho(x)
-    drho = profile.drho(x)
     rho_mid = profile.rho(xm)
     xi2 = xi.norm2
-    m2 = mag.magnitude**2
     w = np.full(grid.n, grid.h)
-
-    buoyancy = mass_band(grid, -params.g * drho)
-    k_grad = grad_stiffness_band(grid)
-
-    if mag.orientation is Orientation.HORIZONTAL:
-        m2xi1 = m2 * xi.xi1**2
-        e0 = band_combine(
-            [
-                (m2xi1, mass_band(grid)),
-                (m2xi1 / xi2, k_grad),
-                (1.0, buoyancy),
-            ]
-        )
-    else:
-        e0 = band_combine(
-            [
-                (m2, k_grad),
-                (m2 / xi2, d2_stencil(grid).gram(w)),
-                (1.0, buoyancy),
-            ]
-        )
 
     e1 = band_combine(
         [
@@ -111,7 +132,7 @@ def assemble_forms(
     )
 
     return FormSet(
-        e0=e0,
+        e0=e0_builder(profile, grid, mag, params)(xi),
         e1=e1,
         j=j,
         mass=mass_band(grid),

@@ -137,6 +137,36 @@ def test_cli_freq_thresholds(tmp_path, capsys):
     assert payload["xi_vc"] == 0.0  # positive total jump
 
 
+def test_cli_freq_thresholds_rows_cover_the_lattice_disc(tmp_path, capsys):
+    # (29, 0), (21, 28) and (28, 21) lie on the circle, but 0.29 * 100 is
+    # 28.999999999999996 and |(0.21, 0.28)| is 0.35000000000000003 in
+    # floating point; the rows use the sweep's lattice tolerance
+    for radius, on_circle in ((0.29, {(29, 0)}), (0.35, {(21, 28), (28, 21)})):
+        path = _write_config(
+            tmp_path / f"r{radius}.json",
+            params={"mu": 1.0, "g": 9.8, "L": 100.0},
+            mag={"orientation": "horizontal", "magnitude": 1.0},
+            grid={"half_length": 8.0, "n": 31},
+            sweep={"radius": radius},
+            output_dir=str(tmp_path / f"out{radius}"),
+        )
+        assert main(["freq-thresholds", path]) == 0
+        table = open(tmp_path / f"out{radius}" / "thresholds.csv").read()
+        got = [
+            (round(float(x1) * 100), round(float(x2) * 100))
+            for x1, x2, _ in (line.split(",") for line in table.split()[1:])
+        ]
+        k = round(radius * 100)
+        want = [
+            (i, j)
+            for i in range(1, k + 1)
+            for j in range(k + 1)
+            if i * i + j * j <= k * k
+        ]
+        assert got == want
+        assert on_circle <= set(got)
+
+
 def test_cli_freq_thresholds_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     # only OutOfRange means "no threshold"; a failed solve must not look like one
     import rtmhd.dispersion

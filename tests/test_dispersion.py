@@ -12,12 +12,14 @@ from rtmhd.dispersion import (
     lattice_sweep,
     sup_rate,
     table_to_csv,
+    threshold_rows,
     trace_to_csv,
     _critical_value_on,
 )
 from rtmhd.errors import EmptyDomain, OutOfRange, ZeroFrequency
-from rtmhd.forms import assemble_forms
+from rtmhd.forms import assemble_forms, e0_builder
 from rtmhd.growth import growth_rate
+from rtmhd.operators import band_combine, d2_stencil, grad_stiffness_band, mass_band
 
 from .conftest import CANON_PARAMS, JUMP_NEG_SPEC
 from .oracles import cone_infimum_dense
@@ -125,6 +127,66 @@ def test_critical_number_needs_doubling_sequence(jumpneg_profile):
         critical_number(jumpneg_profile, grids)
 
 
+def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
+    # each truncation after the first starts from the previous eigenvector:
+    # a few solves instead of a 40-step bisection, and the cold value
+    solve = rtmhd.dispersion.max_generalized_eig
+    iterations = []
+
+    def counted(*args, **kwargs):
+        pair = solve(*args, **kwargs)
+        iterations.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    result = critical_number_auto(jumpneg_profile, lz0=8.0, n0=17, g=1.0)
+    assert not result.is_infinite
+    assert len(iterations) == len(result.trace) >= 4
+    assert max(iterations[1:]) <= 8
+    grids = default_truncation_grids(
+        jumpneg_profile, lz0=8.0, n0=17, count=len(result.trace)
+    )
+    for grid, (lz, value) in zip(grids, result.trace):
+        assert lz == grid.half_length
+        a = mass_band(grid, jumpneg_profile.drho(grid.points()))
+        cold = solve(a, grad_stiffness_band(grid))
+        assert value == pytest.approx(np.sqrt(cold.value), rel=1e-11)
+
+
+@pytest.mark.parametrize("M", [0.3, 1.0])
+def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch):
+    solve = rtmhd.dispersion.max_generalized_eig
+    iterations = []
+
+    def counted(*args, **kwargs):
+        pair = solve(*args, **kwargs)
+        iterations.append(pair.iterations)
+        return pair
+
+    grid = rtmhd.Grid1D(8.0, 201)
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    rows = threshold_rows(jumpneg_profile, grid, M, radius=4.0, L=1.0, g=1.0)
+    monkeypatch.undo()
+    # only the first solve is cold; each later one continues from a
+    # neighbouring slope xi2/xi1
+    assert len(iterations) == len(rows)
+    assert max(iterations[1:]) <= 8
+    assert [(xi.xi1, xi.xi2) for xi, _ in rows] == [
+        (i, j) for i in range(1, 5) for j in range(4) if i * i + j * j <= 16
+    ]
+    blanks = 0
+    for xi, s_val in rows:
+        try:
+            cold = critical_freq_horizontal(jumpneg_profile, grid, xi, M, g=1.0)
+        except OutOfRange:
+            assert s_val is None
+            blanks += 1
+            continue
+        assert s_val == pytest.approx(cold, rel=1e-12)
+    # M = 1 lies above the critical ratio for the flatter directions
+    assert (blanks > 0) == (M == 1.0)
+
+
 def test_s_homogeneity_degree_zero(canon_profile, canon_grid):
     s1 = critical_freq_horizontal(
         canon_profile, canon_grid, rtmhd.Frequency(0.5, 1.0), 1.0, g=9.8
@@ -182,11 +244,45 @@ def test_xi_vc_matches_direct_formula_oracle(jumpneg_profile):
     assert v == pytest.approx(XI_VC_DIRECT_ORACLE, rel=1e-3)
 
 
+def test_vertical_e0_from_prebuilt_bands_is_bitwise(jumpneg_profile, canon_grid):
+    # E0 written out term by term, in the order the bisection has always used
+    params = rtmhd.PhysicalParams(mu=1.0, g=1.0, L=1.0)
+    mag = rtmhd.MagneticConfig(V, M_HALF_CRITICAL)
+    m2 = M_HALF_CRITICAL**2
+    x = canon_grid.points()
+    d2_gram = d2_stencil(canon_grid).gram(np.full(canon_grid.n, canon_grid.h))
+    e0 = e0_builder(jumpneg_profile, canon_grid, mag, params)
+    for xi_norm in (0.05, 0.3, 0.5441472474485636, 1.7, 12.0):
+        xi = rtmhd.Frequency(0.0, xi_norm)
+        reference = band_combine(
+            [
+                (m2, grad_stiffness_band(canon_grid)),
+                (m2 / xi.norm2, d2_gram),
+                (1.0, mass_band(canon_grid, -jumpneg_profile.drho(x))),
+            ]
+        )
+        assert np.array_equal(e0(xi), reference)
+        assembled = assemble_forms(jumpneg_profile, canon_grid, xi, mag, params)
+        assert np.array_equal(e0(xi), assembled.e0)
+
+
+# |xi|_vc as the bisection gave it with a full form assembly per step
+@pytest.mark.parametrize(
+    "n, M, expected",
+    [
+        (201, 0.3, 0.5565214995294809),
+        (801, M_HALF_CRITICAL, 0.5441472474485636),
+        (801, 0.3 * M_HALF_CRITICAL, 0.10585442138835788),
+    ],
+)
+def test_xi_vc_unchanged_by_prebuilt_bands(jumpneg_profile, n, M, expected):
+    grid = rtmhd.Grid1D(8.0, n)
+    assert critical_freq_vertical(jumpneg_profile, grid, M, g=1.0) == expected
+
+
 def test_xi_vc_direct_formula_cross_method(jumpneg_profile, canon_grid):
     # same-grid cross check: membership-threshold bisection vs dense
     # evaluation of the variational quotient over the admissible cone
-    from rtmhd.operators import band_combine, d2_stencil, grad_stiffness_band, mass_band
-
     M = M_HALF_CRITICAL
     x = canon_grid.points()
     d2_gram = d2_stencil(canon_grid).gram(np.full(canon_grid.n, canon_grid.h))

@@ -66,6 +66,15 @@ def test_warm_start_on_second_eigenvector_is_rejected():
     assert abs(pair.value - w[1]) > 1e-3
 
 
+def test_max_warm_start_on_second_largest_eigenvector_is_rejected():
+    rng = np.random.default_rng(7)
+    a, b = _random_pencil(rng, n=30, p=2)
+    w, v = eigh(band_to_dense(a), band_to_dense(b))
+    pair = max_generalized_eig(a, b, start=v[:, -2])
+    assert pair.value == pytest.approx(w[-1], abs=1e-10)
+    assert abs(pair.value - w[-2]) > 1e-3
+
+
 def test_warm_start_near_smallest_eigenvector_is_certified():
     rng = np.random.default_rng(9)
     a, b = _random_pencil(rng, n=30, p=2)

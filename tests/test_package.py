@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +18,21 @@ def test_all_exports_resolve(name):
     module = importlib.import_module(f"rtmhd.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("script", ["dispersion_survey.py", "rate_verification.py"])
+def test_script_help_runs_nothing(script, tmp_path):
+    # --help prints usage; it is not an output directory to run into
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--help"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")
+    assert list(tmp_path.iterdir()) == []
