@@ -71,6 +71,8 @@ def _target_xi(args) -> Frequency:
     if args.xi is None:
         raise ConfigError("this command requires --xi a,b")
     xi = _parse_xi(args.xi)
+    if not np.all(np.isfinite([xi.xi1, xi.xi2])):
+        raise ConfigError(f"--xi components must be finite, got {args.xi!r}")
     if xi.is_zero():
         raise ConfigError("--xi must be nonzero")
     return xi
@@ -265,6 +267,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     lam = mode.lam
     dt = cfg.verify_dt if cfg.verify_dt is not None else 0.01 / lam
     T = cfg.verify_T if cfg.verify_T is not None else 3.0 / lam
+    steps = verify.time_steps(dt, T)  # evolve records every step below 60
+    if steps + 1 < verify.MIN_RATE_SAMPLES:
+        need = verify.MIN_RATE_SAMPLES - 1
+        raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
     init = verify.eigenmode_state(mode, cfg.profile, cfg.params)
     est, states = verify.run_rate(init, cfg.profile, cfg.mag, cfg.params, dt, T)
     rel_err = abs(est.rate - lam) / lam

@@ -7,6 +7,7 @@ any computation starts; an invalid file raises ConfigError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dispersion import default_sweep_radius
@@ -42,19 +43,12 @@ class RunConfig:
             self.profile = build_profile(self.profile_spec, self.grid)
         except (RtmhdError, ValueError) as exc:
             raise ConfigError(f"profile rejected: {exc}") from exc
-        lo, hi = self.profile.support
-        half = 0.5 * self.grid.half_length
-        if not (-half < lo and hi < half):
-            raise ConfigError(
-                f"bump support [{lo:g}, {hi:g}] must sit strictly inside "
-                f"[-Lz/2, Lz/2] = [{-half:g}, {half:g}]"
-            )
-        if self.sweep_radius is not None and self.sweep_radius <= 0:
-            raise ConfigError("sweep radius must be positive")
-        if self.verify_dt is not None and self.verify_dt <= 0:
-            raise ConfigError("verify dt must be positive")
-        if self.verify_T is not None and self.verify_T <= 0:
-            raise ConfigError("verify T must be positive")
+        if self.sweep_radius is not None and not 0 < self.sweep_radius < math.inf:
+            raise ConfigError("sweep radius must be positive and finite")
+        if self.verify_dt is not None and not 0 < self.verify_dt < math.inf:
+            raise ConfigError("verify dt must be positive and finite")
+        if self.verify_T is not None and not 0 < self.verify_T < math.inf:
+            raise ConfigError("verify T must be positive and finite")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
 
@@ -106,6 +100,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         T = verify.get("T")
         seeds = tuple(int(s) for s in verify.get("seeds", [0, 1, 2, 3, 4]))
         output_dir = raw.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -177,7 +177,6 @@ def min_generalized_eig(
     a: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-10,
-    bracket: tuple[float, float] | None = None,
     start: np.ndarray | None = None,
 ) -> EigenPair:
     """Smallest alpha with A psi = alpha B psi; psi normalized to psi^T B psi = 1.
@@ -186,7 +185,8 @@ def min_generalized_eig(
     result is accepted only if A - (value - delta) B is positive definite,
     delta = tol*max(1, |value|) + 2*value_tol, which proves that no pencil
     eigenvalue lies more than delta below it.  Otherwise (and without a start
-    vector) the smallest eigenvalue is bisected inside the verified bracket.
+    vector) the smallest eigenvalue is bisected inside a bracket grown from
+    |A| / min diag(B) until it is verified.
     """
     iters = 0
     if start is not None:
@@ -202,12 +202,8 @@ def min_generalized_eig(
                 return pair
 
     n = a.shape[1]
-    if bracket is not None:
-        lo, hi = bracket
-    else:
-        guess = _band_scale(a) / max(np.min(b[0]), 1e-300)
-        lo, hi = -max(1.0, guess), max(1.0, guess)
-    lo, hi, k = _expand_bracket(a, b, lo, hi)
+    guess = max(1.0, _band_scale(a) / max(np.min(b[0]), 1e-300))
+    lo, hi, k = _expand_bracket(a, b, -guess, guess)
     iters += k
 
     while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
@@ -236,7 +232,6 @@ def max_generalized_eig(
     a: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-10,
-    bracket: tuple[float, float] | None = None,
     start: np.ndarray | None = None,
 ) -> EigenPair:
     """Largest pencil eigenvalue, via the smallest eigenvalue of (-A, B).
@@ -246,11 +241,6 @@ def max_generalized_eig(
     so a start that converges to a lower eigenvalue falls back to the cold
     bisection.
     """
-    neg = None
-    if bracket is not None:
-        neg = (-bracket[1], -bracket[0])
-    pair = min_generalized_eig(
-        band_combine([(-1.0, a)]), b, tol=tol, bracket=neg, start=start
-    )
+    pair = min_generalized_eig(band_combine([(-1.0, a)]), b, tol=tol, start=start)
     pair.value = -pair.value
     return pair

@@ -42,10 +42,7 @@ class GrowthResult:
 
 
 def alpha(
-    forms: FormSet,
-    s: float,
-    bracket: tuple[float, float] | None = None,
-    start: np.ndarray | None = None,
+    forms: FormSet, s: float, start: np.ndarray | None = None
 ) -> tuple[float, EigenPair]:
     """Smallest eigenvalue of (|xi|^2 E0 + s E1, J) and its J-normalized vector.
 
@@ -53,15 +50,8 @@ def alpha(
     """
     if s < 0:
         raise ValueError("the viscosity parameter s must be >= 0")
-    pair = min_generalized_eig(
-        forms.energy(s), forms.j, tol=_EIG_TOL, bracket=bracket, start=start
-    )
+    pair = min_generalized_eig(forms.energy(s), forms.j, tol=_EIG_TOL, start=start)
     return pair.value, pair
-
-
-def _hint(a: float) -> tuple[float, float]:
-    pad = 0.5 * abs(a) + 1e-6
-    return a - pad, a + pad
 
 
 def growth_rate(
@@ -104,7 +94,7 @@ def growth_rate(
     # [s_lo, lam_lo]: f(s_hi) < 0 is possible only when s_hi < lam_lo, and
     # only then does the check at s_hi need an evaluation
     if s_hi < lam_lo:
-        a_hi, _ = alpha(forms, s_hi, bracket=_hint(a_lo))
+        a_hi, _ = alpha(forms, s_hi)
         f_hi = s_hi - float(np.sqrt(max(-a_hi, 0.0)))
         if f_hi < 0.0:
             raise BracketFailure(
@@ -149,7 +139,7 @@ def growth_rate(
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
         s = nxt
-        a, pair = alpha(forms, s, bracket=_hint(a), start=pair.vec)
+        a, pair = alpha(forms, s, start=pair.vec)
     else:
         raise BracketFailure(
             f"fixed point did not settle in {_MAX_STEPS} steps: bracket "

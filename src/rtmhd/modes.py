@@ -1,4 +1,5 @@
-"""Companion components of a growing mode and the real-valued field assembly.
+"""Companion components of a growing mode, and the one map from a mode to its
+perturbation fields.
 
 Given the vertical-velocity profile psi and rate lambda of one frequency, the
 remaining components follow in the order pressure-free horizontal solve ->
@@ -13,8 +14,11 @@ pressure -> divergence closure:
   theta = -xi2 psi'/|xi|^2 closes the divergence identically and pi follows
   algebraically from the first momentum equation.
 
-Real horizontally periodic fields are synthesized from the +-xi pair; the
-component parities make every field a single cos/sin profile in x' . xi.
+``mode_fields`` maps a mode to the complex profiles of every perturbation
+field at +xi.  The linear time integration starts from them, and the real
+horizontally periodic solution is the sum of the +-xi pair: a cos/sin profile
+pair in x' . xi per field.  ``relative_divergence`` is the one discrete
+divergence check of a complex vector profile.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ __all__ = [
     "FieldSnapshot",
     "build_mode",
     "mode_residuals",
+    "mode_fields",
+    "relative_divergence",
     "assemble_real_solution",
+    "snapshot_divergence",
     "export_mode",
     "load_mode",
     "export_snapshot",
@@ -255,76 +262,79 @@ def build_mode(
     )
 
 
-# --- real-valued growing solution ---------------------------------------------
+# --- the fields of a mode and the real-valued growing solution ----------------
+
+
+def mode_fields(mode: NormalMode, profile: DensityProfile) -> dict[str, np.ndarray]:
+    """Complex profiles of every perturbation field at +xi and t = 0.
+
+    The velocity is lambda (-i phi, -i theta, psi), the density is advected
+    from the steady profile, rho = -rho0' psi, the pressure is lambda pi,
+    and the induction equation gives N = (i M xi1 / lambda) u for a
+    horizontal field and N = (M / lambda) u' for a vertical one.
+    """
+    lam, M = mode.lam, mode.mag.magnitude
+    real = (mode.phi, mode.theta, mode.psi)
+    phi, theta, psi = (v.astype(complex) for v in real)
+    out = {
+        "rho": -(profile.drho(mode.grid.points()) * mode.psi).astype(complex),
+        "u1": -1j * lam * phi,
+        "u2": -1j * lam * theta,
+        "u3": lam * psi,
+        "q": lam * mode.pi.astype(complex),
+    }
+    if M == 0.0:
+        n = [np.zeros_like(psi) for _ in range(3)]
+    elif mode.mag.orientation is Orientation.HORIZONTAL:
+        m1 = M * mode.xi.xi1
+        n = [m1 * phi, m1 * theta, 1j * m1 * psi]
+    else:
+        d1 = d1_stencil(mode.grid)
+        dphi, dtheta, dpsi = (d1.apply(v).astype(complex) for v in real)
+        n = [-1j * M * dphi, -1j * M * dtheta, M * dpsi]
+    out.update(zip(("N1", "N2", "N3"), n))
+    return out
+
+
+def relative_divergence(v: np.ndarray, xi: Frequency, grid: Grid1D) -> float:
+    """Relative discrete divergence |i xi1 v1 + i xi2 v2 + D1 v3| of the complex
+    profiles v, shape (3, n), scaled by the sum of the three term norms."""
+    parts = [1j * xi.xi1 * v[0], 1j * xi.xi2 * v[1], d1_stencil(grid).apply(v[2])]
+    num = np.linalg.norm(parts[0] + parts[1] + parts[2])
+    scale = sum(np.linalg.norm(p) for p in parts)
+    if scale == 0.0:
+        return 0.0
+    return float(num / scale)
 
 
 def assemble_real_solution(
     mode: NormalMode, t: float, params: PhysicalParams, profile: DensityProfile
 ) -> FieldSnapshot:
-    """Real horizontally periodic fields from the +-xi pair at time t."""
-    grid = mode.grid
-    h = grid.h
-    x = grid.points()
-    drho = profile.drho(x)
-    lam = mode.lam
-    M = mode.mag.magnitude
-    xi = mode.xi
-    amp = float(np.exp(lam * t))
-    zero = np.zeros_like(mode.psi)
-
-    fields: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "rho": (-2.0 * drho * mode.psi * amp, zero),
-        "u1": (zero, 2.0 * lam * mode.phi * amp),
-        "u2": (zero, 2.0 * lam * mode.theta * amp),
-        "u3": (2.0 * lam * mode.psi * amp, zero),
-        "q": (2.0 * lam * mode.pi * amp, zero),
+    """Real fields at time t, the sum of the +-xi pair: (2 e^{lambda t} Re f,
+    -2 e^{lambda t} Im f) for the ``mode_fields`` profile f of each field."""
+    amp = 2.0 * float(np.exp(mode.lam * t))
+    # + 0.0 clears the signed zeros that the complex products leave
+    fields = {
+        name: (amp * f.real + 0.0, -amp * f.imag + 0.0)
+        for name, f in mode_fields(mode, profile).items()
     }
-    if M == 0.0:
-        fields["N1"] = (zero, zero)
-        fields["N2"] = (zero, zero)
-        fields["N3"] = (zero, zero)
-    elif mode.mag.orientation is Orientation.HORIZONTAL:
-        fields["N1"] = (2.0 * M * xi.xi1 * mode.phi * amp, zero)
-        fields["N2"] = (2.0 * M * xi.xi1 * mode.theta * amp, zero)
-        fields["N3"] = (zero, -2.0 * M * xi.xi1 * mode.psi * amp)
-    else:
-        d1 = d1_stencil(grid)
-        fields["N1"] = (zero, 2.0 * M * d1.apply(mode.phi) * amp)
-        fields["N2"] = (zero, 2.0 * M * d1.apply(mode.theta) * amp)
-        fields["N3"] = (2.0 * M * d1.apply(mode.psi) * amp, zero)
-
     two_pi_l = 2.0 * np.pi * params.L
+    h = mode.grid.h
     norms = {
         name: two_pi_l
         * float(np.sqrt(0.5 * h * (np.sum(c**2) + np.sum(s**2))))
         for name, (c, s) in fields.items()
     }
     return FieldSnapshot(
-        t=t, xi=xi, grid=grid, L=params.L, fields=fields, norms=norms
+        t=t, xi=mode.xi, grid=mode.grid, L=params.L, fields=fields, norms=norms
     )
 
 
 def snapshot_divergence(snap: FieldSnapshot, names: tuple[str, str, str]) -> float:
-    """Relative discrete divergence of a vector field stored in a snapshot."""
-    h = snap.grid.h
-    xi = snap.xi
-    (c1, s1), (c2, s2), (c3, s3) = (snap.fields[k] for k in names)
-    d1 = d1_stencil(snap.grid)
-    dc3, ds3 = d1.apply(c3), d1.apply(s3)
-    cos_part = xi.xi1 * s1 + xi.xi2 * s2 + dc3
-    sin_part = -xi.xi1 * c1 - xi.xi2 * c2 + ds3
-    num = np.sqrt(_l2(cos_part, h) ** 2 + _l2(sin_part, h) ** 2)
-    scale = sum(
-        np.sqrt(_l2(a, h) ** 2 + _l2(b, h) ** 2)
-        for a, b in (
-            (xi.xi1 * s1, xi.xi1 * c1),
-            (xi.xi2 * s2, xi.xi2 * c2),
-            (dc3, ds3),
-        )
-    )
-    if scale == 0.0:
-        return 0.0
-    return float(num / scale)
+    """Relative discrete divergence of a vector field stored in a snapshot,
+    through its complex profile f = (cos - i sin) / 2."""
+    v = np.stack([0.5 * (c - 1j * s) for c, s in (snap.fields[k] for k in names)])
+    return relative_divergence(v, snap.xi, snap.grid)
 
 
 # --- file formats --------------------------------------------------------------

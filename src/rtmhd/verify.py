@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DegenerateSeries, SharpnessViolation, SolverSingular
-from .modes import NormalMode
+from .modes import NormalMode, mode_fields, relative_divergence
 from .operators import d1_free_stencil, d1_stencil, d2_stencil
 from .profiles import (
     DensityProfile,
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 RATE_SLACK = 0.02  # admissible relative overshoot of a measured rate
+MIN_RATE_SAMPLES = 10  # fewest norm samples ``measured_rate`` fits
 
 
 @dataclass
@@ -77,19 +78,10 @@ class LinearState:
         return float(np.sqrt(self.grid.h * np.sum(np.abs(self.N) ** 2)))
 
     def divergence_u(self) -> float:
-        return _relative_div(self.u, self.xi, self.grid)
+        return relative_divergence(self.u, self.xi, self.grid)
 
     def divergence_N(self) -> float:
-        return _relative_div(self.N, self.xi, self.grid)
-
-
-def _relative_div(v: np.ndarray, xi: Frequency, grid: Grid1D) -> float:
-    parts = [1j * xi.xi1 * v[0], 1j * xi.xi2 * v[1], d1_stencil(grid).apply(v[2])]
-    num = np.linalg.norm(parts[0] + parts[1] + parts[2])
-    scale = sum(np.linalg.norm(p) for p in parts)
-    if scale == 0.0:
-        return 0.0
-    return float(num / scale)
+        return relative_divergence(self.N, self.xi, self.grid)
 
 
 class LinearEvolver:
@@ -202,12 +194,17 @@ def _norm_u(z: np.ndarray, grid: Grid1D) -> np.ndarray:
     return np.sqrt(grid.h * np.sum(np.abs(z[n : 4 * n]) ** 2, axis=0))
 
 
+def time_steps(dt: float, T: float) -> int:
+    """Number of steps of size dt that march a state to time T."""
+    return max(1, int(round(T / dt)))
+
+
 def _march(
     stepper: LinearEvolver, z: np.ndarray, t: float, T: float, record_every: int | None
 ):
     """Step z to time T, yielding (t, z, q) every ``record_every`` steps and
     at the last step; the default records about 60 times."""
-    n_steps = max(1, int(round(T / stepper.dt)))
+    n_steps = time_steps(stepper.dt, T)
     if record_every is None:
         record_every = max(1, n_steps // 60)
     for k in range(1, n_steps + 1):
@@ -240,39 +237,10 @@ def eigenmode_state(
     mode: NormalMode, profile: DensityProfile, params: PhysicalParams
 ) -> LinearState:
     """Initial data matching the growing mode at t = 0."""
-    grid = mode.grid
-    lam = mode.lam
-    M = mode.mag.magnitude
-    xi = mode.xi
-    u = np.stack(
-        [
-            -1j * lam * mode.phi.astype(complex),
-            -1j * lam * mode.theta.astype(complex),
-            lam * mode.psi.astype(complex),
-        ]
-    )
-    rho = -(profile.drho(grid.points()) * mode.psi).astype(complex)
-    if M == 0.0:
-        N = np.zeros_like(u)
-    elif mode.mag.orientation is Orientation.HORIZONTAL:
-        N = np.stack(
-            [
-                (M * xi.xi1) * mode.phi.astype(complex),
-                (M * xi.xi1) * mode.theta.astype(complex),
-                1j * (M * xi.xi1) * mode.psi.astype(complex),
-            ]
-        )
-    else:
-        d1 = d1_stencil(grid)
-        N = np.stack(
-            [
-                -1j * M * d1.apply(mode.phi).astype(complex),
-                -1j * M * d1.apply(mode.theta).astype(complex),
-                M * d1.apply(mode.psi).astype(complex),
-            ]
-        )
-    q = lam * mode.pi.astype(complex)
-    return LinearState(xi=xi, grid=grid, t=0.0, rho=rho, u=u, N=N, q=q)
+    f = mode_fields(mode, profile)
+    u = np.stack([f["u1"], f["u2"], f["u3"]])
+    N = np.stack([f["N1"], f["N2"], f["N3"]])
+    return LinearState(mode.xi, mode.grid, 0.0, rho=f["rho"], u=u, N=N, q=f["q"])
 
 
 def _random_smooth_compact(grid: Grid1D, rng: np.random.Generator) -> np.ndarray:
@@ -335,8 +303,8 @@ class RateEstimate:
 
 def measured_rate(samples: list[tuple[float, float]]) -> RateEstimate:
     """Fit log(norm) ~ a + rate * t on the last 50% of the samples."""
-    if len(samples) < 10:
-        raise ValueError("need at least 10 samples to fit a rate")
+    if len(samples) < MIN_RATE_SAMPLES:
+        raise ValueError(f"need at least {MIN_RATE_SAMPLES} samples to fit a rate")
     t = np.array([s[0] for s in samples])
     v = np.array([s[1] for s in samples])
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):

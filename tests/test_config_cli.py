@@ -56,6 +56,8 @@ def test_invalid_configs_rejected(tmp_path):
             )
         )
     with pytest.raises(ConfigError):
+        load_config(_write_config(tmp_path / "d.json", verify={"dt": float("nan")}))
+    with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
 
 
@@ -80,6 +82,37 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+    # an output directory that is not a path
+    for value in (5, None):
+        path = _write_config(tmp_path / "outdir.json", output_dir=value)
+        code = main(["profile", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+    # a target frequency that is not finite
+    path = _write_config(tmp_path / "c.json")
+    for xi in ("nan,1", "inf,1"):
+        code = main(["growth", path, "--xi", xi])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_cli_verify_short_horizon_exits_2_before_stepping(
+    tmp_path, capsys, monkeypatch
+):
+    # too few steps for the rate fit is a config error found before stepping
+    calls = []
+    monkeypatch.setattr(rtmhd.verify, "evolve", lambda *a, **k: calls.append(1))
+    grid = {"half_length": 8.0, "n": 201}
+    for verify in ({"dt": 0.1, "T": 0.3}, {"T": 0.05}):
+        path = _write_config(tmp_path / "c.json", grid=grid, verify=verify)
+        code = main(["verify", path])
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == 2
+        assert err["error"] == "config"
+        assert "steps" in err["message"] and "T = " in err["message"]
+        assert not calls
 
 
 def test_cli_growth_matches_library(tmp_path, capsys):

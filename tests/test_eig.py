@@ -44,15 +44,16 @@ def test_diagonal_pencil():
 
 
 def test_bisection_midpoint_on_eigenvalue():
-    # the first bisection midpoint of (0, 2) is exactly the eigenvalue 1.0,
-    # where A - sigma*B is singular and so not positive definite
+    # the default bracket is (-|A|, |A|) = (-3, 3); its first midpoint is
+    # exactly the eigenvalue 0.0, where A - sigma*B is singular and so not
+    # positive definite
     a = band_zeros(0, 3)
-    a[0] = [3.0, 1.0, 2.0]
+    a[0] = [3.0, 0.0, 2.0]
     b = band_zeros(0, 3)
     b[0] = 1.0
-    pair = min_generalized_eig(a, b, bracket=(0.0, 2.0))
-    assert pair.value == pytest.approx(1.0, abs=1e-12)
-    assert inertia_count(a, b, 1.0) == dense_count_below(a, b, 1.0) == 0
+    pair = min_generalized_eig(a, b)
+    assert pair.value == pytest.approx(0.0, abs=1e-12)
+    assert inertia_count(a, b, 0.0) == dense_count_below(a, b, 0.0) == 0
 
 
 def test_warm_start_on_second_eigenvector_is_rejected():
@@ -139,12 +140,20 @@ def test_eigvec_b_normalized_and_sign_fixed():
     assert pair.vec[np.argmax(np.abs(pair.vec))] > 0
 
 
-def test_bracket_hint_is_verified_not_trusted():
-    rng = np.random.default_rng(41)
-    a, b = _random_pencil(rng, n=30, p=2)
-    truth = dense_smallest(a, b)
-    pair = min_generalized_eig(a, b, bracket=(truth + 5.0, truth + 6.0))
+def test_bracket_grows_below_the_default_guess():
+    # tridiag(-1, -1, -1): the guess |A| / min diag(B) = 1 puts the bracket
+    # at (-1, 1), above the smallest eigenvalue -1 - 2 cos(pi / 31)
+    n = 30
+    a = band_zeros(1, n)
+    a[0] = -1.0
+    a[1, :-1] = -1.0
+    b = band_zeros(0, n)
+    b[0] = 1.0
+    truth = -1.0 - 2.0 * np.cos(np.pi / (n + 1))
+    assert not definite(a, b, -1.0)
+    pair = min_generalized_eig(a, b)
     assert pair.value == pytest.approx(truth, abs=1e-10)
+    assert pair.value == pytest.approx(dense_smallest(a, b), abs=1e-10)
 
 
 @settings(max_examples=20, deadline=None)

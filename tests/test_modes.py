@@ -15,6 +15,7 @@ from rtmhd.modes import (
     snapshot_divergence,
 )
 from rtmhd.operators import band_matvec, d1_stencil
+from rtmhd.verify import eigenmode_state
 
 from .oracles import eoc
 
@@ -180,6 +181,33 @@ def test_snapshot_divergences(horizontal_mode, vertical_mode):
         snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
         assert snapshot_divergence(snap, ("u1", "u2", "u3")) <= 1e-8
         assert snapshot_divergence(snap, ("N1", "N2", "N3")) <= 1e-8
+
+
+def test_snapshot_is_the_pair_sum_of_the_eigenmode_state(
+    horizontal_mode, vertical_mode
+):
+    # the real solution at t is f e^{lambda t + i x'.xi} + c.c. of the complex
+    # state f, and both divergence checks read the same complex profiles
+    unmagnetized = _mode(MODE_SPEC_A, (0.6 * K, 0.8 * K), H, 0.0, mode_tol=1e-2)
+    t = 0.37
+    for mode, prof, _ in (unmagnetized, horizontal_mode, vertical_mode):
+        state = eigenmode_state(mode, prof, MODE_PARAMS)
+        snap = assemble_real_solution(mode, t, MODE_PARAMS, prof)
+        amp = 2.0 * np.exp(mode.lam * t)
+        profiles = {"rho": state.rho, "q": state.q}
+        for i in range(3):
+            profiles[f"u{i + 1}"] = state.u[i]
+            profiles[f"N{i + 1}"] = state.N[i]
+        assert set(profiles) == set(snap.fields)
+        for name, f in profiles.items():
+            c, s = snap.fields[name]
+            np.testing.assert_allclose(c, amp * f.real, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(s, -amp * f.imag, rtol=1e-14, atol=0.0)
+        for names, direct in (
+            (("u1", "u2", "u3"), state.divergence_u()),
+            (("N1", "N2", "N3"), state.divergence_N()),
+        ):
+            assert snapshot_divergence(snap, names) == pytest.approx(direct, abs=1e-14)
 
 
 def test_snapshot_velocity_norm_products(horizontal_mode):
