@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dispersion, modes, verify
 from .config import RunConfig, config_from_dict, read_config
-from .errors import ConfigError, RtmhdError
+from .errors import ConfigError, RateMismatch, RtmhdError
 from .forms import assemble_forms
 from .growth import growth_rate
 from .profiles import Frequency, Grid1D, MagneticConfig
@@ -291,6 +291,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     print(f"lambda_pred={_fmt(lam)}")
     print(f"lambda_meas={_fmt(est.rate)}")
     print(f"rel_err={rel_err:.3e}")
+    if not rel_err <= verify.RATE_RTOL:
+        raise RateMismatch(
+            f"xi = ({xi1.xi1:g}, {xi1.xi2:g}): measured rate {est.rate:.6g} misses "
+            f"lambda = {lam:.6g} by {rel_err:.3e} > {verify.RATE_RTOL} relative "
+            f"(dt = {dt:g}, T = {T:g})"
+        )
 
     # sharpness: random data at the strongest member frequencies must stay
     # below the per-frequency rates and the sweep maximum; the rate is even

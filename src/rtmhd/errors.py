@@ -53,5 +53,9 @@ class DegenerateSeries(RtmhdError):
     """A norm time series contains non-positive values; no rate can be fitted."""
 
 
+class RateMismatch(RtmhdError):
+    """The time-integrated rate of a normal mode misses its predicted rate."""
+
+
 class SharpnessViolation(RtmhdError):
     """A measured growth rate exceeds its per-frequency bound."""

@@ -2,7 +2,9 @@
 
 Every difference operator is one ``Stencil`` with three views of the same
 coefficients: ``apply`` (pointwise), ``gram`` (the band O^T W O) and
-``sparse`` (CSR).  Symmetric banded matrices are stored LAPACK lower style:
+``sparse`` (CSR).  Stencils add, scale and multiply as the matrices they
+stand for, and ``block_sparse`` assembles a block matrix of them as one CSR.
+Symmetric banded matrices are stored LAPACK lower style:
 ab[d, j] = A[j+d, j] for offsets d = 0..p, so ab has shape (p+1, n).
 Quadratic forms are Gram products with positive diagonal weights, which
 makes their symmetry and semidefiniteness structural.
@@ -24,6 +26,8 @@ __all__ = [
     "band_matvec",
     "band_to_lu",
     "Stencil",
+    "diagonal_stencil",
+    "block_sparse",
     "mass_band",
     "grad_stiffness_band",
     "gradient_stencil",
@@ -134,16 +138,62 @@ class Stencil:
                     )
         return out
 
+    def __add__(self, other: "Stencil") -> "Stencil":
+        terms = dict(zip(self.offsets, self.coeffs))
+        for o, c in zip(other.offsets, other.coeffs):
+            terms[o] = terms[o] + c if o in terms else c
+        return Stencil(tuple(terms), tuple(terms.values()), self.n_cols)
+
+    def __rmul__(self, a: complex) -> "Stencil":
+        return Stencil(self.offsets, tuple(a * c for c in self.coeffs), self.n_cols)
+
+    def __matmul__(self, other: "Stencil") -> "Stencil":
+        """The product of the two matrices: self's entries on boundary values
+        meet no row of ``other`` and drop out, as in ``sparse()``."""
+        terms: dict[int, np.ndarray] = {}
+        for o1, c1 in zip(self.offsets, self.coeffs):
+            k_lo, k_hi = max(0, -o1), min(self.n_rows, other.n_rows - o1)
+            for o2, c2 in zip(other.offsets, other.coeffs):
+                c = np.zeros(self.n_rows, dtype=np.result_type(c1, c2))
+                c[k_lo:k_hi] = c1[k_lo:k_hi] * c2[k_lo + o1 : k_hi + o1]
+                o = o1 + o2
+                terms[o] = terms[o] + c if o in terms else c
+        return Stencil(tuple(terms), tuple(terms.values()), other.n_cols)
+
     def sparse(self) -> sp.csr_matrix:
         """The m x n matrix; entries on boundary values and zeros are dropped."""
-        diagonals = [
-            c[max(0, -o) : min(self.n_rows, self.n_cols - o)]
-            for o, c in zip(self.offsets, self.coeffs)
-        ]
-        shape = (self.n_rows, self.n_cols)
-        out = sp.diags(diagonals, self.offsets, shape=shape, format="csr")
-        out.eliminate_zeros()
-        return out
+        return block_sparse({(0, 0): self}, (1, 1))
+
+
+def diagonal_stencil(values: np.ndarray) -> Stencil:
+    """The diagonal matrix diag(values)."""
+    return Stencil((0,), (values,), len(values))
+
+
+def block_sparse(
+    blocks: dict[tuple[int, int], Stencil], shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """Block matrix of m x n stencils in one CSR assembly.
+
+    ``blocks`` maps (block row, block column) to a stencil; ``shape`` counts
+    blocks, and absent blocks are zero.  Entries on boundary values and zeros
+    are dropped.
+    """
+    first = next(iter(blocks.values()))
+    m, n = first.n_rows, first.n_cols
+    rows, cols, vals = [], [], []
+    for (i, j), st in blocks.items():
+        for o, c in zip(st.offsets, st.coeffs):
+            k = np.arange(max(0, -o), min(m, n - o))
+            rows.append(i * m + k)
+            cols.append(j * n + k + o)
+            vals.append(c[k])
+    out = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(shape[0] * m, shape[1] * n),
+    )
+    out.eliminate_zeros()
+    return out
 
 
 def _uniform(n_rows: int, n_cols: int, coeffs: dict[int, float]) -> Stencil:

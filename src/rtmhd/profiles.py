@@ -140,10 +140,6 @@ class Grid1D:
         h = self.h
         return -self.half_length + h * (np.arange(self.n + 1) + 0.5)
 
-    def refined(self, factor: int = 2) -> "Grid1D":
-        """Same domain with the spacing divided by ``factor``."""
-        return Grid1D(self.half_length, (self.n + 1) * factor - 1)
-
 
 @dataclass(frozen=True)
 class Frequency:
@@ -162,11 +158,6 @@ class Frequency:
 
     def is_zero(self) -> bool:
         return self.xi1 == 0.0 and self.xi2 == 0.0
-
-    def on_lattice(self, L: float, tol: float = 1e-9) -> bool:
-        a = self.xi1 * L
-        b = self.xi2 * L
-        return abs(a - round(a)) <= tol and abs(b - round(b)) <= tol
 
     @classmethod
     def lattice(cls, i: int, j: int, L: float) -> "Frequency":

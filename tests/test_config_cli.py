@@ -115,6 +115,24 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
         assert not calls
 
 
+def test_cli_verify_rate_miss_exits_3(tmp_path, capsys):
+    # lambda dt ~ 0.9: the eigenmode's measured rate misses lambda by ~8 %
+    path = _write_config(
+        tmp_path / "c.json",
+        grid={"half_length": 8.0, "n": 201},
+        verify={"dt": 2.5, "T": 30, "seeds": [0]},
+    )
+    out = load_config(path).output_dir
+    code = main(["verify", path])
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 3
+    assert err["error"] == "RateMismatch"
+    report = json.load(open(os.path.join(out, "verify.json")))
+    assert report["rel_err"] > 0.02
+    assert f"{report['rel_err']:.3e}" in err["message"]
+    assert not os.path.exists(os.path.join(out, "sharpness.json"))
+
+
 def test_cli_growth_matches_library(tmp_path, capsys):
     path = _write_config(tmp_path / "c.json")
     code = main(["growth", path, "--xi", "0,1"])

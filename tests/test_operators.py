@@ -6,10 +6,12 @@ from rtmhd.operators import (
     band_matvec,
     band_to_dense,
     band_to_lu,
+    block_sparse,
     composite_stencil,
     d1_free_stencil,
     d1_stencil,
     d2_stencil,
+    diagonal_stencil,
     grad_stiffness_band,
     gradient_stencil,
     mass_band,
@@ -117,6 +119,32 @@ def test_stencil_views_agree(builder):
     expected = dense.T @ np.diag(w) @ dense
     err = np.abs(band_to_dense(st.gram(w)) - expected).max()
     assert err <= 1e-14 * np.abs(expected).max()
+
+
+def test_stencil_algebra_matches_sparse_matrices():
+    # sums, scalings, products and block assembly of stencils are the sparse
+    # matrices they stand for, entries on boundary values dropped
+    grid = rtmhd.Grid1D(3.0, 23)
+    d1, d1f, d2 = d1_stencil(grid), d1_free_stencil(grid), d2_stencil(grid)
+    w = diagonal_stencil(np.random.default_rng(9).uniform(0.5, 2.0, grid.n))
+    m1, m1f, m2, mw = (st.sparse().toarray() for st in (d1, d1f, d2, w))
+    cases = [
+        (d2 + (-1.7) * w, m2 - 1.7 * mw),
+        ((0.5 - 2j) * d1f, (0.5 - 2j) * m1f),
+        (d1 @ w @ d1, m1 @ mw @ m1),
+        (d1f @ d1, m1f @ m1),
+        (d2 @ d1f + 3.0 * d1, m2 @ m1f + 3.0 * m1),
+    ]
+    for st, dense in cases:
+        assert np.abs(st.sparse().toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+    blocks = {(0, 0): d1, (0, 2): d1 @ d1f, (1, 1): 2j * w}
+    got = block_sparse(blocks, (2, 3)).toarray()
+    n = grid.n
+    expected = np.zeros((2 * n, 3 * n), dtype=complex)
+    expected[:n, :n] = m1
+    expected[:n, 2 * n :] = m1 @ m1f
+    expected[n:, n : 2 * n] = 2j * mw
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_band_matvec_and_lu_layout():

@@ -20,7 +20,9 @@ def test_all_exports_resolve(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("script", ["dispersion_survey.py", "rate_verification.py"])
+@pytest.mark.parametrize(
+    "script", ["bench_cn_step.py", "dispersion_survey.py", "rate_verification.py"]
+)
 def test_script_help_runs_nothing(script, tmp_path):
     # --help prints usage; it is not an output directory to run into
     root = Path(__file__).resolve().parent.parent

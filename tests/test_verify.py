@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtmhd
-from rtmhd.errors import DegenerateSeries, SharpnessViolation
+from rtmhd.errors import DegenerateSeries, SharpnessViolation, ZeroFrequency
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 from rtmhd.modes import build_mode
@@ -229,34 +231,44 @@ def test_series_csv(setup_horizontal):
     assert len(lines) == len(states) + 1
 
 
-def _stacked(state):
-    return np.concatenate([state.rho, state.u.ravel(), state.N.ravel()])
+FIELDS = {"h-M0": (H, 0.0), "h-M0.3": (H, 0.3), "v-M0.3": (V, 0.3)}
 
 
+# xi = (1, 2) is the generic case; the others pin the axis-aligned and
+# negative rotations of the reduced step
 @pytest.mark.parametrize(
-    "orientation, M", [(H, 0.0), (H, 0.3), (V, 0.3)], ids=["h-M0", "h-M0.3", "v-M0.3"]
+    "orientation, M, xi",
+    [
+        pytest.param(
+            *field, xi, id=name if xi == (1.0, 2.0) else f"{name}-xi{xi[0]:g},{xi[1]:g}"
+        )
+        for xi in ((1.0, 2.0), (0.0, 1.0), (1.0, 0.0), (-2.0, 1.0))
+        for name, field in FIELDS.items()
+    ],
 )
-def test_step_matches_per_component_reference(orientation, M):
+def test_step_matches_per_component_reference(orientation, M, xi):
     grid = rtmhd.Grid1D(8.0, 201)
     prof = rtmhd.build_profile(CANON_SPEC, grid)
     mag = rtmhd.MagneticConfig(orientation, M)
-    xi = rtmhd.Frequency(1.0, 2.0)
+    xi = rtmhd.Frequency(*xi)
     dt = 0.03
     states = [random_divfree_state(prof, grid, xi, seed) for seed in (3, 4, 5)]
     init = states[0]
     init.N = states[1].u  # a divergence-free field, so the Lorentz terms act
     stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt)
 
-    z, q = stepper.step(_stacked(init))
-    rho, u, N, q_ref = cn_step_reference(
+    z, q = stepper.step(stepper.pack(init))
+    rho, u, N = stepper.unpack(z)
+    rho_ref, u_ref, N_ref, q_ref = cn_step_reference(
         prof, mag, CANON_PARAMS, grid, xi, dt, init.rho, init.u, init.N
     )
-    z_ref = np.concatenate([rho, u.ravel(), N.ravel()])
-    assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+    got = np.concatenate([rho, u.ravel(), N.ravel()])
+    z_ref = np.concatenate([rho_ref, u_ref.ravel(), N_ref.ravel()])
+    assert np.linalg.norm(got - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
     assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
 
     # a block of columns steps like each column alone
-    block = np.stack([_stacked(s) for s in states], axis=1)
+    block = np.stack([stepper.pack(s) for s in states], axis=1)
     z_block, q_block = stepper.step(block)
     for k in range(3):
         z_k, q_k = stepper.step(block[:, k])
@@ -264,16 +276,75 @@ def test_step_matches_per_component_reference(orientation, M):
         assert np.linalg.norm(q_block[:, k] - q_k) <= 1e-13 * np.linalg.norm(q_k)
 
 
-def _sharpness_per_seed(prof, mag, grid, seeds, xi_rates):
-    """The sharpness check one seed at a time: the message of its first
-    violation, or None."""
+def test_stepped_seed_is_the_packed_random_state():
+    # sharpness draws its seeds directly as stepped states; they are the
+    # random divergence-free states with chi left implied
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(H, 0.3)
+    for xi in (rtmhd.Frequency(*v) for v in ((1.0, 2.0), (0.0, 1.0), (-2.0, 1.0))):
+        stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, 0.03)
+        for seed in (0, 3):
+            state = random_divfree_state(prof, grid, xi, seed)
+            z = rtmhd.verify._random_stepped_state(grid, xi, seed)
+            assert np.abs(stepper.pack(state) - z).max() <= 1e-14 * np.abs(z).max()
+            rho, u, N = stepper.unpack(z)
+            assert np.abs(u - state.u).max() <= 1e-14 * np.abs(state.u).max()
+            assert np.array_equal(rho, state.rho) and not N.any()
+            assert stepper.norm_u(z) == pytest.approx(state.norm_u(), rel=1e-14)
+
+
+@pytest.mark.parametrize("orientation, M", FIELDS.values(), ids=FIELDS.keys())
+def test_stepper_rejects_zero_frequency(orientation, M):
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(orientation, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a division by |xi| = 0 would warn first
+        with pytest.raises(ZeroFrequency):
+            LinearEvolver(prof, mag, CANON_PARAMS, grid, rtmhd.Frequency(0.0, 0.0), 0.03)
+
+
+def _per_seed_rates(prof, mag, grid, seeds, xi_rates, horizon=3.0):
+    """Each seed's measured rate in sharpness check order, every seed evolved
+    alone at every frequency: (xi, lam, seed, rate) tuples."""
+    out = []
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
         for seed in seeds:
             init = random_divfree_state(prof, grid, xi, seed)
-            est, _ = run_rate(init, prof, mag, CANON_PARAMS, 1.0 / (100 * lam), 3.0 / lam)
-            if est.rate > lam * 1.02:
-                return f"seed {seed}, xi = ({xi.xi1:g}, {xi.xi2:g}): measured"
+            dt, T = 1.0 / (100 * lam), horizon / lam
+            est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt, T)
+            out.append((xi, lam, seed, est.rate))
+    return out
+
+
+def _sharpness_per_seed(prof, mag, grid, seeds, xi_rates, horizon=3.0):
+    """The sharpness check one seed at a time: the message of its first
+    violation, or None."""
+    for xi, lam, seed, rate in _per_seed_rates(prof, mag, grid, seeds, xi_rates, horizon):
+        if rate > lam * 1.02:
+            return f"seed {seed}, xi = ({xi.xi1:g}, {xi.xi2:g}): measured"
     return None
+
+
+def _instrument(monkeypatch):
+    """Lists that collect one entry per factorization and every rate that
+    ``sharpness_test`` measures."""
+    calls, reported = [], []
+    real_splu, real_rate = rtmhd.verify.splu, rtmhd.verify.measured_rate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_splu(*args, **kwargs)
+
+    def recording(samples):
+        est = real_rate(samples)
+        reported.append(est.rate)
+        return est
+
+    monkeypatch.setattr(rtmhd.verify, "splu", counting)
+    monkeypatch.setattr(rtmhd.verify, "measured_rate", recording)
+    return calls, reported
 
 
 def test_sharpness_factors_once_per_frequency(monkeypatch):
@@ -307,3 +378,65 @@ def test_sharpness_factors_once_per_frequency(monkeypatch):
         sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
                        seeds=seeds, xi_rates=forced)
     assert str(info.value).startswith(expected)
+
+
+def test_sharpness_steps_each_distinct_problem_once(monkeypatch):
+    # at M = 0 the stepped problem reads xi only through |xi|^2, so (1, 0)
+    # and (0, 1) share one stepper and one block of seeds
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(H, 0.0)
+    rates = {}
+    for xi in (rtmhd.Frequency(1.0, 0.0), rtmhd.Frequency(0.0, 1.0),
+               rtmhd.Frequency(1.0, 1.0)):
+        rates[xi] = growth_rate(assemble_forms(prof, grid, xi, mag, CANON_PARAMS)).lam
+    assert rates[rtmhd.Frequency(1.0, 0.0)] == rates[rtmhd.Frequency(0.0, 1.0)]
+    seeds = [0, 1, 2]
+    reference = [r[3] for r in _per_seed_rates(prof, mag, grid, seeds, rates)]
+
+    calls, reported = _instrument(monkeypatch)
+    worst = sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
+                           seeds=seeds, xi_rates=rates)
+    assert len(calls) == 2
+    for got, ref in zip(reported, reference, strict=True):
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+    assert worst == max(reported)
+
+    # another rate at (1, 0) means another dt and horizon: nothing is shared
+    calls.clear()
+    raised = dict(rates)
+    raised[rtmhd.Frequency(1.0, 0.0)] *= 1.05
+    sharpness_test(prof, mag, CANON_PARAMS, grid, max(raised.values()),
+                   seeds=seeds, xi_rates=raised)
+    assert len(calls) == 3
+
+    # a bound 5% too small at (0, 1), the first frequency in check order;
+    # the longer horizon takes every seed's fit past it
+    forced = dict(rates)
+    forced[rtmhd.Frequency(0.0, 1.0)] *= 0.95
+    expected = _sharpness_per_seed(prof, mag, grid, seeds, forced, horizon=4.0)
+    assert expected == "seed 0, xi = (0, 1): measured"
+    with pytest.raises(SharpnessViolation) as info:
+        sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
+                       seeds=seeds, xi_rates=forced, horizon=4.0)
+    assert str(info.value).startswith(expected)
+
+
+def test_sharpness_keeps_mirrored_frequencies_apart(monkeypatch):
+    # with a horizontal field, xi and its mirror (xi1, -xi2) share |xi| and
+    # the rate but not the stepped problem: M xi2 flips the swirl coupling
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(H, 0.3)
+    xi = rtmhd.Frequency(1.0, 1.0)
+    lam = growth_rate(assemble_forms(prof, grid, xi, mag, CANON_PARAMS)).lam
+    rates = {xi: lam, rtmhd.Frequency(1.0, -1.0): lam}
+    seeds = [0, 1]
+    reference = [r[3] for r in _per_seed_rates(prof, mag, grid, seeds, rates)]
+    assert reference[:2] != reference[2:]
+
+    calls, reported = _instrument(monkeypatch)
+    sharpness_test(prof, mag, CANON_PARAMS, grid, lam, seeds=seeds, xi_rates=rates)
+    assert len(calls) == 2
+    for got, ref in zip(reported, reference, strict=True):
+        assert abs(got - ref) <= 1e-9 * abs(ref)
