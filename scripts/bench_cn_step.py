@@ -75,6 +75,8 @@ def measure() -> dict:
                 verify.random_divfree_state(profile, grid, xi, s) for s in range(COLUMNS)
             ]
             z = np.stack([pack(state) for state in states], axis=1)
+            # a step forms no pressure; trees before the split formed q in
+            # every step
             stepper.step(z)
             cases[f"{name} n={n}"] = {
                 "factor_ms": 1e3 * _timed(factor, 7),

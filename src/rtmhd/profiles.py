@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NonPositiveDensity, NoUnstableRegion
 
@@ -312,11 +311,20 @@ def build_profile(spec: ProfileSpec, check_grid: Grid1D) -> DensityProfile:
     )
 
 
-def _polished_sup_ratio(profile: DensityProfile, samples: np.ndarray) -> float:
-    """sup of drho/rho: dense sampling then a bounded local polish.
+_ZOOM_POINTS = 65  # ratio evaluations per zoom round
+_ZOOM_XTOL = 1e-13  # final bracket width
 
-    The polish step makes the cached value an upper envelope for the ratio at
-    any later evaluation grid, which keeps sup-based bounds exact.
+
+def _polished_sup_ratio(profile: DensityProfile, samples: np.ndarray) -> float:
+    """sup of drho/rho: dense sampling then a bracket zoom.
+
+    The bracket of the sample argmax is sampled at ``_ZOOM_POINTS`` even
+    points and shrunk to the two neighbours of their argmax, until it is at
+    most ``_ZOOM_XTOL`` wide (or as narrow as floating point allows).  The
+    result is the largest ratio evaluated anywhere; near a smooth maximum
+    the ratio is flat to roundoff across the last bracket, which makes the
+    cached value an upper envelope for the ratio at any later evaluation
+    grid and keeps sup-based bounds exact.
     """
     r = profile.ratio(samples)
     k = int(np.argmax(r))
@@ -326,14 +334,15 @@ def _polished_sup_ratio(profile: DensityProfile, samples: np.ndarray) -> float:
         return max(best, 0.0)
     lo = samples[max(0, k - 1)]
     hi = samples[min(len(samples) - 1, k + 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            lambda x: -profile.ratio(np.array([x]))[0],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        best = max(best, float(-res.fun))
+    while hi - lo > _ZOOM_XTOL:
+        x = np.linspace(lo, hi, _ZOOM_POINTS)
+        r = profile.ratio(x)
+        k = int(np.argmax(r))
+        best = max(best, float(r[k]))
+        lo_next, hi_next = x[max(0, k - 1)], x[min(_ZOOM_POINTS - 1, k + 1)]
+        if hi_next - lo_next >= hi - lo:
+            break  # the bracket is a few ulps wide
+        lo, hi = lo_next, hi_next
     return best
 
 

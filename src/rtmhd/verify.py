@@ -16,10 +16,12 @@ enters as i|xi| q, gives q once the velocity is known.  One sparse system in
 The stepper works on the stacked state z = [rho; u3; omega; N_chi; N_omega;
 N3] (6n rows, one column per solution; chi is never stored).  The whole step
 is two sparse products around one factored solve: ``rhs`` (2n x 6n) maps z
-to the right-hand side of the (u3, omega) system, and ``update`` (7n x 8n)
-maps [z; u3+; omega+] to the new z and q.  All three are assembled from
-stencil blocks; the field orientation enters only the induction and Lorentz
-blocks.
+to the right-hand side of the (u3, omega) system, and ``update`` (6n x 8n)
+maps [z; u3+; omega+] to the new z.  The half-step pressure depends only on
+z and the new z, which holds u3+ and omega+; ``pressure`` (n x 12n) forms
+it from the two, and only where a caller records it.  All four operators
+are assembled from stencil blocks; the field orientation enters only the
+induction and Lorentz blocks.
 
 The sharpness test steps all random seeds of one frequency as the columns of
 one block.  The stepped problem reads xi only through |xi|^2 and, for a
@@ -214,13 +216,10 @@ class LinearEvolver:
             (1.0, _place(f_op, 0, 3)),
         )
         self._rhs = block_sparse(_compose(cancel, rhs), (2, 6))
-        # [z; u3+; omega+] -> [z+; q]: rho+ = rho - (dt/2) drho (u3 + u3+),
-        # N+ = N + (dt/2) T (u + u+), and q from the chi row, whose pressure
-        # coefficient is i k
+        # [z; u3+; omega+] -> z+: rho+ = rho - (dt/2) drho (u3 + u3+) and
+        # N+ = N + (dt/2) T (u + u+)
         t_u = _compose(t_op, span)
         half_drho = diagonal_stencil(-0.5 * dt * drho)
-        chi_rhs = {ij: st for ij, st in rhs.items() if ij[0] == 0}
-        chi_lhs = {ij: st for ij, st in lhs.items() if ij[0] == 0}
         moves = {(0, 0): ident, (0, 1): half_drho, (0, 6): half_drho, (1, 6): ident}
         moves.update({(2, 7): ident, (3, 3): ident, (4, 4): ident, (5, 5): ident})
         self._update = block_sparse(
@@ -228,10 +227,15 @@ class LinearEvolver:
                 (1.0, moves),
                 (0.5 * dt, _place(t_u, 3, 1)),
                 (0.5 * dt, _place(t_u, 3, 6)),
-                (-c, _place(chi_rhs, 6, 0)),
-                (c, _place(chi_lhs, 6, 6)),
             ),
-            (7, 8),
+            (6, 8),
+        )
+        # [z; z+] -> q from the chi row, whose pressure coefficient is i k;
+        # u3+ and omega+ are blocks 1 and 2 of z+
+        chi_rhs = {ij: st for ij, st in rhs.items() if ij[0] == 0}
+        chi_lhs = {ij: st for ij, st in lhs.items() if ij[0] == 0}
+        self._pressure = block_sparse(
+            _combine((-c, chi_rhs), (c, _place(chi_lhs, 0, 7))), (1, 12)
         )
         self._chi = block_sparse({(0, 0): c * d1}, (1, 1))
         self._unit = (xi.xi1 / k, xi.xi2 / k)
@@ -240,14 +244,14 @@ class LinearEvolver:
         self.dt = dt
         self._n = n
 
-    def step(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step of the stacked state z, shape (6n,) or (6n, k).
-
-        Returns z at the new time and the pressure q at the half step.
-        """
+    def step(self, z: np.ndarray) -> np.ndarray:
+        """z at the new time, for a stacked state z of shape (6n,) or (6n, k)."""
         sol = self._lu.solve(self._rhs @ z)
-        out = self._update @ np.concatenate([z, sol])
-        return out[: 6 * self._n], out[6 * self._n :]
+        return self._update @ np.concatenate([z, sol])
+
+    def pressure(self, z: np.ndarray, z_next: np.ndarray) -> np.ndarray:
+        """The pressure q at the half step from z to z_next = step(z)."""
+        return self._pressure @ np.concatenate([z, z_next])
 
     def pack(self, state: LinearState) -> np.ndarray:
         """The stepped state [rho; u3; omega; N_chi; N_omega; N3] of a
@@ -293,16 +297,17 @@ def time_steps(dt: float, T: float) -> int:
 def _march(
     stepper: LinearEvolver, z: np.ndarray, t: float, T: float, record_every: int | None
 ):
-    """Step z to time T, yielding (t, z, q) every ``record_every`` steps and
-    at the last step; the default records about 60 times."""
+    """Step z to time T, yielding (t, z_prev, z) every ``record_every`` steps
+    and at the last step, z_prev being the state one step before; the
+    default records about 60 times."""
     n_steps = time_steps(stepper.dt, T)
     if record_every is None:
         record_every = max(1, n_steps // 60)
     for k in range(1, n_steps + 1):
-        z, q = stepper.step(z)
+        z_prev, z = z, stepper.step(z)
         t += stepper.dt
         if k % record_every == 0 or k == n_steps:
-            yield t, z, q
+            yield t, z_prev, z
 
 
 def evolve(
@@ -321,8 +326,9 @@ def evolve(
     """
     stepper = LinearEvolver(profile, mag, params, init.grid, init.xi, dt)
     out = [init.copy()]
-    for t, z, q in _march(stepper, stepper.pack(init), init.t, T, record_every):
+    for t, z_prev, z in _march(stepper, stepper.pack(init), init.t, T, record_every):
         rho, u, N = stepper.unpack(z)
+        q = stepper.pressure(z_prev, z)
         out.append(replace(init, t=t, rho=rho, u=u, N=N, q=q))
     return out
 
@@ -470,7 +476,7 @@ def sharpness_test(
             stepper = LinearEvolver(profile, mag, params, grid, xi, dt)
             z = np.stack([_random_stepped_state(grid, xi, s) for s in seeds], axis=1)
             series = [(0.0, stepper.norm_u(z))]
-            for t, zk, _ in _march(stepper, z, 0.0, horizon / lam, None):
+            for t, _, zk in _march(stepper, z, 0.0, horizon / lam, None):
                 series.append((t, stepper.norm_u(zk)))
             stepped[key] = series
         for i, seed in enumerate(seeds):

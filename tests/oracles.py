@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.linalg import eigh, eigvalsh
+from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from rtmhd.operators import band_to_dense
@@ -41,6 +42,33 @@ def adaptive_bump_integral(amp: float, half_width: float) -> float:
         limit=200,
     )
     return amp * half_width * val
+
+
+def brent_sup_ratio(profile, grid) -> tuple[float, float]:
+    """sup of drho/rho and where it sits, by scipy's bounded Brent search.
+
+    Samples the ratio on the grid and 10x that density across every bump
+    support, then polishes the sample argmax between its two neighbours
+    with ``minimize_scalar(method="bounded", xatol=1e-13)``.
+    """
+    bumps = profile.spec.bumps
+    per_bump = max(101, 10 * grid.n // len(bumps))
+    supports = [
+        np.linspace(b.center - b.half_width, b.center + b.half_width, per_bump)
+        for b in bumps
+    ]
+    samples = np.unique(np.concatenate([grid.points(), *supports]))
+    r = profile.ratio(samples)
+    k = int(np.argmax(r))
+    res = minimize_scalar(
+        lambda x: -profile.ratio(np.array([x]))[0],
+        bounds=(samples[k - 1], samples[k + 1]),
+        method="bounded",
+        options={"xatol": 1e-13},
+    )
+    if -res.fun >= r[k]:
+        return float(-res.fun), float(res.x)
+    return float(r[k]), float(samples[k])
 
 
 def cone_infimum_dense(a_band: np.ndarray, b_band: np.ndarray) -> float:

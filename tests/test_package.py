@@ -21,7 +21,13 @@ def test_all_exports_resolve(name):
 
 
 @pytest.mark.parametrize(
-    "script", ["bench_cn_step.py", "dispersion_survey.py", "rate_verification.py"]
+    "script",
+    [
+        "bench_cn_step.py",
+        "bench_startup.py",
+        "dispersion_survey.py",
+        "rate_verification.py",
+    ],
 )
 def test_script_help_runs_nothing(script, tmp_path):
     # --help prints usage; it is not an output directory to run into
@@ -38,3 +44,27 @@ def test_script_help_runs_nothing(script, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_start_loads_no_heavy_scipy_subpackage():
+    # a fresh process, because pytest and the oracles may have loaded these
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = (
+        "import sys\n"
+        "import rtmhd.cli\n"
+        "from rtmhd.config import load_config\n"
+        "load_config('configs/canonical.json')\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.fft')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,7 +9,8 @@ import rtmhd
 from rtmhd.errors import NonPositiveDensity, NoUnstableRegion
 from rtmhd.profiles import BUMP_INTEGRAL
 
-from .oracles import adaptive_bump_integral
+from .conftest import CANON_SPEC, JUMP_NEG_SPEC
+from .oracles import adaptive_bump_integral, brent_sup_ratio
 
 GRID = rtmhd.Grid1D(8.0, 401)
 
@@ -100,6 +101,39 @@ def test_sup_ratio_dominates_grid_samples(canon_profile):
     ratios = canon_profile.ratio(x)
     assert canon_profile.sup_ratio >= ratios.max() - 1e-13
     assert canon_profile.sup_ratio > 0
+
+
+SUP_SPECS = {
+    "canonical": CANON_SPEC,
+    "jump-neg": JUMP_NEG_SPEC,
+    "off-centre": rtmhd.ProfileSpec(
+        3.0, (rtmhd.Bump(0.5, 1.0, 0.5), rtmhd.Bump(-0.2, -1.0, 0.7))
+    ),
+    "two-positive": rtmhd.ProfileSpec(
+        2.0, (rtmhd.Bump(0.3, -1.0, 0.6), rtmhd.Bump(0.4, 1.2, 0.8))
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [17, 201, 801])
+@pytest.mark.parametrize("name", SUP_SPECS)
+def test_sup_ratio_matches_brent_oracle(name, n):
+    grid = rtmhd.Grid1D(8.0, n)
+    prof = rtmhd.build_profile(SUP_SPECS[name], grid)
+    sup, argmax = brent_sup_ratio(prof, grid)
+    assert sup <= prof.sup_ratio <= sup * (1.0 + 1e-15)
+    # an upper envelope, not only of the samples: every point near the
+    # maximum, at 1e-9 spacing, stays at or below the cached value
+    x = argmax + 1e-9 * np.arange(-2000, 2001)
+    assert prof.ratio(x).max() <= prof.sup_ratio
+
+
+def test_sup_ratio_zoom_stops_at_float_resolution(canon_profile):
+    # near x = 600 one ulp is 1.1e-13, so the bracket cannot reach 1e-13;
+    # the ratio is translation invariant, so the sup is the canonical one
+    spec = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 600.0, 1.0),))
+    prof = rtmhd.build_profile(spec, rtmhd.Grid1D(2000.0, 17))
+    assert prof.sup_ratio == pytest.approx(canon_profile.sup_ratio, rel=1e-14)
 
 
 def test_metrics_dict(canon_profile):
