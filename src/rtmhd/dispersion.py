@@ -118,11 +118,14 @@ def _truncations(
 
     The previous eigenvector, carried onto the new grid, starts the next
     solve; max_generalized_eig certifies the result, so a start that lands on
-    a lower eigenvalue costs a cold solve, not a wrong value.
+    a lower eigenvalue costs a cold solve, not a wrong value.  A trace with a
+    positive total jump diverges, and its padded eigenvector always lands
+    below the doubled top eigenvalue, so it solves cold throughout.
     """
     pair = None
     for k, grid in enumerate(grids):
-        start = None if pair is None else _continued(pair.vec, grids[k - 1], grid)
+        cold = pair is None or profile.total_jump > 0
+        start = None if cold else _continued(pair.vec, grids[k - 1], grid)
         pair = _critical_pair(profile, grid, g, start)
         yield grid.half_length, float(np.sqrt(pair.value))
 
@@ -215,10 +218,10 @@ def critical_number(
     Divergence (>= 1.5x growth per doubling over the last two doublings) means
     infinite; a settled trace (< 1e-4 relative change at the last doubling)
     means finite with the last value.  Either way the numerical decision is
-    cross-checked against the sign of the total density jump.  Each
-    truncation's eigen-solve starts from the previous eigenvector,
-    interpolated onto the doubled domain and zero outside the old one, and
-    is certified like a cold solve.
+    cross-checked against the sign of the total density jump.  Unless that
+    jump is positive, each truncation's eigen-solve starts from the previous
+    eigenvector, interpolated onto the doubled domain and zero outside the
+    old one, and is certified like a cold solve.
     """
     if len(grids) < 3:
         raise ValueError("need at least 3 truncations, each doubling Lz")
@@ -240,8 +243,8 @@ def critical_number_auto(
     The trace runs over ``default_truncation_grids`` with up to
     3 + max_doublings truncations and stops at the first one that
     classifies; the last is classified strictly and raises if undecided.
-    Every truncation after the first is warm-started as in
-    ``critical_number``: on a settling trace that takes 2-4 iterations
+    Truncations are warm-started as in ``critical_number``: on a settling
+    trace a truncation after the first takes 2-4 iterations
     (``EigenPair.iterations``) in place of a 40-step bisection.
     """
     grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3 + max_doublings)

@@ -1,5 +1,5 @@
-"""Companion components of a growing mode, and the one map from a mode to its
-perturbation fields.
+"""Companion components of a growing mode, the magnetic coupling, and the one
+map from a mode to its perturbation fields.
 
 Given the vertical-velocity profile psi and rate lambda of one frequency, the
 remaining components follow in the order pressure-free horizontal solve ->
@@ -13,6 +13,12 @@ pressure -> divergence closure:
   vertical field: the rotation ansatz phi = -xi1 psi'/|xi|^2,
   theta = -xi2 psi'/|xi|^2 closes the divergence identically and pi follows
   algebraically from the first momentum equation.
+
+``magnetic_coupling`` is the one definition of how the velocity and the
+induced field N couple at zero resistivity: the induction N_t = T u and the
+Lorentz force F N, as stencil blocks in any frame.  The residuals apply F T
+to the mode velocity, ``mode_fields`` gives N = T u / lambda, and the
+Crank-Nicolson step in ``verify`` builds T and F in its rotated frame.
 
 ``mode_fields`` maps a mode to the complex profiles of every perturbation
 field at +xi.  The linear time integration starts from them, and the real
@@ -32,7 +38,16 @@ from scipy.linalg import solveh_banded
 
 from .errors import ResidualTooLarge
 from .growth import GrowthResult
-from .operators import d1_stencil, d2_stencil, grad_stiffness_band
+from .operators import (
+    Blocks,
+    block_apply,
+    block_combine,
+    d1_free_stencil,
+    d1_stencil,
+    d2_stencil,
+    diagonal_stencil,
+    grad_stiffness_band,
+)
 from .profiles import (
     DensityProfile,
     Frequency,
@@ -48,6 +63,7 @@ __all__ = [
     "FieldSnapshot",
     "build_mode",
     "mode_residuals",
+    "magnetic_coupling",
     "mode_fields",
     "relative_divergence",
     "assemble_real_solution",
@@ -92,25 +108,29 @@ class FieldSnapshot:
         return float(np.sqrt(sum(self.norms[k] ** 2 for k in names)))
 
 
-def _magnetic_rhs(
-    mode_arrays: dict,
-    xi: Frequency,
-    mag: MagneticConfig,
-    grid: Grid1D,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The M^2-scaled coupling terms of the three momentum equations."""
-    phi, theta, psi = mode_arrays["phi"], mode_arrays["theta"], mode_arrays["psi"]
-    d1, d2 = d1_stencil(grid), d2_stencil(grid)
-    psi1 = d1.apply(psi)
-    if mag.orientation is Orientation.HORIZONTAL:
-        b1 = np.zeros_like(psi)
-        b2 = xi.xi1 * xi.xi2 * phi - xi.xi1**2 * theta
-        b3 = -(xi.xi1**2 * psi + xi.xi1 * d1.apply(phi))
-    else:
-        b1 = d2.apply(phi) + xi.xi1 * psi1
-        b2 = d2.apply(theta) + xi.xi2 * psi1
-        b3 = np.zeros_like(psi)
-    return b1, b2, b3
+def magnetic_coupling(
+    b: tuple[float, float, float], xi: Frequency, grid: Grid1D
+) -> tuple[Blocks, Blocks]:
+    """Induction T and Lorentz force F of the background field b, linear in b,
+    as 3 x 3 blocks in a frame where the gradient is (i xi1, i xi2, D).
+
+    N_t = T u = (b . grad) u with D = D1.  F N = (curl N) x b = (b . grad) N
+    - grad (b . N) with D = D1 free: row r sums b_k (d_k N_r - d_r N_k) over
+    k != r.  Terms of a vanishing b_k or d_k are not formed.
+    """
+    g = (xi.xi1, xi.xi2)
+    ident = diagonal_stencil(np.ones(grid.n))
+    # the nonzero gradient components d_k, with D = D1 and with D = D1 free
+    grad = {k: 1j * g[k] * ident for k in (0, 1) if g[k] != 0.0}
+    d_t, d_f = {**grad, 2: d1_stencil(grid)}, {**grad, 2: d1_free_stencil(grid)}
+    field = [k for k in range(3) if b[k] != 0.0]
+    along = [k for k in field if k in d_t]  # the terms of b . grad
+    t_op = block_combine(*((b[k], {(j, j): d_t[k] for j in range(3)}) for k in along))
+    f_op = block_combine(
+        *((b[k], {(r, r): d_f[k] for r in range(3) if r != k}) for k in along),
+        *((-b[k], {(r, k): d_f[r] for r in d_f if r != k}) for k in field),
+    )
+    return t_op, f_op
 
 
 def _l2(v: np.ndarray, h: float) -> float:
@@ -142,50 +162,36 @@ def mode_residuals(
     h = grid.h
     x = grid.points()
     rho = profile.rho(x)
-    drho = profile.drho(x)
-    xi2 = xi.norm2
-    mu = params.mu
-    m2 = mag.magnitude**2
     d1, d2 = d1_stencil(grid), d2_stencil(grid)
-    b1, b2, b3 = _magnetic_rhs(
-        {"phi": phi, "theta": theta, "psi": psi}, xi, mag, grid
-    )
+    # lambda^2 rho v + lambda grad pi = lambda mu Delta v + F T v + g rho0' psi e3
+    # for the velocity profile v = u / lambda = (-i phi, -i theta, psi); T and
+    # F are M times those of the unit field
+    t_op, f_op = magnetic_coupling(mag.direction(), xi, grid)
+    v = np.stack([-1j * phi, -1j * theta, psi.astype(complex)])
+    grad_pi = (1j * xi.xi1 * pi, 1j * xi.xi2 * pi, d1.apply(pi))
+    lorentz = mag.magnitude**2 * block_apply(f_op, block_apply(t_op, v))
+    terms = [
+        [
+            lam**2 * rho * v[c],
+            lam * grad_pi[c],
+            lam * params.mu * (xi.norm2 * v[c] - d2.apply(v[c])),
+            -lorentz[c],
+        ]
+        for c in range(3)
+    ]
+    terms[2].append(-params.g * profile.drho(x) * psi)
+    div_terms = [xi.xi1 * phi, xi.xi2 * theta, d1.apply(psi)]
     cut = slice(_STENCIL_TRIM, len(psi) - _STENCIL_TRIM)
 
-    def rel(residual: np.ndarray, terms: list[np.ndarray]) -> float:
-        scale = sum(_l2(t[cut], h) for t in terms)
+    def rel(t: list[np.ndarray]) -> float:
+        scale = sum(_l2(term[cut], h) for term in t)
         if scale == 0.0:
             return 0.0
-        return _l2(residual[cut], h) / scale
+        return _l2(sum(t)[cut], h) / scale
 
-    t1 = [
-        lam**2 * rho * phi,
-        -lam * xi.xi1 * pi,
-        lam * mu * (xi2 * phi - d2.apply(phi)),
-        -(m2 * b1),
-    ]
-    t2 = [
-        lam**2 * rho * theta,
-        -lam * xi.xi2 * pi,
-        lam * mu * (xi2 * theta - d2.apply(theta)),
-        -(m2 * b2),
-    ]
-    t3 = [
-        lam**2 * rho * psi,
-        lam * d1.apply(pi),
-        lam * mu * (xi2 * psi - d2.apply(psi)),
-        -params.g * drho * psi,
-        -(m2 * b3),
-    ]
-    psi1 = d1.apply(psi)
-    div = xi.xi1 * phi + xi.xi2 * theta + psi1
-    div_terms = [xi.xi1 * phi, xi.xi2 * theta, psi1]
-    return {
-        "eq1": rel(sum(t1), t1),
-        "eq2": rel(sum(t2), t2),
-        "eq3": rel(sum(t3), t3),
-        "div": rel(div, div_terms),
-    }
+    out = {f"eq{c + 1}": rel(t) for c, t in enumerate(terms)}
+    out["div"] = rel(div_terms)
+    return out
 
 
 def build_mode(
@@ -268,32 +274,18 @@ def build_mode(
 def mode_fields(mode: NormalMode, profile: DensityProfile) -> dict[str, np.ndarray]:
     """Complex profiles of every perturbation field at +xi and t = 0.
 
-    The velocity is lambda (-i phi, -i theta, psi), the density is advected
-    from the steady profile, rho = -rho0' psi, the pressure is lambda pi,
-    and the induction equation gives N = (i M xi1 / lambda) u for a
-    horizontal field and N = (M / lambda) u' for a vertical one.
+    The velocity is u = lambda v, v = (-i phi, -i theta, psi), the density
+    is advected from the steady profile, rho = -rho0' psi, the pressure is
+    lambda pi, and the induction equation lambda N = T u gives N = T v.
     """
-    lam, M = mode.lam, mode.mag.magnitude
-    real = (mode.phi, mode.theta, mode.psi)
-    phi, theta, psi = (v.astype(complex) for v in real)
-    out = {
+    v = np.stack([-1j * mode.phi, -1j * mode.theta, mode.psi.astype(complex)])
+    t_op, _ = magnetic_coupling(mode.mag.direction(), mode.xi, mode.grid)
+    return {
         "rho": -(profile.drho(mode.grid.points()) * mode.psi).astype(complex),
-        "u1": -1j * lam * phi,
-        "u2": -1j * lam * theta,
-        "u3": lam * psi,
-        "q": lam * mode.pi.astype(complex),
+        **dict(zip(("u1", "u2", "u3"), mode.lam * v)),
+        "q": mode.lam * mode.pi.astype(complex),
+        **dict(zip(("N1", "N2", "N3"), mode.mag.magnitude * block_apply(t_op, v))),
     }
-    if M == 0.0:
-        n = [np.zeros_like(psi) for _ in range(3)]
-    elif mode.mag.orientation is Orientation.HORIZONTAL:
-        m1 = M * mode.xi.xi1
-        n = [m1 * phi, m1 * theta, 1j * m1 * psi]
-    else:
-        d1 = d1_stencil(mode.grid)
-        dphi, dtheta, dpsi = (d1.apply(v).astype(complex) for v in real)
-        n = [-1j * M * dphi, -1j * M * dtheta, M * dpsi]
-    out.update(zip(("N1", "N2", "N3"), n))
-    return out
 
 
 def relative_divergence(v: np.ndarray, xi: Frequency, grid: Grid1D) -> float:

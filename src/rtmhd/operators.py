@@ -3,7 +3,9 @@
 Every difference operator is one ``Stencil`` with three views of the same
 coefficients: ``apply`` (pointwise), ``gram`` (the band O^T W O) and
 ``sparse`` (CSR).  Stencils add, scale and multiply as the matrices they
-stand for, and ``block_sparse`` assembles a block matrix of them as one CSR.
+stand for.  A block operator (``Blocks``) maps block places to stencils; it
+composes and combines blockwise, ``block_apply`` applies it pointwise and
+``block_sparse`` assembles it as one CSR.
 Symmetric banded matrices are stored LAPACK lower style:
 ab[d, j] = A[j+d, j] for offsets d = 0..p, so ab has shape (p+1, n).
 Quadratic forms are Gram products with positive diagonal weights, which
@@ -27,6 +29,10 @@ __all__ = [
     "band_to_lu",
     "Stencil",
     "diagonal_stencil",
+    "Blocks",
+    "block_compose",
+    "block_combine",
+    "block_apply",
     "block_sparse",
     "mass_band",
     "grad_stiffness_band",
@@ -170,9 +176,37 @@ def diagonal_stencil(values: np.ndarray) -> Stencil:
     return Stencil((0,), (values,), len(values))
 
 
-def block_sparse(
-    blocks: dict[tuple[int, int], Stencil], shape: tuple[int, int]
-) -> sp.csr_matrix:
+Blocks = dict[tuple[int, int], Stencil]  # (block row, block column) -> m x n
+
+
+def block_compose(a: Blocks, b: Blocks) -> Blocks:
+    """Product of two block operators."""
+    out: Blocks = {}
+    for (i, m), x in a.items():
+        for (m2, j), y in b.items():
+            if m == m2:
+                out[i, j] = out[i, j] + x @ y if (i, j) in out else x @ y
+    return out
+
+
+def block_combine(*terms: tuple[complex, Blocks]) -> Blocks:
+    """Linear combination of block operators."""
+    out: Blocks = {}
+    for w, blocks in terms:
+        for ij, st in blocks.items():
+            out[ij] = out[ij] + w * st if ij in out else w * st
+    return out
+
+
+def block_apply(blocks: Blocks, v: np.ndarray) -> np.ndarray:
+    """A square block operator applied pointwise to the profiles v[j]."""
+    out = np.zeros(v.shape, dtype=complex)
+    for (i, j), st in blocks.items():
+        out[i] += st.apply(v[j])
+    return out
+
+
+def block_sparse(blocks: Blocks, shape: tuple[int, int]) -> sp.csr_matrix:
     """Block matrix of m x n stencils in one CSR assembly.
 
     ``blocks`` maps (block row, block column) to a stencil; ``shape`` counts

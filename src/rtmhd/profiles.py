@@ -54,7 +54,8 @@ class Orientation(Enum):
 
 @dataclass(frozen=True)
 class MagneticConfig:
-    """Background field orientation and strength (enters only as M^2)."""
+    """Background field M e, e = e1 or e3.  The energy forms see M^2; the
+    induced field N and its coupling to the velocity are linear in M."""
 
     orientation: Orientation
     magnitude: float
@@ -62,6 +63,12 @@ class MagneticConfig:
     def __post_init__(self):
         if self.magnitude < 0:
             raise ValueError("field magnitude must be >= 0")
+
+    def direction(self) -> tuple[float, float, float]:
+        """The unit vector e in the lab frame (x1, x2, x3)."""
+        if self.orientation is Orientation.HORIZONTAL:
+            return (1.0, 0.0, 0.0)
+        return (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

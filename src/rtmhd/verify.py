@@ -20,14 +20,16 @@ to the right-hand side of the (u3, omega) system, and ``update`` (6n x 8n)
 maps [z; u3+; omega+] to the new z.  The half-step pressure depends only on
 z and the new z, which holds u3+ and omega+; ``pressure`` (n x 12n) forms
 it from the two, and only where a caller records it.  All four operators
-are assembled from stencil blocks; the field orientation enters only the
-induction and Lorentz blocks.
+are assembled from stencil blocks.  The induction and Lorentz blocks are
+``modes.magnetic_coupling`` in the rotated frame, where the gradient is
+(i |xi|, 0, D) and the field is M e rotated, (xi1, -xi2, 0) M / |xi| for
+e = e1; no other block sees the field.
 
 The sharpness test steps all random seeds of one frequency as the columns of
-one block.  The stepped problem reads xi only through |xi|^2 and, for a
-horizontal field, M xi, and the seeds are drawn in (rho, u3, omega); so
-frequencies that share these and their rate step identical data, and each
-distinct problem is stepped once.
+one block.  The stepped problem reads xi only through |xi|^2 and the rotated
+field, and the seeds are drawn in (rho, u3, omega); so frequencies that share
+these and their rate step identical data, and each distinct problem is
+stepped once.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from .errors import (
     SolverSingular,
     ZeroFrequency,
 )
-from .modes import NormalMode, mode_fields, relative_divergence
+from .modes import NormalMode, magnetic_coupling, mode_fields, relative_divergence
 from .operators import (
-    Stencil,
+    Blocks,
+    block_combine,
+    block_compose,
     block_sparse,
-    d1_free_stencil,
     d1_stencil,
     d2_stencil,
     diagonal_stencil,
@@ -57,7 +60,6 @@ from .profiles import (
     Frequency,
     Grid1D,
     MagneticConfig,
-    Orientation,
     PhysicalParams,
 )
 
@@ -111,31 +113,26 @@ class LinearState:
         return relative_divergence(self.N, self.xi, self.grid)
 
 
-Blocks = dict[tuple[int, int], Stencil]  # (block row, block column) -> n x n
-
-
-def _compose(a: Blocks, b: Blocks) -> Blocks:
-    """Product of two block operators."""
-    out: Blocks = {}
-    for (i, m), x in a.items():
-        for (m2, j), y in b.items():
-            if m == m2:
-                out[i, j] = out[i, j] + x @ y if (i, j) in out else x @ y
-    return out
-
-
-def _combine(*terms: tuple[complex, Blocks]) -> Blocks:
-    """Linear combination of block operators."""
-    out: Blocks = {}
-    for w, blocks in terms:
-        for ij, st in blocks.items():
-            out[ij] = out[ij] + w * st if ij in out else w * st
-    return out
-
-
 def _place(blocks: Blocks, row: int, col: int) -> Blocks:
     """The blocks shifted down by ``row`` and right by ``col`` block places."""
     return {(i + row, j + col): st for (i, j), st in blocks.items()}
+
+
+def _rotate(unit: tuple[float, float], v):
+    """Components (chi, omega, x3) of the lab-frame vector v, chi along
+    ``unit``; the rotation by (e1, -e2) undoes the one by (e1, e2)."""
+    e1, e2 = unit
+    return (e1 * v[0] + e2 * v[1], -e2 * v[0] + e1 * v[1], v[2])
+
+
+def _frame(mag: MagneticConfig, xi: Frequency):
+    """|xi|, the unit vector along xi, and the background field in the (chi,
+    omega, x3) frame, in which the gradient is (i |xi|, 0, D)."""
+    if xi.is_zero():
+        raise ZeroFrequency("the time-step reduction needs |xi| > 0")
+    k = float(np.sqrt(xi.norm2))
+    unit = (xi.xi1 / k, xi.xi2 / k)
+    return k, unit, tuple(mag.magnitude * e for e in _rotate(unit, mag.direction()))
 
 
 class LinearEvolver:
@@ -160,39 +157,22 @@ class LinearEvolver:
     ):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if xi.is_zero():
-            raise ZeroFrequency("the time-step reduction needs |xi| > 0")
+        k, self._unit, field = _frame(mag, xi)
         n = grid.n
         x = grid.points()
         rho = profile.rho(x)
         drho = profile.drho(x)
-        M = mag.magnitude
-        k = float(np.sqrt(xi.norm2))
         c = 1j / k
 
         ident = diagonal_stencil(np.ones(n))
-        d1, d1f = d1_stencil(grid), d1_free_stencil(grid)
+        d1 = d1_stencil(grid)
         lap = d2_stencil(grid) + (-xi.norm2) * ident
+        # induction N_t = T u and Lorentz force F N on (chi, omega, x3)
+        t_op, f_op = magnetic_coupling(field, Frequency(k, 0.0), grid)
 
-        # induction operator T: N_t = T u, and Lorentz force F N, as blocks on
-        # the rotated components 0, 1, 2 = chi, omega, x3
-        if mag.orientation is Orientation.HORIZONTAL:
-            b1, b2 = M * xi.xi1, M * xi.xi2
-            t_op = {(i, i): 1j * b1 * ident for i in range(3)}
-            f_op = {
-                (0, 1): 1j * b2 * ident,
-                (1, 1): 1j * b1 * ident,
-                (2, 0): -(b1 / k) * d1f,
-                (2, 1): (b2 / k) * d1f,
-                (2, 2): 1j * b1 * ident,
-            }
-        else:
-            t_op = {(i, i): M * d1 for i in range(3)}
-            f_op = {(0, 0): M * d1f, (0, 2): -1j * M * k * ident, (1, 1): M * d1f}
-
-        a_op = _combine(
+        a_op = block_combine(
             (0.5 * params.mu, {(i, i): lap for i in range(3)}),
-            (0.25 * dt, _compose(f_op, t_op)),
+            (0.25 * dt, block_compose(f_op, t_op)),
             (0.25 * dt, {(2, 2): diagonal_stencil(params.g * drho)}),
         )
         rho_dt = {(i, i): diagonal_stencil(rho / dt) for i in range(3)}
@@ -200,8 +180,8 @@ class LinearEvolver:
         span = {(0, 0): c * d1, (1, 1): ident, (2, 0): ident}
         # rows that cancel the pressure gradient (i k q, 0, D1 q)
         cancel = {(0, 0): c * d1, (0, 2): ident, (1, 1): ident}
-        lhs = _compose(_combine((1.0, rho_dt), (-1.0, a_op)), span)
-        system = block_sparse(_compose(cancel, lhs), (2, 2)).tocsc()
+        lhs = block_compose(block_combine((1.0, rho_dt), (-1.0, a_op)), span)
+        system = block_sparse(block_compose(cancel, lhs), (2, 2)).tocsc()
         try:
             self._lu = splu(system)
         except RuntimeError as exc:
@@ -210,20 +190,21 @@ class LinearEvolver:
             ) from exc
 
         # momentum right-hand side on z = [rho; u3; omega; N_chi; N_omega; N3]
-        rhs = _combine(
+        explicit = block_compose(block_combine((1.0, rho_dt), (1.0, a_op)), span)
+        rhs = block_combine(
             (-params.g, {(2, 0): ident}),
-            (1.0, _place(_compose(_combine((1.0, rho_dt), (1.0, a_op)), span), 0, 1)),
+            (1.0, _place(explicit, 0, 1)),
             (1.0, _place(f_op, 0, 3)),
         )
-        self._rhs = block_sparse(_compose(cancel, rhs), (2, 6))
+        self._rhs = block_sparse(block_compose(cancel, rhs), (2, 6))
         # [z; u3+; omega+] -> z+: rho+ = rho - (dt/2) drho (u3 + u3+) and
         # N+ = N + (dt/2) T (u + u+)
-        t_u = _compose(t_op, span)
+        t_u = block_compose(t_op, span)
         half_drho = diagonal_stencil(-0.5 * dt * drho)
         moves = {(0, 0): ident, (0, 1): half_drho, (0, 6): half_drho, (1, 6): ident}
         moves.update({(2, 7): ident, (3, 3): ident, (4, 4): ident, (5, 5): ident})
         self._update = block_sparse(
-            _combine(
+            block_combine(
                 (1.0, moves),
                 (0.5 * dt, _place(t_u, 3, 1)),
                 (0.5 * dt, _place(t_u, 3, 6)),
@@ -235,10 +216,9 @@ class LinearEvolver:
         chi_rhs = {ij: st for ij, st in rhs.items() if ij[0] == 0}
         chi_lhs = {ij: st for ij, st in lhs.items() if ij[0] == 0}
         self._pressure = block_sparse(
-            _combine((-c, chi_rhs), (c, _place(chi_lhs, 0, 7))), (1, 12)
+            block_combine((-c, chi_rhs), (c, _place(chi_lhs, 0, 7))), (1, 12)
         )
         self._chi = block_sparse({(0, 0): c * d1}, (1, 1))
-        self._unit = (xi.xi1 / k, xi.xi2 / k)
         self.grid = grid
         self.xi = xi
         self.dt = dt
@@ -256,29 +236,17 @@ class LinearEvolver:
     def pack(self, state: LinearState) -> np.ndarray:
         """The stepped state [rho; u3; omega; N_chi; N_omega; N3] of a
         divergence-free state; chi is implied by u3."""
-        e1, e2 = self._unit
-        u, N = state.u, state.N
-        return np.concatenate(
-            [
-                state.rho,
-                u[2],
-                -e2 * u[0] + e1 * u[1],
-                e1 * N[0] + e2 * N[1],
-                -e2 * N[0] + e1 * N[1],
-                N[2],
-            ]
-        )
+        _, omega, u3 = _rotate(self._unit, state.u)
+        return np.concatenate([state.rho, u3, omega, *_rotate(self._unit, state.N)])
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho, u, N) of a stepped state, u and N of shape (3, n)."""
         n = self._n
         e1, e2 = self._unit
-        u3, omega = z[n : 2 * n], z[2 * n : 3 * n]
-        chi = self._chi @ u3
-        n_chi, n_omega = z[3 * n : 4 * n], z[4 * n : 5 * n]
-        u = np.stack([e1 * chi - e2 * omega, e2 * chi + e1 * omega, u3])
-        N = np.stack([e1 * n_chi - e2 * n_omega, e2 * n_chi + e1 * n_omega, z[5 * n :]])
-        return z[:n], u, N
+        u3 = z[n : 2 * n]
+        u = _rotate((e1, -e2), (self._chi @ u3, z[2 * n : 3 * n], u3))
+        N = _rotate((e1, -e2), z[3 * n :].reshape(3, n, *z.shape[1:]))
+        return z[:n], np.stack(u), np.stack(N)
 
     def norm_u(self, z: np.ndarray) -> np.ndarray:
         """Velocity norm of each column of a stepped state."""
@@ -441,13 +409,6 @@ def run_rate(
     return measured_rate(series), states
 
 
-def _problem_key(mag: MagneticConfig, xi: Frequency, lam: float) -> tuple:
-    """What the stepped problem of a sharpness check reads of (xi, lambda):
-    the reduced operators see |xi|^2 and, for a horizontal field, M xi."""
-    b = mag.magnitude if mag.orientation is Orientation.HORIZONTAL else 0.0
-    return (xi.norm2, b * xi.xi1, b * xi.xi2, lam)
-
-
 def sharpness_test(
     profile: DensityProfile,
     mag: MagneticConfig,
@@ -463,13 +424,14 @@ def sharpness_test(
 
     xi_rates maps each swept member frequency to its predicted rate.  Raises
     SharpnessViolation if any measured rate exceeds lambda(xi) * (1 + 2%).
-    Frequencies with equal ``_problem_key`` step identical data, so each
-    distinct key is stepped once.  Returns the largest measured rate.
+    Frequencies sharing |xi|^2, the rate and the rotated field are stepped
+    once, as one problem.  Returns the largest measured rate.
     """
     worst = -np.inf
     stepped: dict[tuple, list[tuple[float, np.ndarray]]] = {}
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
-        key = _problem_key(mag, xi, lam)
+        # all that the stepped problem reads of (xi, lambda)
+        key = (xi.norm2, *_frame(mag, xi)[2], lam)
         if key not in stepped:
             # every seed is one column of the same stepped block
             dt = 1.0 / (steps_per_efold * lam)

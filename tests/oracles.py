@@ -4,7 +4,8 @@ Everything here goes through dense LAPACK routines or generic quadrature so
 that it shares no code path with the banded solvers under test.  The one
 exception is ``cn_step_reference``, the Crank-Nicolson step written out per
 velocity component, which keeps a sparse LU so that it solves the same
-system as the stacked stepper it checks.
+system as the stacked stepper it checks.  Its induction and Lorentz blocks,
+``coupling_reference``, are written out per field orientation.
 """
 
 import numpy as np
@@ -141,25 +142,14 @@ def _cn_d1(n: int, h: float, free: bool) -> sp.csr_matrix:
     return d.tocsr().astype(complex)
 
 
-def cn_step_reference(profile, mag, params, grid, xi, dt, rho_p, u, N):
-    """One Crank-Nicolson step of the linearized system, one component at a time.
-
-    The density and induction half steps are formed explicitly, the velocity
-    and pressure come from the monolithic (u, q) solve, and the density and
-    field are then advanced with the trapezoid rule.  Returns (rho, u, N, q).
-    """
-    n, h = grid.n, grid.h
-    x = grid.points()
-    rho, drho = profile.rho(x), profile.drho(x)
-    mu, g, M = params.mu, params.g, mag.magnitude
+def coupling_reference(mag, grid, xi):
+    """Induction operator and Lorentz force on the lab-frame components,
+    written out per orientation: (t_op, f) with N_t = t_op[j] u_j and the
+    force f[c][j] N_j, each block a sparse n x n matrix."""
+    n, h, M = grid.n, grid.h, mag.magnitude
     ident = sp.identity(n, format="csr", dtype=complex)
     zero = sp.csr_matrix((n, n), dtype=complex)
     d1, d1f = _cn_d1(n, h, False), _cn_d1(n, h, True)
-    c2 = 1.0 / (h * h)
-    lap = sp.diags([c2, -2.0 * c2 - xi.norm2, c2], offsets=[-1, 0, 1], shape=(n, n))
-    lap = lap.tocsr().astype(complex)
-
-    # induction operator t_op: N_t = T u, and Lorentz force blocks f[c][j]
     if mag.orientation is Orientation.HORIZONTAL:
         t_op = [1j * M * xi.xi1 * ident] * 3
         f = [
@@ -174,6 +164,27 @@ def cn_step_reference(profile, mag, params, grid, xi, dt, rho_p, u, N):
             [zero, M * d1f, -1j * M * xi.xi2 * ident],
             [zero, zero, zero],
         ]
+    return t_op, f
+
+
+def cn_step_reference(profile, mag, params, grid, xi, dt, rho_p, u, N):
+    """One Crank-Nicolson step of the linearized system, one component at a time.
+
+    The density and induction half steps are formed explicitly, the velocity
+    and pressure come from the monolithic (u, q) solve, and the density and
+    field are then advanced with the trapezoid rule.  Returns (rho, u, N, q).
+    """
+    n, h = grid.n, grid.h
+    x = grid.points()
+    rho, drho = profile.rho(x), profile.drho(x)
+    mu, g = params.mu, params.g
+    ident = sp.identity(n, format="csr", dtype=complex)
+    zero = sp.csr_matrix((n, n), dtype=complex)
+    d1 = _cn_d1(n, h, False)
+    c2 = 1.0 / (h * h)
+    lap = sp.diags([c2, -2.0 * c2 - xi.norm2, c2], offsets=[-1, 0, 1], shape=(n, n))
+    lap = lap.tocsr().astype(complex)
+    t_op, f = coupling_reference(mag, grid, xi)
     grad = [1j * xi.xi1 * ident, 1j * xi.xi2 * ident, d1]
 
     blocks = [[None] * 4 for _ in range(4)]

@@ -153,6 +153,33 @@ def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
         assert value == pytest.approx(np.sqrt(cold.value), rel=1e-11)
 
 
+def test_critical_trace_continues_only_without_positive_jump(
+    canon_profile, jumpneg_profile, monkeypatch
+):
+    # a positive jump makes the trace diverge, and the padded eigenvector
+    # lands below the doubled top eigenvalue: every truncation solves cold
+    solve = rtmhd.dispersion.max_generalized_eig
+    starts = []
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", recording)
+    assert canon_profile.total_jump > 0
+    result = critical_number_auto(canon_profile, lz0=8.0, n0=129, g=9.8)
+    assert result.is_infinite
+    assert len(starts) == len(result.trace) >= 3
+    assert all(start is None for start in starts)
+
+    starts.clear()
+    assert jumpneg_profile.total_jump < 0
+    result = critical_number_auto(jumpneg_profile, lz0=8.0, n0=17, g=1.0)
+    assert len(starts) == len(result.trace) >= 4
+    assert starts[0] is None
+    assert all(start is not None for start in starts[1:])
+
+
 @pytest.mark.parametrize("M", [0.3, 1.0])
 def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch):
     solve = rtmhd.dispersion.max_generalized_eig

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rtmhd
 from rtmhd.errors import ResidualTooLarge
@@ -11,13 +12,14 @@ from rtmhd.modes import (
     export_mode,
     export_snapshot,
     load_mode,
+    magnetic_coupling,
     mode_residuals,
     snapshot_divergence,
 )
-from rtmhd.operators import band_matvec, d1_stencil
+from rtmhd.operators import band_matvec, block_sparse, d1_stencil
 from rtmhd.verify import eigenmode_state
 
-from .oracles import eoc
+from .oracles import coupling_reference, eoc
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -119,6 +121,27 @@ def test_oblique_horizontal_mode_closes_first_two_equations():
     for mode in (coarse, fine):
         assert max(mode.residuals[k] for k in ("eq1", "eq2", "div")) <= 1e-8
     assert 1.8 <= eoc(coarse.residuals["eq3"], fine.residuals["eq3"]) <= 2.2
+
+
+@pytest.mark.parametrize("orient", [H, V])
+@pytest.mark.parametrize("M", [0.0, 0.3])
+@pytest.mark.parametrize("xi", [(1.0, 2.0), (0.0, 1.0), (1.0, 0.0), (-2.0, 1.0)])
+def test_magnetic_coupling_matches_lab_frame_oracle(orient, M, xi):
+    grid = rtmhd.Grid1D(4.0, 41)
+    mag = rtmhd.MagneticConfig(orient, M)
+    freq = rtmhd.Frequency(*xi)
+    t_op, f_op = magnetic_coupling([M * e for e in mag.direction()], freq, grid)
+    t_ref, f_ref = coupling_reference(mag, grid, freq)
+    expected = {
+        "T": sp.block_diag(t_ref, format="csr"),
+        "F": sp.bmat(f_ref, format="csr"),
+    }
+    for name, blocks in (("T", t_op), ("F", f_op)):
+        empty = sp.csr_matrix((3 * grid.n, 3 * grid.n))
+        got = block_sparse(blocks, (3, 3)) if blocks else empty
+        assert abs(got - expected[name]).max() == 0.0, name
+    if M == 0.0:
+        assert not t_op and not f_op
 
 
 def test_residual_too_large_on_coarse_grid():

@@ -425,6 +425,24 @@ def test_sharpness_steps_each_distinct_problem_once(monkeypatch):
                        seeds=seeds, xi_rates=forced, horizon=4.0)
     assert str(info.value).startswith(expected)
 
+    # a vertical field is (0, 0, M) in the frame rotated onto xi, so at
+    # M = 0.3 (1, 0) and (0, 1) still share one stepper
+    vmag = rtmhd.MagneticConfig(V, 0.3)
+    vrates = {
+        xi: growth_rate(assemble_forms(prof, grid, xi, vmag, CANON_PARAMS)).lam
+        for xi in (rtmhd.Frequency(1.0, 0.0), rtmhd.Frequency(0.0, 1.0))
+    }
+    assert len(set(vrates.values())) == 1
+    vreference = [r[3] for r in _per_seed_rates(prof, vmag, grid, seeds, vrates)]
+    calls.clear()
+    reported.clear()
+    worst = sharpness_test(prof, vmag, CANON_PARAMS, grid, max(vrates.values()),
+                           seeds=seeds, xi_rates=vrates)
+    assert len(calls) == 1
+    for got, ref in zip(reported, vreference, strict=True):
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+    assert worst == max(reported)
+
 
 def test_sharpness_keeps_mirrored_frequencies_apart(monkeypatch):
     # with a horizontal field, xi and its mirror (xi1, -xi2) share |xi| and
