@@ -20,7 +20,7 @@ from .config import RunConfig, config_from_dict, read_config
 from .errors import ConfigError, RateMismatch, RtmhdError
 from .forms import assemble_forms
 from .growth import growth_rate
-from .profiles import Frequency, Grid1D, MagneticConfig
+from .profiles import Frequency, Grid1D, MagneticConfig, Orientation, profile_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,8 +89,6 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     path = os.path.join(cfg.output_dir, "profile.csv")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-    from .profiles import profile_metrics
-
     _write_json(
         os.path.join(cfg.output_dir, "profile_metrics.json"),
         profile_metrics(cfg.profile),
@@ -117,8 +115,6 @@ def cmd_critical(cfg: RunConfig, args) -> int:
 
 
 def cmd_freq_thresholds(cfg: RunConfig, args) -> int:
-    from .profiles import Orientation
-
     if cfg.mag.orientation is Orientation.HORIZONTAL:
         rows = dispersion.threshold_rows(
             cfg.profile,
@@ -205,15 +201,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _build_mode_at(
-    cfg: RunConfig, xi: Frequency, mode_tol: float | None = None
+    cfg: RunConfig, xi: Frequency, mode_tol: float = modes.DEFAULT_MODE_TOL
 ) -> modes.NormalMode:
     forms = assemble_forms(cfg.profile, cfg.grid, xi, cfg.mag, cfg.params)
     result = growth_rate(forms)
     if result is None:
         raise RtmhdError(f"xi = ({xi.xi1:g}, {xi.xi2:g}) admits no growing mode")
-    kwargs = {} if mode_tol is None else {"mode_tol": mode_tol}
     return modes.build_mode(
-        result, cfg.mag, cfg.params, cfg.profile, cfg.grid, **kwargs
+        result, cfg.mag, cfg.params, cfg.profile, cfg.grid, mode_tol=mode_tol
     )
 
 

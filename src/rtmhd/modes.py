@@ -2,17 +2,18 @@
 map from a mode to its perturbation fields.
 
 Given the vertical-velocity profile psi and rate lambda of one frequency, the
-remaining components follow in the order pressure-free horizontal solve ->
-pressure -> divergence closure:
+remaining components follow by one route for every field and every xi.
+Across xi no pressure, buoyancy or divergence acts, and the swirl row
+[lambda^2 rho + lambda mu (|xi|^2 - D^2) - (b . grad)^2] omega = 0 is
+coercive, so the growing mode has no swirl, omega = 0.  Its velocity along xi
+is then fixed by incompressibility,
 
-  horizontal field: phi solves the clamped two-point problem
-      -phi'' + sigma phi = omega,
-  pi comes from the third-derivative expression of psi, and theta closes the
-  divergence identity xi1 phi + xi2 theta + psi' = 0 exactly.
+  phi = -xi1 D1 psi / |xi|^2,  theta = -xi2 D1 psi / |xi|^2,
 
-  vertical field: the rotation ansatz phi = -xi1 psi'/|xi|^2,
-  theta = -xi2 psi'/|xi|^2 closes the divergence identically and pi follows
-  algebraically from the first momentum equation.
+which closes the divergence identity xi1 phi + xi2 theta + D1 psi = 0
+exactly, and pi follows from the momentum row along xi, in which the
+pressure gradient enters as i |xi|^2 pi.  ``mode_residuals`` checks the same
+pressure-free terms that this row is formed from.
 
 ``magnetic_coupling`` is the one definition of how the velocity and the
 induced field N couple at zero resistivity: the induction N_t = T u and the
@@ -34,7 +35,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ResidualTooLarge
 from .growth import GrowthResult
@@ -46,7 +46,6 @@ from .operators import (
     d1_stencil,
     d2_stencil,
     diagonal_stencil,
-    grad_stiffness_band,
 )
 from .profiles import (
     DensityProfile,
@@ -56,6 +55,7 @@ from .profiles import (
     Orientation,
     PhysicalParams,
     ProfileSpec,
+    build_profile,
 )
 
 __all__ = [
@@ -140,6 +140,39 @@ def _l2(v: np.ndarray, h: float) -> float:
 _STENCIL_TRIM = 3  # rows per side where composed stencils touch ghost values
 
 
+def _pressure_free_terms(
+    lam: float,
+    xi: Frequency,
+    mag: MagneticConfig,
+    params: PhysicalParams,
+    profile: DensityProfile,
+    grid: Grid1D,
+) -> tuple[list, list]:
+    """The terms of the momentum rows but the pressure gradient, as maps of
+    the velocity profile v = u / lambda = (-i phi, -i theta, psi), shape (3, n):
+
+      lambda^2 rho v - g rho0' v3 e3 + lambda mu (|xi|^2 - D2) v - F T v
+      = -lambda grad pi,
+
+    T and F being M times those of the unit field.  Returns the terms with
+    variable coefficients (inertia, buoyancy) and those with constant
+    coefficients (viscosity, Lorentz force) as two lists.
+    """
+    x = grid.points()
+    rho, buoyant = profile.rho(x), np.outer((0.0, 0.0, -params.g), profile.drho(x))
+    d2 = d2_stencil(grid)
+    t_op, f_op = magnetic_coupling(mag.direction(), xi, grid)
+    return [lambda v: lam**2 * rho * v, lambda v: buoyant * v], [
+        lambda v: lam * params.mu * (xi.norm2 * v - np.stack([d2.apply(c) for c in v])),
+        lambda v: -mag.magnitude**2 * block_apply(f_op, block_apply(t_op, v)),
+    ]
+
+
+def _velocity(phi: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The velocity profile v = u / lambda of a mode, shape (3, n)."""
+    return np.stack([-1j * phi, -1j * theta, psi.astype(complex)])
+
+
 def mode_residuals(
     psi: np.ndarray,
     phi: np.ndarray,
@@ -160,26 +193,11 @@ def mode_residuals(
     consistent where they do not reach past the boundary.
     """
     h = grid.h
-    x = grid.points()
-    rho = profile.rho(x)
-    d1, d2 = d1_stencil(grid), d2_stencil(grid)
-    # lambda^2 rho v + lambda grad pi = lambda mu Delta v + F T v + g rho0' psi e3
-    # for the velocity profile v = u / lambda = (-i phi, -i theta, psi); T and
-    # F are M times those of the unit field
-    t_op, f_op = magnetic_coupling(mag.direction(), xi, grid)
-    v = np.stack([-1j * phi, -1j * theta, psi.astype(complex)])
-    grad_pi = (1j * xi.xi1 * pi, 1j * xi.xi2 * pi, d1.apply(pi))
-    lorentz = mag.magnitude**2 * block_apply(f_op, block_apply(t_op, v))
-    terms = [
-        [
-            lam**2 * rho * v[c],
-            lam * grad_pi[c],
-            lam * params.mu * (xi.norm2 * v[c] - d2.apply(v[c])),
-            -lorentz[c],
-        ]
-        for c in range(3)
-    ]
-    terms[2].append(-params.g * profile.drho(x) * psi)
+    d1 = d1_stencil(grid)
+    v = _velocity(phi, theta, psi)
+    variable, constant = _pressure_free_terms(lam, xi, mag, params, profile, grid)
+    grad_pi = np.stack([1j * xi.xi1 * pi, 1j * xi.xi2 * pi, d1.apply(pi)])
+    terms = [f(v) for f in variable + constant] + [lam * grad_pi]
     div_terms = [xi.xi1 * phi, xi.xi2 * theta, d1.apply(psi)]
     cut = slice(_STENCIL_TRIM, len(psi) - _STENCIL_TRIM)
 
@@ -189,7 +207,7 @@ def mode_residuals(
             return 0.0
         return _l2(sum(t)[cut], h) / scale
 
-    out = {f"eq{c + 1}": rel(t) for c, t in enumerate(terms)}
+    out = {f"eq{c + 1}": rel([t[c] for t in terms]) for c in range(3)}
     out["div"] = rel(div_terms)
     return out
 
@@ -207,44 +225,25 @@ def build_mode(
         raise ValueError("mode construction needs a positive growth rate")
     xi = growth.xi
     lam = growth.lam
-    x = grid.points()
-    rho = profile.rho(x)
-    mu = params.mu
     xi2 = xi.norm2
-    m2 = mag.magnitude**2
-
     psi = np.array(growth.psi.vec, dtype=float)
-    d1, d2 = d1_stencil(grid), d2_stencil(grid)
+    d1 = d1_stencil(grid)
     psi1 = d1.apply(psi)
-    psi3 = d1.apply(d2.apply(psi))
-
-    if mag.orientation is Orientation.HORIZONTAL:
-        beta = lam**2 * rho + lam * mu * xi2 + m2 * xi.xi1**2
-        if xi.xi1 == 0.0:
-            phi = np.zeros_like(psi)
-        elif xi.xi2 == 0.0:
-            # close the divergence through phi; theta then vanishes
-            phi = -psi1 / xi.xi1
-        else:
-            sigma = beta / (lam * mu)
-            omega = xi.xi1 * (lam * mu * psi3 - beta * psi1) / (lam * mu * xi2)
-            # -phi'' + sigma phi = omega with zero boundary values, times h:
-            # the midpoint-gradient stiffness is -h D2 on the clamped grid
-            a = grad_stiffness_band(grid)
-            a[0] += grid.h * sigma
-            phi = solveh_banded(a, grid.h * omega, lower=True)
-        pi = (lam * mu * psi3 - beta * psi1 - m2 * xi.xi1 * xi2 * phi) / (lam * xi2)
-        if xi.xi2 != 0.0:
-            theta = -(xi.xi1 * phi + psi1) / xi.xi2
-        else:
-            theta = np.zeros_like(psi)
-    else:
-        phi = -xi.xi1 * psi1 / xi2
-        theta = -xi.xi2 * psi1 / xi2
-        pi = -(
-            lam**2 * rho * psi1
-            + (lam * mu + m2) * (xi2 * psi1 - d2.apply(psi1))
-        ) / (lam * xi2)
+    # no swirl: the velocity along xi closes the divergence identity
+    phi = -xi.xi1 * psi1 / xi2
+    theta = -xi.xi2 * psi1 / xi2
+    # pi from the momentum row along xi, where grad pi enters as i |xi|^2 pi.
+    # The horizontal velocity is i xi D1 psi / |xi|^2, and D1 comes last on the
+    # constant-coefficient terms: D1 psi is not zero at the ends, and a
+    # stencil applied to it would read zero ghost values
+    along = np.array([xi.xi1, xi.xi2, 0.0])
+    variable, constant = _pressure_free_terms(lam, xi, mag, params, profile, grid)
+    v = _velocity(phi, theta, psi)
+    slots = np.eye(3)[:, :, None] * v[2]  # psi in each velocity component
+    r1, r2, r3 = (along @ sum(f(s) for f in constant) for s in slots)
+    row = sum(along @ f(v) for f in variable) + r3
+    row += 1j * d1.apply(xi.xi1 * r1 + xi.xi2 * r2) / xi2
+    pi = (1j * row / (lam * xi2)).real
 
     residuals = mode_residuals(
         psi, phi, theta, pi, lam, xi, mag, params, profile, grid
@@ -278,7 +277,7 @@ def mode_fields(mode: NormalMode, profile: DensityProfile) -> dict[str, np.ndarr
     is advected from the steady profile, rho = -rho0' psi, the pressure is
     lambda pi, and the induction equation lambda N = T u gives N = T v.
     """
-    v = np.stack([-1j * mode.phi, -1j * mode.theta, mode.psi.astype(complex)])
+    v = _velocity(mode.phi, mode.theta, mode.psi)
     t_op, _ = magnetic_coupling(mode.mag.direction(), mode.xi, mode.grid)
     return {
         "rho": -(profile.drho(mode.grid.points()) * mode.psi).astype(complex),
@@ -387,8 +386,6 @@ def export_mode(
 
 def load_mode(json_path: str):
     """Rebuild (mode, profile, params) from an exported JSON file."""
-    from .profiles import build_profile  # local import to avoid cycle at import time
-
     with open(json_path) as f:
         payload = json.load(f)
     if payload.get("kind") != "normal_mode":

@@ -17,7 +17,7 @@ from rtmhd.modes import (
     snapshot_divergence,
 )
 from rtmhd.operators import band_matvec, block_sparse, d1_stencil
-from rtmhd.verify import eigenmode_state
+from rtmhd.verify import LinearEvolver, eigenmode_state
 
 from .oracles import coupling_reference, eoc
 
@@ -53,6 +53,11 @@ def vertical_mode():
     return _mode(MODE_SPEC_A, (K, 0.0), V, 0.3)
 
 
+@pytest.fixture(scope="module")
+def oblique_mode():
+    return _mode(MODE_SPEC_A, (K, K), H, 0.3, mode_tol=1.0)
+
+
 def test_residuals_below_default_tolerance(horizontal_mode, vertical_mode):
     for mode, _, _ in (horizontal_mode, vertical_mode):
         assert max(mode.residuals.values()) <= 1e-6
@@ -66,11 +71,12 @@ def test_axis_case_phi_vanishes_theta_closes_divergence():
     assert np.allclose(mode.theta, -psi1 / K, rtol=0, atol=1e-14 * np.abs(psi1).max())
 
 
-def test_vertical_ansatz_divergence_exact(vertical_mode):
-    mode, _, _ = vertical_mode
-    psi1 = d1_stencil(mode.grid).apply(mode.psi)
-    div = mode.xi.xi1 * mode.phi + mode.xi.xi2 * mode.theta + psi1
-    assert np.abs(div).max() <= 1e-14 * np.abs(psi1).max()
+def test_vertical_ansatz_divergence_exact(vertical_mode, oblique_mode):
+    # the swirl-free velocity closes the divergence for every field and xi
+    for mode, _, _ in (vertical_mode, oblique_mode):
+        psi1 = d1_stencil(mode.grid).apply(mode.psi)
+        div = mode.xi.xi1 * mode.phi + mode.xi.xi2 * mode.theta + psi1
+        assert np.abs(div).max() <= 1e-14 * np.abs(psi1).max()
 
 
 def test_divergence_identity_all_cases(horizontal_mode):
@@ -113,14 +119,31 @@ def test_uniform_boundedness_over_frequency_sample():
             assert l2 <= ceiling and h1 <= ceiling
 
 
-def test_oblique_horizontal_mode_closes_first_two_equations():
-    # xi1 xi2 != 0: phi comes from the clamped solve, so the first two momentum
-    # equations hold to roundoff, and eq3 converges at second order
+def test_oblique_horizontal_mode_closes_first_two_equations(oblique_mode):
+    # xi1 xi2 != 0: the velocity has no swirl and pi comes from the momentum
+    # row along xi, so the first two momentum equations hold to roundoff, and
+    # eq3 converges at second order
     coarse, _, _ = _mode(MODE_SPEC_A, (K, K), H, 0.3, n=1001, mode_tol=1.0)
-    fine, _, _ = _mode(MODE_SPEC_A, (K, K), H, 0.3, n=2001, mode_tol=1.0)
+    fine, _, _ = oblique_mode
     for mode in (coarse, fine):
         assert max(mode.residuals[k] for k in ("eq1", "eq2", "div")) <= 1e-8
     assert 1.8 <= eoc(coarse.residuals["eq3"], fine.residuals["eq3"]) <= 2.2
+
+
+@pytest.mark.parametrize("orient", [H, V])
+@pytest.mark.parametrize("M", [0.0, 0.3])
+@pytest.mark.parametrize("xi", [(K, 0.0), (0.0, K), (K, K)])
+def test_one_route_holds_the_mode_invariants(orient, M, xi):
+    # every field and xi: eq1, eq2 and div close by construction, the data
+    # carries no swirl into the Crank-Nicolson step, and pi has no end spike
+    mode, prof, _ = _mode(MODE_SPEC_A, xi, orient, M, n=401, mode_tol=1.0)
+    assert max(mode.residuals["eq1"], mode.residuals["eq2"]) <= 1e-10
+    assert mode.residuals["div"] <= 1e-14
+    stepper = LinearEvolver(prof, mode.mag, MODE_PARAMS, mode.grid, mode.xi, 0.1)
+    z = stepper.pack(eigenmode_state(mode, prof, MODE_PARAMS))
+    n = mode.grid.n
+    assert np.all(z[2 * n : 3 * n] == 0.0)
+    assert np.abs(mode.pi).max() <= 2.0 * np.abs(mode.pi[3 : n - 3]).max()
 
 
 @pytest.mark.parametrize("orient", [H, V])

@@ -20,21 +20,17 @@ def test_all_exports_resolve(name):
     assert missing == []
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 @pytest.mark.parametrize(
-    "script",
-    [
-        "bench_cn_step.py",
-        "bench_startup.py",
-        "dispersion_survey.py",
-        "rate_verification.py",
-    ],
+    "script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name
 )
 def test_script_help_runs_nothing(script, tmp_path):
     # --help prints usage; it is not an output directory to run into
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / script), "--help"],
+        [sys.executable, str(script), "--help"],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -48,8 +44,7 @@ def test_script_help_runs_nothing(script, tmp_path):
 
 def test_cli_start_loads_no_heavy_scipy_subpackage():
     # a fresh process, because pytest and the oracles may have loaded these
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import sys\n"
         "import rtmhd.cli\n"
@@ -60,7 +55,7 @@ def test_cli_start_loads_no_heavy_scipy_subpackage():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        cwd=root,
+        cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
