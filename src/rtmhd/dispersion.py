@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import EigenPair, definite, max_generalized_eig
-from .errors import EmptyDomain, InconsistentDecision, OutOfRange, ZeroFrequency
-from .forms import assemble_forms, e0_builder
+from .errors import EmptyDomain, InconsistentDecision, OutOfRange
+from .forms import FormSet, assemble_forms, e0_builder, form_key
 from .growth import growth_rate
 from .operators import band_combine, grad_stiffness_band, mass_band
 from .profiles import (
@@ -56,22 +56,13 @@ _DIVERGENCE_FACTOR = 1.5
 _CONVERGENCE_RTOL = 1e-4
 
 
-def in_growing_domain(
-    profile: DensityProfile,
-    grid: Grid1D,
-    xi: Frequency,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-) -> bool:
-    """True iff E0 is indefinite at xi (negative beyond a noise floor).
+def in_growing_domain(forms: FormSet) -> bool:
+    """True iff E0 is indefinite (negative beyond a noise floor).
 
     That is: E0 + floor * mass is not positive definite, so the smallest
     eigenvalue of (E0, mass) is at or below -floor.
     """
-    if xi.is_zero():
-        raise ZeroFrequency("xi = 0 is excluded from the growing domain")
-    forms = assemble_forms(profile, grid, xi, mag, params)
-    floor = _MEMBERSHIP_FLOOR * params.g * profile.sup_ratio
+    floor = _MEMBERSHIP_FLOOR * forms.params.g * forms.profile.sup_ratio
     return not definite(forms.e0, forms.mass, -floor)
 
 
@@ -301,13 +292,13 @@ def threshold_rows(
 ) -> list[tuple[Frequency, float | None]]:
     """S(xi) on the lattice points with xi1 > 0, xi2 >= 0 and |xi| <= radius.
 
-    The rows are the sweep's representatives with i >= 1, in the sweep's
-    order; a row without a threshold carries None.  The pencil depends on xi
-    only through xi2/xi1, so the rows are solved in order of that slope, each
-    solve starting from the eigenvector of the one before and certified like
-    a cold solve.
+    The rows are the sweep's lattice points with i >= 1 and j >= 0, in the
+    sweep's order; a row without a threshold carries None.  The pencil
+    depends on xi only through xi2/xi1, so the rows are solved in order of
+    that slope, each solve starting from the eigenvector of the one before
+    and certified like a cold solve.
     """
-    points = [(i, j) for i, j in _representatives(radius, L) if i >= 1]
+    points = [(i, j) for i, j in _lattice(radius, L) if i >= 1 and j >= 0]
     bands = _horizontal_bands(profile, grid)
     s_of: dict[tuple[int, int], float | None] = {}
     start = None
@@ -410,16 +401,16 @@ def default_sweep_radius(profile: DensityProfile) -> float:
     return 4.0 * 2.0 * math.pi / (hi - lo)
 
 
-def _representatives(radius: float, L: float) -> list[tuple[int, int]]:
+def _lattice(radius: float, L: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j) of the lattice points with 0 < |xi| <= radius, sorted."""
     kmax = int(math.floor(radius * L + 1e-12))
-    reps = []
-    for i in range(kmax + 1):
-        for j in range(kmax + 1):
-            if i == 0 and j == 0:
-                continue
-            if math.hypot(i, j) <= radius * L + 1e-12:
-                reps.append((i, j))
-    return reps
+    span = range(-kmax, kmax + 1)
+    return [
+        (i, j)
+        for i in span
+        for j in span
+        if (i, j) != (0, 0) and math.hypot(i, j) <= radius * L + 1e-12
+    ]
 
 
 def lattice_sweep(
@@ -428,32 +419,30 @@ def lattice_sweep(
     mag: MagneticConfig,
     params: PhysicalParams,
     radius: float,
-    tol: float = 1e-8,
 ) -> DispersionTable:
     """Membership and growth rate on all lattice points with 0 < |xi| <= radius.
 
-    The rate is even in each frequency component, so one representative per
-    sign orbit is solved and mirrored to the remaining quadrants.  A point
-    whose solve fails raises; no point is left out of the table.
+    The forms read xi only through ``forms.form_key``, so the forms of each
+    distinct key are assembled once, and membership and rate are decided on
+    them once; every point with that key takes the result.  The lattice is
+    walked backwards, so each key is solved at a point with xi1, xi2 >= 0.
+    A point whose solve fails raises; no point is left out of the table.
     """
     if radius <= 0:
         raise ValueError("sweep radius must be positive")
-    by_index: dict[tuple[int, int], DispersionEntry] = {}
-    for i, j in _representatives(radius, params.L):
+    lam_of: dict[tuple[float, float], float | None] = {}
+    entries = []
+    for i, j in reversed(_lattice(radius, params.L)):
         xi = Frequency.lattice(i, j, params.L)
-        lam = None
-        if in_growing_domain(profile, grid, xi, mag, params):
-            res = growth_rate(assemble_forms(profile, grid, xi, mag, params), tol=tol)
-            lam = None if res is None else res.lam
-        for si in (1, -1) if i else (1,):
-            for sj in (1, -1) if j else (1,):
-                mirror = Frequency.lattice(si * i, sj * j, params.L)
-                by_index[(si * i, sj * j)] = DispersionEntry(
-                    xi1=mirror.xi1, xi2=mirror.xi2, member=lam is not None, lam=lam
-                )
-    entries = tuple(by_index[k] for k in sorted(by_index))
+        key = form_key(xi, mag)
+        if key not in lam_of:
+            forms = assemble_forms(profile, grid, xi, mag, params)
+            res = growth_rate(forms) if in_growing_domain(forms) else None
+            lam_of[key] = None if res is None else res.lam
+        lam = lam_of[key]
+        entries.append(DispersionEntry(xi.xi1, xi.xi2, lam is not None, lam))
     return DispersionTable(
-        entries=entries, lattice_radius=radius, params=params, mag=mag
+        entries=tuple(reversed(entries)), lattice_radius=radius, params=params, mag=mag
     )
 
 

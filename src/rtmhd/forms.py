@@ -3,7 +3,7 @@
 All forms are symmetric banded Gram assemblies on the clamped interior grid
 (trapezoid weights, zero values and zero ghosts at +-Lz):
 
-  e0  magnetic + buoyancy form; indefinite, orientation dependent
+  e0  magnetic + buoyancy form; indefinite, read from the field vector
   e1  viscous dissipation form, positive semidefinite by construction
   j   density-weighted constraint form, positive definite
   mass  plain L^2 mass, used for membership tests and thresholds
@@ -30,11 +30,10 @@ from .profiles import (
     Frequency,
     Grid1D,
     MagneticConfig,
-    Orientation,
     PhysicalParams,
 )
 
-__all__ = ["FormSet", "assemble_forms", "e0_builder"]
+__all__ = ["FormSet", "assemble_forms", "e0_builder", "form_key"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,15 @@ class FormSet:
         return band_combine([(self.xi.norm2, self.e0), (s, self.e1)])
 
 
+def form_key(xi: Frequency, mag: MagneticConfig) -> tuple[float, float]:
+    """(|xi|^2, M^2 (b_h . xi)^2), everything the forms read of xi.
+
+    b = mag.direction(); frequencies with equal keys have bitwise equal forms.
+    """
+    b1, b2, _ = mag.direction()
+    return xi.norm2, mag.magnitude**2 * (b1 * xi.xi1 + b2 * xi.xi2) ** 2
+
+
 def e0_builder(
     profile: DensityProfile,
     grid: Grid1D,
@@ -64,37 +72,27 @@ def e0_builder(
 ) -> Callable[[Frequency], np.ndarray]:
     """E0 as a function of xi, with the bands that do not depend on xi built once.
 
+    With b = mag.direction() and K the gradient stiffness, the magnetic part is
+    M^2 (b_h . xi)^2 (mass + K/|xi|^2) + M^2 b3^2 (K + D2^T D2/|xi|^2); the
+    terms of a vanishing field component are not formed, nor their bands.
     A loop over many frequencies of one setup (the |xi|_vc bisection) pays one
     band combination per frequency instead of a full assembly.
     """
     buoyancy = mass_band(grid, -params.g * profile.drho(grid.points()))
     k_grad = grad_stiffness_band(grid)
-    m2 = mag.magnitude**2
+    b1, b2, b3 = mag.direction()
+    m2b3 = mag.magnitude**2 * b3**2
+    mass = mass_band(grid) if b1 or b2 else None
+    d2_gram = d2_stencil(grid).gram(np.full(grid.n, grid.h)) if b3 else None
 
-    if mag.orientation is Orientation.HORIZONTAL:
-        mass = mass_band(grid)
-
-        def e0(xi: Frequency) -> np.ndarray:
-            m2xi1 = m2 * xi.xi1**2
-            return band_combine(
-                [
-                    (m2xi1, mass),
-                    (m2xi1 / xi.norm2, k_grad),
-                    (1.0, buoyancy),
-                ]
-            )
-
-    else:
-        d2_gram = d2_stencil(grid).gram(np.full(grid.n, grid.h))
-
-        def e0(xi: Frequency) -> np.ndarray:
-            return band_combine(
-                [
-                    (m2, k_grad),
-                    (m2 / xi.norm2, d2_gram),
-                    (1.0, buoyancy),
-                ]
-            )
+    def e0(xi: Frequency) -> np.ndarray:
+        xi2, m2bxi = form_key(xi, mag)
+        terms = []
+        if mass is not None:
+            terms += [(m2bxi, mass), (m2bxi / xi2, k_grad)]
+        if d2_gram is not None:
+            terms += [(m2b3, k_grad), (m2b3 / xi2, d2_gram)]
+        return band_combine(terms + [(1.0, buoyancy)])
 
     return e0
 

@@ -114,8 +114,10 @@ class Stencil:
     def apply(self, v: np.ndarray) -> np.ndarray:
         # with the largest coefficient divided out, neighbouring values are
         # combined before 1/h^k scales them (roundoff |dv|/h^k, not |v|/h^k)
+        out = np.zeros(self.n_rows, dtype=np.result_type(v, *self.coeffs, float))
         scale = max(np.abs(c).max() for c in self.coeffs)
-        out = np.zeros(self.n_rows, dtype=np.result_type(v, float))
+        if scale == 0.0:
+            return out
         for o, c in zip(self.offsets, self.coeffs):
             k_lo = max(0, -o)
             k_hi = min(self.n_rows, self.n_cols - o)

@@ -184,7 +184,8 @@ def test_criterion_6_domain_consistency(jumpneg_profile, canon_grid):
         xi = rtmhd.Frequency(*(rng.uniform(-3, 3, size=2)))
         if xi.norm < 0.05:
             continue
-        member = in_growing_domain(jumpneg_profile, canon_grid, xi, mag_h, params)
+        forms = assemble_forms(jumpneg_profile, canon_grid, xi, mag_h, params)
+        member = in_growing_domain(forms)
         if xi.xi1 == 0.0:
             predicted = True
         else:
@@ -209,7 +210,8 @@ def test_criterion_6_domain_consistency(jumpneg_profile, canon_grid):
         xi = rtmhd.Frequency(r * np.cos(angle), r * np.sin(angle))
         if abs(xi.norm - xi_vc) < boundary_rtol * xi.norm:
             continue
-        member = in_growing_domain(jumpneg_profile, canon_grid, xi, mag_v, params)
+        forms = assemble_forms(jumpneg_profile, canon_grid, xi, mag_v, params)
+        member = in_growing_domain(forms)
         assert member == (xi.norm > xi_vc), f"vertical mismatch at |xi| = {xi.norm}"
 
     # lattice table symmetric under all four sign flips, zero exceptions

@@ -17,7 +17,7 @@ from rtmhd.dispersion import (
     _critical_value_on,
 )
 from rtmhd.errors import EmptyDomain, OutOfRange, ZeroFrequency
-from rtmhd.forms import assemble_forms, e0_builder
+from rtmhd.forms import assemble_forms, e0_builder, form_key
 from rtmhd.growth import growth_rate
 from rtmhd.operators import band_combine, d2_stencil, grad_stiffness_band, mass_band
 
@@ -45,23 +45,29 @@ ARGMAX_ORACLE = (-1.0, 0.0)
 def test_membership_axis_and_field_free(canon_profile, canon_grid):
     mag_h = rtmhd.MagneticConfig(H, 2.5)
     assert in_growing_domain(
-        canon_profile, canon_grid, rtmhd.Frequency(0.0, 1.0), mag_h, CANON_PARAMS
+        assemble_forms(
+            canon_profile, canon_grid, rtmhd.Frequency(0.0, 1.0), mag_h, CANON_PARAMS
+        )
     )
     mag_0 = rtmhd.MagneticConfig(H, 0.0)
     for xi in ((1.0, 0.0), (3.0, 2.0), (0.0, 4.0)):
         assert in_growing_domain(
-            canon_profile, canon_grid, rtmhd.Frequency(*xi), mag_0, CANON_PARAMS
+            assemble_forms(
+                canon_profile, canon_grid, rtmhd.Frequency(*xi), mag_0, CANON_PARAMS
+            )
         )
 
 
 def test_membership_zero_frequency(canon_profile, canon_grid):
     with pytest.raises(ZeroFrequency):
         in_growing_domain(
-            canon_profile,
-            canon_grid,
-            rtmhd.Frequency(0.0, 0.0),
-            rtmhd.MagneticConfig(H, 0.0),
-            CANON_PARAMS,
+            assemble_forms(
+                canon_profile,
+                canon_grid,
+                rtmhd.Frequency(0.0, 0.0),
+                rtmhd.MagneticConfig(H, 0.0),
+                CANON_PARAMS,
+            )
         )
 
 
@@ -71,8 +77,12 @@ def test_membership_vertical_below_threshold(jumpneg_profile, canon_grid):
     xi_vc = critical_freq_vertical(jumpneg_profile, canon_grid, M_HALF_CRITICAL, g=1.0)
     below = rtmhd.Frequency(0.0, 0.5 * xi_vc)
     above = rtmhd.Frequency(0.0, 2.0 * xi_vc)
-    assert not in_growing_domain(jumpneg_profile, canon_grid, below, mag, params)
-    assert in_growing_domain(jumpneg_profile, canon_grid, above, mag, params)
+    assert not in_growing_domain(
+        assemble_forms(jumpneg_profile, canon_grid, below, mag, params)
+    )
+    assert in_growing_domain(
+        assemble_forms(jumpneg_profile, canon_grid, above, mag, params)
+    )
 
 
 def test_critical_number_infinite(canon_profile):
@@ -345,6 +355,41 @@ def test_mirrored_rate_recomputed_independently(canon_profile, canon_grid):
         )
         lams.append(growth_rate(fs).lam)
     assert np.ptp(lams) <= 1e-10 * max(lams)
+
+
+@pytest.mark.parametrize(
+    "orientation, M, keys", [(H, 0.0, 3), (H, 0.3, 5), (V, 0.3, 3)]
+)
+def test_sweep_solves_each_form_key_once(
+    canon_profile, orientation, M, keys, monkeypatch
+):
+    grid = rtmhd.Grid1D(8.0, 201)
+    mag = rtmhd.MagneticConfig(orientation, M)
+    calls = {"growth_rate": 0, "assemble_forms": 0}
+    for name in calls:
+
+        def counted(*args, _call=getattr(rtmhd.dispersion, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(rtmhd.dispersion, name, counted)
+    table = lattice_sweep(canon_profile, grid, mag, CANON_PARAMS, radius=2.0)
+    monkeypatch.undo()
+    assert len(table.entries) == 12
+    assert calls == {"growth_rate": keys, "assemble_forms": keys}
+
+    # every entry is what a fresh solve at its own xi gives, bitwise, and
+    # points with equal keys have equal forms
+    first: dict[tuple[float, float], rtmhd.FormSet] = {}
+    for e in table.entries:
+        xi = rtmhd.Frequency(e.xi1, e.xi2)
+        forms = assemble_forms(canon_profile, grid, xi, mag, CANON_PARAMS)
+        assert e.member == in_growing_domain(forms)
+        assert e.lam == (growth_rate(forms).lam if e.member else None)
+        seen = first.setdefault(form_key(xi, mag), forms)
+        for band in ("e0", "e1", "j"):
+            assert np.array_equal(getattr(forms, band), getattr(seen, band))
+    assert len(first) == keys
 
 
 def test_sweep_all_members_for_field_free(canon_sweep):

@@ -147,6 +147,20 @@ def test_stencil_algebra_matches_sparse_matrices():
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+def test_stencil_apply_complex_and_zero_coefficients():
+    # the output type comes from the coefficients as well as the input, and
+    # an all-zero stencil applies as zero, not 0/0
+    grid = rtmhd.Grid1D(3.0, 23)
+    d1 = d1_stencil(grid)
+    v = np.random.default_rng(11).standard_normal(grid.n)
+    dense = d1.sparse().toarray()
+    got = (1j * d1).apply(v)
+    assert got.dtype == complex
+    assert np.abs(got - 1j * (dense @ v)).max() <= 1e-14 * np.abs(dense @ v).max()
+    zero = (0.0 * d1).apply(v)
+    assert zero.dtype == float and np.array_equal(zero, np.zeros(grid.n))
+
+
 def test_band_matvec_and_lu_layout():
     rng = np.random.default_rng(3)
     ab = rng.standard_normal((3, 17))
