@@ -1,0 +1,236 @@
+#!/usr/bin/env python3
+"""Time and trace the memory of the density-profile build and of one large
+ratio evaluation, for one or two source trees.
+
+For each grid size, ``build_profile`` on the canonical spec is timed and its
+tracemalloc peak is taken, and the points at which it evaluates rho are
+counted; ``ratio`` is timed and traced on 200 001 points across [-8, 8].
+One ``assemble_forms`` call, which reads the profile, is timed at
+n = 201 and 801 (M = 0, the mean over 16 lattice frequencies).
+Each tree is measured in its own child process, with its ``src`` directory
+on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
+alternating rounds and each number is the median over the rounds.
+
+Usage:
+    python scripts/bench_profile.py [--before OTHER/src] [--out FILE]
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+SIZES = (201, 801, 20001)
+RATIO_POINTS = 200_001
+RATIO_GRID_N = 801
+ASSEMBLY_SIZES = (201, 801)
+REPEAT = 5
+
+
+def _median(values):
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else 0.5 * (values[mid - 1] + values[mid])
+
+
+def _timed(fn, repeat):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return _median(times)
+
+
+def _peak_mb(fn) -> float:
+    """tracemalloc peak of one call, in MB (10^6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def measure() -> dict:
+    """The numbers of the rtmhd on this process's path."""
+    import numpy as np
+
+    import rtmhd
+    from rtmhd.forms import assemble_forms
+
+    spec = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
+    rho = rtmhd.DensityProfile.rho
+    counted = {"points": 0}
+
+    def counting_rho(self, x):
+        counted["points"] += np.size(x)
+        return rho(self, x)
+
+    builds = {}
+    for n in SIZES:
+        grid = rtmhd.Grid1D(8.0, n)
+
+        def build():
+            return rtmhd.build_profile(spec, grid)
+
+        build()
+        rtmhd.DensityProfile.rho = counting_rho
+        counted["points"] = 0
+        build()
+        rtmhd.DensityProfile.rho = rho
+        builds[f"n={n}"] = {
+            "ms": 1e3 * _timed(build, REPEAT),
+            "peak_mb": _peak_mb(build),
+            "rho_points": counted["points"],
+        }
+
+    profile = rtmhd.build_profile(spec, rtmhd.Grid1D(8.0, RATIO_GRID_N))
+    x = np.linspace(-8.0, 8.0, RATIO_POINTS)
+    profile.ratio(x)
+    ratio = {
+        "ms": 1e3 * _timed(lambda: profile.ratio(x), REPEAT),
+        "peak_mb": _peak_mb(lambda: profile.ratio(x)),
+    }
+
+    mag = rtmhd.MagneticConfig(rtmhd.Orientation.HORIZONTAL, 0.0)
+    params = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
+    xis = [rtmhd.Frequency(i, j) for i in range(1, 5) for j in range(4)]
+    assembly = {}
+    for n in ASSEMBLY_SIZES:
+        grid = rtmhd.Grid1D(8.0, n)
+        profile = rtmhd.build_profile(spec, grid)
+
+        def assemble_all():
+            for xi in xis:
+                assemble_forms(profile, grid, xi, mag, params)
+
+        assemble_all()
+        assembly[f"n={n}"] = {"ms": 1e3 * _timed(assemble_all, REPEAT) / len(xis)}
+    return {"build_profile": builds, "ratio": ratio, "assemble_forms": assembly}
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _run_tree(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--measure"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _merge(rounds: list[dict]) -> dict:
+    """Median of every number over the rounds; the point counts are equal in each."""
+    first = rounds[0]
+    return {
+        "build_profile": {
+            key: {
+                field: _median([r["build_profile"][key][field] for r in rounds])
+                for field in first["build_profile"][key]
+            }
+            for key in first["build_profile"]
+        },
+        "ratio": {
+            field: _median([r["ratio"][field] for r in rounds]) for field in first["ratio"]
+        },
+        "assemble_forms": {
+            key: {"ms": _median([r["assemble_forms"][key]["ms"] for r in rounds])}
+            for key in first["assemble_forms"]
+        },
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "--before", type=Path, help="src directory of the tree to compare with"
+    )
+    parser.add_argument("--out", default="BENCH_profile.json", help="default: %(default)s")
+    parser.add_argument("--rounds", type=int, default=5, help="default: %(default)s")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        print(json.dumps(measure()))
+        return
+
+    trees = {"after": Path(__file__).resolve().parent.parent / "src"}
+    if args.before is not None:
+        trees = {"before": args.before.resolve(), **trees}
+    rounds = {label: [] for label in trees}
+    for _ in range(max(1, args.rounds)):
+        for label, src in trees.items():
+            rounds[label].append(_run_tree(src))
+    import numpy
+    import scipy
+
+    report = {
+        "machine": {
+            "cpu": _cpu_model(),
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": 1,
+        },
+        "setup": {
+            "spec": "canonical: base 1.0, one bump (amp 0.5, center 0, half_width 1)",
+            "half_length": 8.0,
+            "sizes": list(SIZES),
+            "ratio_points": RATIO_POINTS,
+            "ratio_grid_n": RATIO_GRID_N,
+            "assembly_sizes": list(ASSEMBLY_SIZES),
+            "assembly": "M = 0 horizontal, mean over xi = (i, j), i = 1..4, j = 0..3",
+            "repeat": REPEAT,
+            "rounds": max(1, args.rounds),
+            "statistic": "median",
+            "peak": "tracemalloc peak of one call, MB = 10^6 bytes",
+        },
+        **{label: _merge(r) for label, r in rounds.items()},
+    }
+    with open(args.out, "w") as f:
+        json.dump(report, f, indent=1)
+        f.write("\n")
+    for label in trees:
+        print(f"{label}:")
+        for key, row in report[label]["build_profile"].items():
+            print(
+                f"  build_profile {key:8s} {row['ms']:8.2f} ms  "
+                f"peak {row['peak_mb']:7.2f} MB  rho at {row['rho_points']} points"
+            )
+        row = report[label]["ratio"]
+        print(
+            f"  ratio on {RATIO_POINTS} points {row['ms']:8.2f} ms  "
+            f"peak {row['peak_mb']:7.2f} MB"
+        )
+        for key, row in report[label]["assemble_forms"].items():
+            print(f"  assemble_forms {key:8s} {row['ms']:8.3f} ms")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

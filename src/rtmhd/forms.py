@@ -11,8 +11,10 @@ All forms are symmetric banded Gram assemblies on the clamped interior grid
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,35 +66,69 @@ def form_key(xi: Frequency, mag: MagneticConfig) -> tuple[float, float]:
     return xi.norm2, mag.magnitude**2 * (b1 * xi.xi1 + b2 * xi.xi2) ** 2
 
 
+class _Bands(NamedTuple):
+    """The bands of the forms that do not depend on xi."""
+
+    buoyancy: np.ndarray  # -g drho mass, in E0
+    k_grad: np.ndarray  # gradient stiffness, in E0
+    mass: np.ndarray  # plain L^2 mass
+    d2_gram: np.ndarray | None  # D2^T D2, in E0 of a field with b3 != 0
+    d1_gram: np.ndarray  # D1^T D1, in E1
+    j_mass: np.ndarray  # rho-weighted mass, in J
+    j_grad: np.ndarray  # rho-weighted gradient stiffness, in J
+
+
+@functools.lru_cache(maxsize=4)
+def _xi_free_bands(
+    profile: DensityProfile,
+    grid: Grid1D,
+    mag: MagneticConfig,
+    params: PhysicalParams,
+) -> _Bands:
+    """The xi-independent bands of one setup, built once and read-only."""
+    x = grid.points()
+    w = np.full(grid.n, grid.h)
+    bands = _Bands(
+        buoyancy=mass_band(grid, -params.g * profile.drho(x)),
+        k_grad=grad_stiffness_band(grid),
+        mass=mass_band(grid),
+        d2_gram=d2_stencil(grid).gram(w) if mag.direction()[2] else None,
+        d1_gram=d1_stencil(grid).gram(w),
+        j_mass=mass_band(grid, profile.rho(x)),
+        j_grad=grad_stiffness_band(grid, profile.rho(grid.midpoints())),
+    )
+    for band in bands:
+        if band is not None:
+            band.flags.writeable = False
+    return bands
+
+
 def e0_builder(
     profile: DensityProfile,
     grid: Grid1D,
     mag: MagneticConfig,
     params: PhysicalParams,
 ) -> Callable[[Frequency], np.ndarray]:
-    """E0 as a function of xi, with the bands that do not depend on xi built once.
+    """E0 as a function of xi, from the bands that do not depend on xi.
 
     With b = mag.direction() and K the gradient stiffness, the magnetic part is
     M^2 (b_h . xi)^2 (mass + K/|xi|^2) + M^2 b3^2 (K + D2^T D2/|xi|^2); the
-    terms of a vanishing field component are not formed, nor their bands.
-    A loop over many frequencies of one setup (the |xi|_vc bisection) pays one
-    band combination per frequency instead of a full assembly.
+    terms of a vanishing field component are not formed.  A loop over many
+    frequencies of one setup (the |xi|_vc bisection) pays one band
+    combination per frequency.
     """
-    buoyancy = mass_band(grid, -params.g * profile.drho(grid.points()))
-    k_grad = grad_stiffness_band(grid)
+    bands = _xi_free_bands(profile, grid, mag, params)
     b1, b2, b3 = mag.direction()
     m2b3 = mag.magnitude**2 * b3**2
-    mass = mass_band(grid) if b1 or b2 else None
-    d2_gram = d2_stencil(grid).gram(np.full(grid.n, grid.h)) if b3 else None
 
     def e0(xi: Frequency) -> np.ndarray:
         xi2, m2bxi = form_key(xi, mag)
         terms = []
-        if mass is not None:
-            terms += [(m2bxi, mass), (m2bxi / xi2, k_grad)]
-        if d2_gram is not None:
-            terms += [(m2b3, k_grad), (m2b3 / xi2, d2_gram)]
-        return band_combine(terms + [(1.0, buoyancy)])
+        if b1 or b2:
+            terms += [(m2bxi, bands.mass), (m2bxi / xi2, bands.k_grad)]
+        if b3:
+            terms += [(m2b3, bands.k_grad), (m2b3 / xi2, bands.d2_gram)]
+        return band_combine(terms + [(1.0, bands.buoyancy)])
 
     return e0
 
@@ -104,36 +140,32 @@ def assemble_forms(
     mag: MagneticConfig,
     params: PhysicalParams,
 ) -> FormSet:
-    """Build E0, E1, J and the L^2 mass for one frequency and field setup."""
+    """Build E0, E1, J and the L^2 mass for one frequency and field setup.
+
+    The bands that do not depend on xi are built once per (profile, grid,
+    mag, params); a call combines them with the xi-dependent terms.
+    """
     if xi.is_zero():
         raise ZeroFrequency("forms are defined only for |xi| > 0")
 
-    x = grid.points()
-    xm = grid.midpoints()
-    rho = profile.rho(x)
-    rho_mid = profile.rho(xm)
+    bands = _xi_free_bands(profile, grid, mag, params)
     xi2 = xi.norm2
     w = np.full(grid.n, grid.h)
 
     e1 = band_combine(
         [
-            (4.0 * params.mu * xi2, d1_stencil(grid).gram(w)),
+            (4.0 * params.mu * xi2, bands.d1_gram),
             (params.mu, composite_stencil(grid, xi2).gram(w)),
         ]
     )
 
-    j = band_combine(
-        [
-            (xi2, mass_band(grid, rho)),
-            (1.0, grad_stiffness_band(grid, rho_mid)),
-        ]
-    )
+    j = band_combine([(xi2, bands.j_mass), (1.0, bands.j_grad)])
 
     return FormSet(
         e0=e0_builder(profile, grid, mag, params)(xi),
         e1=e1,
         j=j,
-        mass=mass_band(grid),
+        mass=bands.mass,
         xi=xi,
         mag=mag,
         params=params,

@@ -5,11 +5,17 @@ cumulative integral of a derivative drho composed of smooth compactly
 supported bumps a * exp(-1/(1 - t^2)), t = (x - c)/w.  The derivative is
 analytic and exactly zero outside the declared supports; rho itself is
 obtained by composite Gauss-Legendre quadrature of drho, so the pair stays
-consistent to machine precision.
+consistent to machine precision.  The quadrature runs over fixed blocks of
+points, so evaluating rho, drho or their ratio needs a few MB of temporaries
+beyond its input and output, whatever the number of points.
+
+Every number of the parameter, field, bump and grid records must be finite;
+a NaN or infinite value raises ValueError on construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,8 +47,8 @@ class PhysicalParams:
     L: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.g > 0 and self.L > 0):
-            raise ValueError("mu, g, L must all be positive")
+        if not all(0 < v < math.inf for v in (self.mu, self.g, self.L)):
+            raise ValueError("mu, g, L must all be positive and finite")
 
 
 class Orientation(Enum):
@@ -61,8 +67,8 @@ class MagneticConfig:
     magnitude: float
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("field magnitude must be >= 0")
+        if not 0 <= self.magnitude < math.inf:
+            raise ValueError("field magnitude must be >= 0 and finite")
 
     def direction(self) -> tuple[float, float, float]:
         """The unit vector e in the lab frame (x1, x2, x3)."""
@@ -80,8 +86,10 @@ class Bump:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("bump half_width must be positive")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.center)):
+            raise ValueError("bump amplitude and center must be finite")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("bump half_width must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,8 @@ class ProfileSpec:
     bumps: tuple[Bump, ...]
 
     def __post_init__(self):
-        if not self.base_density > 0:
-            raise ValueError("base_density must be positive")
+        if not 0 < self.base_density < math.inf:
+            raise ValueError("base_density must be positive and finite")
         if not self.bumps:
             raise ValueError("at least one bump is required")
         object.__setattr__(self, "bumps", tuple(self.bumps))
@@ -128,8 +136,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not self.half_length > 0:
-            raise ValueError("half_length must be positive")
+        if not 0 < self.half_length < math.inf:
+            raise ValueError("half_length must be positive and finite")
         if self.n < 16:
             raise ValueError("need at least 16 interior points")
 
@@ -178,6 +186,7 @@ class Frequency:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _N_PANELS = 64
 _PANEL_EDGES = np.linspace(-1.0, 1.0, _N_PANELS + 1)
+_CDF_BLOCK = 4096  # points per quadrature block of _bump_cdf
 
 
 def _bump_shape(t: np.ndarray) -> np.ndarray:
@@ -211,16 +220,30 @@ BUMP_INTEGRAL = float(_PANEL_PREFIX[-1])
 
 
 def _bump_cdf(t: np.ndarray) -> np.ndarray:
-    """Integral of the bump shape from -1 up to t (clipped to [-1, 1])."""
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    """Integral of the bump shape from -1 up to t (clipped to [-1, 1]); NaN at NaN.
+
+    The points are evaluated in blocks of ``_CDF_BLOCK``, so the
+    (points x nodes) temporaries of the quadrature stay a few MB for any
+    number of points; each value is the same as one unblocked evaluation.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.empty(flat.shape)
     width = 2.0 / _N_PANELS
-    idx = np.minimum(((t + 1.0) / width).astype(int), _N_PANELS - 1)
-    lo = _PANEL_EDGES[idx]
-    half = 0.5 * (t - lo)
-    mid = 0.5 * (t + lo)
-    nodes = mid[..., None] + half[..., None] * _GL_NODES
-    partial = half * (_bump_shape(nodes) @ _GL_WEIGHTS)
-    return _PANEL_PREFIX[idx] + partial
+    for start in range(0, flat.size, _CDF_BLOCK):
+        tb = np.clip(flat[start : start + _CDF_BLOCK], -1.0, 1.0)
+        nan = np.isnan(tb)
+        tb[nan] = 0.0  # a NaN point would cast to an index far out of range
+        idx = np.minimum(((tb + 1.0) / width).astype(int), _N_PANELS - 1)
+        lo = _PANEL_EDGES[idx]
+        half = 0.5 * (tb - lo)
+        mid = 0.5 * (tb + lo)
+        nodes = mid[:, None] + half[:, None] * _GL_NODES
+        partial = half * (_bump_shape(nodes) @ _GL_WEIGHTS)
+        block = out[start : start + _CDF_BLOCK]
+        np.add(_PANEL_PREFIX[idx], partial, out=block)
+        block[nan] = np.nan
+    return out.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -307,7 +330,7 @@ def build_profile(spec: ProfileSpec, check_grid: Grid1D) -> DensityProfile:
     if inf_rho <= 0:
         raise NonPositiveDensity(f"min rho = {inf_rho:.6g} <= 0")
 
-    sup_ratio = _polished_sup_ratio(probe, samples)
+    sup_ratio = _polished_sup_ratio(probe, samples, probe.drho(samples) / rho_s)
     return DensityProfile(
         spec=spec,
         total_jump=total_jump,
@@ -322,8 +345,10 @@ _ZOOM_POINTS = 65  # ratio evaluations per zoom round
 _ZOOM_XTOL = 1e-13  # final bracket width
 
 
-def _polished_sup_ratio(profile: DensityProfile, samples: np.ndarray) -> float:
-    """sup of drho/rho: dense sampling then a bracket zoom.
+def _polished_sup_ratio(
+    profile: DensityProfile, samples: np.ndarray, r: np.ndarray
+) -> float:
+    """sup of drho/rho from its values ``r`` at ``samples``, then a bracket zoom.
 
     The bracket of the sample argmax is sampled at ``_ZOOM_POINTS`` even
     points and shrunk to the two neighbours of their argmax, until it is at
@@ -333,7 +358,6 @@ def _polished_sup_ratio(profile: DensityProfile, samples: np.ndarray) -> float:
     cached value an upper envelope for the ratio at any later evaluation
     grid and keeps sup-based bounds exact.
     """
-    r = profile.ratio(samples)
     k = int(np.argmax(r))
     best = float(r[k])
     if best <= 0.0:

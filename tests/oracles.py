@@ -5,7 +5,9 @@ that it shares no code path with the banded solvers under test.  The one
 exception is ``cn_step_reference``, the Crank-Nicolson step written out per
 velocity component, which keeps a sparse LU so that it solves the same
 system as the stacked stepper it checks.  Its induction and Lorentz blocks,
-``coupling_reference``, are written out per field orientation.
+``coupling_reference``, are written out per field orientation.  The other
+exception is ``bump_cdf_unblocked``, the bump quadrature evaluated for all
+points at once, which the blocked evaluation must match bitwise.
 """
 
 import numpy as np
@@ -16,7 +18,15 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from rtmhd.operators import band_to_dense
-from rtmhd.profiles import Orientation
+from rtmhd.profiles import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _N_PANELS,
+    _PANEL_EDGES,
+    _PANEL_PREFIX,
+    Orientation,
+    _bump_shape,
+)
 
 
 def dense_smallest(a_band: np.ndarray, b_band: np.ndarray) -> float:
@@ -43,6 +53,35 @@ def adaptive_bump_integral(amp: float, half_width: float) -> float:
         limit=200,
     )
     return amp * half_width * val
+
+
+def bump_cdf_unblocked(t: np.ndarray) -> np.ndarray:
+    """Integral of the bump shape from -1 up to t, all points in one pass.
+
+    The same panels and Gauss-Legendre nodes as ``profiles._bump_cdf``, with
+    (points x nodes) temporaries for the whole input.
+    """
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    width = 2.0 / _N_PANELS
+    idx = np.minimum(((t + 1.0) / width).astype(int), _N_PANELS - 1)
+    lo = _PANEL_EDGES[idx]
+    half = 0.5 * (t - lo)
+    mid = 0.5 * (t + lo)
+    nodes = mid[..., None] + half[..., None] * _GL_NODES
+    partial = half * (_bump_shape(nodes) @ _GL_WEIGHTS)
+    return _PANEL_PREFIX[idx] + partial
+
+
+def profile_unblocked(spec, x) -> tuple[np.ndarray, np.ndarray]:
+    """rho and drho of a profile spec at x through ``bump_cdf_unblocked``."""
+    x = np.asarray(x, dtype=float)
+    rho = np.full_like(x, spec.base_density)
+    drho = np.zeros_like(x)
+    for b in spec.bumps:
+        t = (x - b.center) / b.half_width
+        rho += b.amplitude * b.half_width * bump_cdf_unblocked(t)
+        drho += b.amplitude * _bump_shape(t)
+    return rho, drho
 
 
 def brent_sup_ratio(profile, grid) -> tuple[float, float]:

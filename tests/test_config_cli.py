@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -96,6 +97,34 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("profile", "base_density"),
+        ("bump", "amp"),
+        ("bump", "center"),
+        ("bump", "half_width"),
+        ("params", "mu"),
+        ("params", "g"),
+        ("params", "L"),
+        ("mag", "magnitude"),
+        ("grid", "half_length"),
+        ("grid", "n"),
+    ],
+)
+def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, section, key, value):
+    path = tmp_path / "c.json"
+    raw = json.loads(open(_write_config(path)).read())
+    target = raw["profile"]["bumps"][0] if section == "bump" else raw[section]
+    target[key] = value
+    path.write_text(json.dumps(raw))
+    code = main(["profile", str(path)])
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert err["error"] == "config"
 
 
 def test_cli_verify_short_horizon_exits_2_before_stepping(

@@ -38,6 +38,23 @@ def test_forms_match_dense_oracle(orient, xi):
         assert err <= 1e-13 * np.abs(dense).max(), name
 
 
+def test_xi_free_bands_built_once_and_read_only(canon_grid, monkeypatch):
+    # a spec no other test uses, so its bands are not cached yet
+    prof = rtmhd.build_profile(
+        rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.1, 1.1),)), canon_grid
+    )
+    calls = []
+    rho = rtmhd.DensityProfile.rho
+    monkeypatch.setattr(
+        rtmhd.DensityProfile, "rho", lambda self, x: calls.append(1) or rho(self, x)
+    )
+    forms = [_forms(prof, canon_grid, xi=xi, orient=V) for xi in ((1.0, 0.0), (2.0, 1.0))]
+    assert len(calls) == 2  # rho at the points and the midpoints, once
+    assert forms[1].mass is forms[0].mass
+    with pytest.raises(ValueError):
+        forms[0].mass[0, 0] = 0.0
+
+
 def test_forms_symmetry_is_exact(canon_profile, canon_grid):
     for orient in (H, V):
         fs = _forms(canon_profile, canon_grid, xi=(1.0, 2.0), orient=orient)

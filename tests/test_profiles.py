@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,15 @@ from hypothesis import strategies as st
 
 import rtmhd
 from rtmhd.errors import NonPositiveDensity, NoUnstableRegion
-from rtmhd.profiles import BUMP_INTEGRAL
+from rtmhd.profiles import _CDF_BLOCK, BUMP_INTEGRAL, _bump_cdf
 
 from .conftest import CANON_SPEC, JUMP_NEG_SPEC
-from .oracles import adaptive_bump_integral, brent_sup_ratio
+from .oracles import (
+    adaptive_bump_integral,
+    brent_sup_ratio,
+    bump_cdf_unblocked,
+    profile_unblocked,
+)
 
 GRID = rtmhd.Grid1D(8.0, 401)
 
@@ -126,6 +132,61 @@ def test_sup_ratio_matches_brent_oracle(name, n):
     # maximum, at 1e-9 spacing, stays at or below the cached value
     x = argmax + 1e-9 * np.arange(-2000, 2001)
     assert prof.ratio(x).max() <= prof.sup_ratio
+
+
+def _assert_matches_unblocked(prof, x):
+    rho, drho = profile_unblocked(prof.spec, x)
+    assert prof.rho(x).shape == x.shape
+    assert np.array_equal(prof.rho(x), rho)
+    assert np.array_equal(prof.drho(x), drho)
+    assert np.array_equal(prof.ratio(x), drho / rho)
+
+
+@pytest.mark.parametrize("name", SUP_SPECS)
+def test_blocked_evaluation_matches_unblocked_oracle(name):
+    prof = rtmhd.build_profile(SUP_SPECS[name], GRID)
+    # several blocks plus a ragged tail, across every support
+    x = np.linspace(-3.0, 3.0, 3 * _CDF_BLOCK + 123)
+    _assert_matches_unblocked(prof, x)
+    # a 2-D input whose rows straddle the block boundaries
+    _assert_matches_unblocked(prof, x[: 3 * (_CDF_BLOCK + 7)].reshape(3, -1))
+
+
+@pytest.mark.parametrize("spec", [CANON_SPEC, JUMP_NEG_SPEC], ids=["canonical", "jump-neg"])
+def test_blocked_evaluation_at_bump_edges_and_outside(spec):
+    prof = rtmhd.build_profile(spec, GRID)
+    edges = np.array(
+        [b.center + s * b.half_width for b in spec.bumps for s in (-1.0, 1.0)]
+    )
+    t = (edges.reshape(-1, 2) - [[b.center] for b in spec.bumps]) / [
+        [b.half_width] for b in spec.bumps
+    ]
+    assert np.all(t == [-1.0, 1.0])  # the edges sit at t = +-1 exactly
+    outside = np.array([-8.0, -4.0, -1.5000001, 1.5000001, 4.0, 8.0])
+    x = np.concatenate([edges, np.nextafter(edges, -9.0), np.nextafter(edges, 9.0), outside])
+    _assert_matches_unblocked(prof, x)
+    assert np.all(prof.drho(outside) == 0.0)
+
+
+def test_bump_cdf_edges_and_nan():
+    t = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, np.nan, -np.inf, np.inf])
+    cdf = _bump_cdf(t)
+    finite = ~np.isnan(t)
+    assert np.array_equal(cdf[finite], bump_cdf_unblocked(t[finite]))
+    assert cdf[1] == 0.0 and cdf[3] == BUMP_INTEGRAL
+    assert np.isnan(cdf[5])
+
+
+def test_ratio_memory_is_bounded(canon_profile):
+    # the quadrature runs in blocks: its temporaries do not grow with the input
+    x = np.linspace(-8.0, 8.0, 200_001)
+    tracemalloc.start()
+    try:
+        canon_profile.ratio(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_sup_ratio_zoom_stops_at_float_resolution(canon_profile):
