@@ -15,7 +15,7 @@ from rtmhd.dispersion import lattice_sweep, sup_rate
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, export_mode, export_snapshot
-from rtmhd.verify import eigenmode_state, run_rate, series_to_csv
+from rtmhd.verify import default_schedule, eigenmode_state, run_rate, series_to_csv
 
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
 PARAMS = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
@@ -52,7 +52,9 @@ def main():
 
     lam = result.lam
     init = eigenmode_state(mode, profile, PARAMS)
-    est, states = run_rate(init, profile, MAG, PARAMS, dt=0.01 / lam, T=3.0 / lam)
+    T = 3.0 / lam
+    dt, record_every = default_schedule(lam, T)
+    est, states = run_rate(init, profile, MAG, PARAMS, dt, T, record_every)
     with open(os.path.join(out, "timeseries.csv"), "w") as f:
         f.write(series_to_csv(states))
     rel = abs(est.rate - lam) / lam

@@ -260,14 +260,22 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     # loose residual gate: the time integration is the actual check here
     mode = _build_mode_at(cfg, xi1, mode_tol=1e-2)
     lam = mode.lam
-    dt = cfg.verify_dt if cfg.verify_dt is not None else 0.01 / lam
     T = cfg.verify_T if cfg.verify_T is not None else 3.0 / lam
+    if cfg.verify_dt is None and cfg.verify_T is None:
+        dt, record_every = verify.default_schedule(lam, T)
+    else:
+        # an explicit dt or T fixes the schedule: dt = 0.01/lam unless set,
+        # about 60 samples
+        dt = cfg.verify_dt if cfg.verify_dt is not None else 0.01 / lam
+        record_every = None
     steps = verify.time_steps(dt, T)  # evolve records every step below 60
     if steps + 1 < verify.MIN_RATE_SAMPLES:
         need = verify.MIN_RATE_SAMPLES - 1
         raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
     init = verify.eigenmode_state(mode, cfg.profile, cfg.params)
-    est, states = verify.run_rate(init, cfg.profile, cfg.mag, cfg.params, dt, T)
+    est, states = verify.run_rate(
+        init, cfg.profile, cfg.mag, cfg.params, dt, T, record_every
+    )
     rel_err = abs(est.rate - lam) / lam
     with open(os.path.join(cfg.output_dir, "timeseries.csv"), "w") as f:
         f.write(verify.series_to_csv(states))
@@ -281,6 +289,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             "fit_residual": est.fit_residual,
             "dt": dt,
             "T": T,
+            "steps": steps,
+            # relative rate error of one Crank-Nicolson step
+            "cn_rate_err": (lam * dt) ** 2 / 12.0,
         },
     )
     print(f"lambda_pred={_fmt(lam)}")

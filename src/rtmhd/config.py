@@ -84,6 +84,15 @@ def _section(raw: dict, key: str, required: bool = True) -> dict:
     return raw[key]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a boolean or a number with a fractional part is
+    rejected rather than truncated."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     try:
         spec = ProfileSpec.from_dict(_section(raw, "profile"))
@@ -92,20 +101,20 @@ def config_from_dict(raw: dict) -> RunConfig:
         m = _section(raw, "mag")
         mag = MagneticConfig(Orientation(m["orientation"]), float(m["magnitude"]))
         g = _section(raw, "grid")
-        grid = Grid1D(float(g["half_length"]), int(g["n"]))
+        grid = Grid1D(float(g["half_length"]), _integer(g["n"], "grid n"))
         radius = _section(raw, "sweep", required=False).get("radius")
         radius = float(radius) if radius is not None else None
         verify = _section(raw, "verify", required=False)
         dt = verify.get("dt")
         T = verify.get("T")
-        seeds = tuple(int(s) for s in verify.get("seeds", [0, 1, 2, 3, 4]))
+        seeds = verify.get("seeds", [0, 1, 2, 3, 4])
+        seeds = tuple(_integer(s, "seed") for s in seeds)
         output_dir = raw.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an infinite grid n or seed cast to int
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     return RunConfig(
         profile_spec=spec,

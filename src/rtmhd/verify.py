@@ -34,6 +34,7 @@ stepped once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,6 +72,7 @@ __all__ = [
     "eigenmode_state",
     "random_divfree_state",
     "measured_rate",
+    "default_schedule",
     "sharpness_test",
     "series_to_csv",
 ]
@@ -78,6 +80,8 @@ __all__ = [
 RATE_SLACK = 0.02  # admissible relative overshoot of a measured rate
 RATE_RTOL = 0.02  # admissible relative error of a normal mode's measured rate
 MIN_RATE_SAMPLES = 10  # fewest norm samples ``measured_rate`` fits
+STEPS_PER_EFOLD = 20  # coarsest default step: CN rate error (1/20)^2/12 = 2.1e-4
+SAMPLE_INTERVALS = 60  # a default run samples its norm at t_k = k T / 60
 
 
 @dataclass
@@ -262,15 +266,31 @@ def time_steps(dt: float, T: float) -> int:
     return max(1, int(round(T / dt)))
 
 
+def default_schedule(lam: float, T: float) -> tuple[float, int]:
+    """(dt, record_every) of a run to time T at rate lam: the coarsest step
+    with lam dt <= 1/STEPS_PER_EFOLD that puts a whole number of steps
+    between the SAMPLE_INTERVALS + 1 sample times t_k = k T / SAMPLE_INTERVALS.
+
+    Crank-Nicolson multiplies a mode of rate lam by (1 + lam dt/2) / (1 -
+    lam dt/2) = exp(lam dt (1 + (lam dt)^2 / 12 + ...)), so the measured
+    rate is off by the relative (lam dt)^2 / 12 <= 2.1e-4.  At T = 3/lam
+    this is 60 steps, each one sampled.
+    """
+    per_sample = lam * T / SAMPLE_INTERVALS * STEPS_PER_EFOLD
+    # the rounding slack keeps T = 3/lam at one step per sample
+    record_every = max(1, math.ceil(per_sample * (1.0 - 1e-12)))
+    return T / (SAMPLE_INTERVALS * record_every), record_every
+
+
 def _march(
     stepper: LinearEvolver, z: np.ndarray, t: float, T: float, record_every: int | None
 ):
     """Step z to time T, yielding (t, z_prev, z) every ``record_every`` steps
     and at the last step, z_prev being the state one step before; the
-    default records about 60 times."""
+    default records about SAMPLE_INTERVALS times."""
     n_steps = time_steps(stepper.dt, T)
     if record_every is None:
-        record_every = max(1, n_steps // 60)
+        record_every = max(1, n_steps // SAMPLE_INTERVALS)
     for k in range(1, n_steps + 1):
         z_prev, z = z, stepper.step(z)
         t += stepper.dt
@@ -403,8 +423,9 @@ def run_rate(
     params: PhysicalParams,
     dt: float,
     T: float,
+    record_every: int | None = None,
 ) -> tuple[RateEstimate, list[LinearState]]:
-    states = evolve(init, profile, mag, params, dt, T)
+    states = evolve(init, profile, mag, params, dt, T, record_every)
     series = [(s.t, s.norm_u()) for s in states]
     return measured_rate(series), states
 
@@ -418,7 +439,6 @@ def sharpness_test(
     seeds: list[int],
     xi_rates: dict[Frequency, float],
     horizon: float = 3.0,
-    steps_per_efold: int = 100,
 ) -> float:
     """Evolve random data at each frequency; rates must respect their bounds.
 
@@ -426,6 +446,13 @@ def sharpness_test(
     SharpnessViolation if any measured rate exceeds lambda(xi) * (1 + 2%).
     Frequencies sharing |xi|^2, the rate and the rotated field are stepped
     once, as one problem.  Returns the largest measured rate.
+
+    Each problem runs to horizon / lambda on ``default_schedule``.  Its
+    error bound presumes smooth seeds, as ``_seed_profiles`` draws them:
+    Crank-Nicolson is not L-stable, so grid-scale content is not damped but
+    flips sign each step, and content of order one biases the rates low by
+    up to about 0.24 lambda at n = 801.  Non-smooth seeds would need an
+    L-stable step such as TR-BDF2, not more steps.
     """
     worst = -np.inf
     stepped: dict[tuple, list[tuple[float, np.ndarray]]] = {}
@@ -434,11 +461,11 @@ def sharpness_test(
         key = (xi.norm2, *_frame(mag, xi)[2], lam)
         if key not in stepped:
             # every seed is one column of the same stepped block
-            dt = 1.0 / (steps_per_efold * lam)
+            dt, record_every = default_schedule(lam, horizon / lam)
             stepper = LinearEvolver(profile, mag, params, grid, xi, dt)
             z = np.stack([_random_stepped_state(grid, xi, s) for s in seeds], axis=1)
             series = [(0.0, stepper.norm_u(z))]
-            for t, _, zk in _march(stepper, z, 0.0, horizon / lam, None):
+            for t, _, zk in _march(stepper, z, 0.0, horizon / lam, record_every):
                 series.append((t, stepper.norm_u(zk)))
             stepped[key] = series
         for i, seed in enumerate(seeds):

@@ -127,6 +127,85 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, section, key, v
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("grid", "n", 201.9),
+        ("grid", "n", 33.5),
+        ("grid", "n", True),
+        ("verify", "seeds", [1.9, 2.2]),
+        ("verify", "seeds", [0, True]),
+    ],
+)
+def test_cli_rejects_non_integral_counts(tmp_path, capsys, section, key, value):
+    # a fractional grid size or seed was truncated, a boolean read as 0 or 1
+    path = tmp_path / "c.json"
+    raw = json.loads(open(_write_config(path)).read())
+    raw[section][key] = value
+    path.write_text(json.dumps(raw))
+    code = main(["profile", str(path)])
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert err["error"] == "config"
+    assert "integer" in err["message"]
+
+
+def test_integral_floats_are_counts(tmp_path):
+    path = _write_config(
+        tmp_path / "c.json",
+        grid={"half_length": 8.0, "n": 201.0},
+        verify={"seeds": [3.0, 1]},
+    )
+    cfg = load_config(path)
+    assert cfg.grid.n == 201 and isinstance(cfg.grid.n, int)
+    assert cfg.seeds == (3, 1)
+
+
+def _verify_outputs(tmp_path, verify):
+    path = _write_config(
+        tmp_path / "c.json",
+        grid={"half_length": 8.0, "n": 201},
+        verify={**verify, "seeds": [0]},
+    )
+    assert main(["verify", path]) == 0
+    out = load_config(path).output_dir
+    report = json.load(open(os.path.join(out, "verify.json")))
+    times = np.loadtxt(os.path.join(out, "timeseries.csv"), delimiter=",", skiprows=1)
+    return report, times[:, 0]
+
+
+def test_cli_verify_default_schedule(tmp_path, capsys):
+    # neither dt nor T: 20 steps per e-fold to T = 3/lambda, each one sampled
+    report, t = _verify_outputs(tmp_path, {"dt": None, "T": None})
+    lam, dt, T = report["lambda_pred"], report["dt"], report["T"]
+    assert T == 3.0 / lam and dt == T / 60
+    assert report["steps"] == 60
+    assert report["cn_rate_err"] == (lam * dt) ** 2 / 12 <= 2.1e-4
+    assert report["rel_err"] <= 5e-4
+    np.testing.assert_allclose(t, np.arange(61) * T / 60, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "verify, steps",
+    [({"dt": 0.05, "T": None}, 160), ({"dt": None, "T": 6.0}, 225)],
+    ids=["dt", "T"],
+)
+def test_cli_verify_explicit_dt_or_T_keeps_fixed_schedule(
+    tmp_path, capsys, verify, steps
+):
+    # an explicit dt or T: dt = 0.01/lambda unless set, T = 3/lambda unless
+    # set, and a sample every steps // 60 steps and at the end
+    report, t = _verify_outputs(tmp_path, verify)
+    lam = report["lambda_pred"]
+    dt = verify["dt"] or 0.01 / lam
+    T = verify["T"] or 3.0 / lam
+    assert (report["dt"], report["T"], report["steps"]) == (dt, T, steps)
+    assert report["cn_rate_err"] == (lam * dt) ** 2 / 12
+    every = steps // 60
+    assert len(t) == 1 + steps // every + (steps % every > 0)
+    np.testing.assert_allclose(t[1:3], [every * dt, 2 * every * dt], rtol=1e-13)
+
+
 def test_cli_verify_short_horizon_exits_2_before_stepping(
     tmp_path, capsys, monkeypatch
 ):

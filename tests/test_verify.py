@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ import rtmhd.verify
 from rtmhd.verify import (
     LinearEvolver,
     LinearState,
+    default_schedule,
     eigenmode_state,
     evolve,
     measured_rate,
@@ -316,8 +318,9 @@ def _per_seed_rates(prof, mag, grid, seeds, xi_rates, horizon=3.0):
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
         for seed in seeds:
             init = random_divfree_state(prof, grid, xi, seed)
-            dt, T = 1.0 / (100 * lam), horizon / lam
-            est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt, T)
+            T = horizon / lam
+            dt, record_every = default_schedule(lam, T)
+            est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt, T, record_every)
             out.append((xi, lam, seed, est.rate))
     return out
 
@@ -462,3 +465,106 @@ def test_sharpness_keeps_mirrored_frequencies_apart(monkeypatch):
     assert len(calls) == 2
     for got, ref in zip(reported, reference, strict=True):
         assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(lam=st.floats(1e-3, 1e3), horizon=st.floats(0.5, 12.0))
+def test_default_schedule_is_the_coarsest_on_the_sample_times(lam, horizon):
+    T = horizon / lam
+    dt, every = default_schedule(lam, T)
+    assert lam * dt <= (1.0 + 1e-9) / 20
+    assert rtmhd.verify.time_steps(dt, T) == 60 * every
+    assert dt * every == pytest.approx(T / 60, rel=1e-14)
+    if every > 1:  # one step fewer per sample would exceed 1/20 per e-fold
+        assert lam * T / (60 * (every - 1)) > 1.0 / 20
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.37394963197517, 1.0, 3.7, 1e3])
+def test_default_schedule_at_the_default_horizon(lam):
+    # T = 3/lam is exactly 20 steps per e-fold, each one sampled
+    assert default_schedule(lam, 3.0 / lam) == ((3.0 / lam) / 60, 1)
+
+
+def _block_rates(prof, mag, grid, xi, lam, z, every_factor=1, horizon=3.0):
+    """Measured rates of the stepped columns z at the default schedule's
+    sample times, stepping every_factor times finer, and those times."""
+    T = horizon / lam
+    dt, every = default_schedule(lam, T)
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt / every_factor)
+    series = [(0.0, stepper.norm_u(z))]
+    marched = rtmhd.verify._march(stepper, z, 0.0, T, every * every_factor)
+    series += [(t, stepper.norm_u(zk)) for t, _, zk in marched]
+    rates = [
+        measured_rate([(t, v[i]) for t, v in series]).rate for i in range(z.shape[1])
+    ]
+    return np.array(rates), np.array([t for t, _ in series])
+
+
+def _seed_block(grid, xi):
+    """The stepped states of seeds 0-4 as the columns of one block."""
+    seeds = [rtmhd.verify._random_stepped_state(grid, xi, s) for s in range(5)]
+    return np.stack(seeds, axis=1)
+
+
+def _schedule_error(prof, mag, grid, xi, lam, z):
+    """Largest |rate at the default step - rate at a fifth of it| / lam."""
+    coarse, t_coarse = _block_rates(prof, mag, grid, xi, lam, z)
+    fine, t_fine = _block_rates(prof, mag, grid, xi, lam, z, every_factor=5)
+    assert len(t_coarse) == 61
+    np.testing.assert_allclose(t_coarse, t_fine, rtol=1e-12, atol=0.0)
+    return float(np.abs(coarse - fine).max() / lam)
+
+
+@pytest.mark.parametrize("orientation, M", FIELDS.values(), ids=FIELDS.keys())
+def test_default_schedule_rates_match_a_finer_step(orientation, M):
+    # the (lam dt)^2/12 = 2.1e-4 bound of 20 steps per e-fold, measured on
+    # every seed against dt/5 at the same sample times
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(orientation, M)
+    for v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
+        xi = rtmhd.Frequency(*v)
+        lam = growth_rate(assemble_forms(prof, grid, xi, mag, CANON_PARAMS)).lam
+        z = _seed_block(grid, xi)
+        assert _schedule_error(prof, mag, grid, xi, lam, z) <= 5e-4
+
+
+def _upper_spectrum_share(profile):
+    """Share of the norm of an interior-grid profile in the upper half of the
+    discrete Dirichlet spectrum (the sine modes k > n/2)."""
+    c = scipy.fft.dst(profile, type=1, norm="ortho")
+    return np.linalg.norm(c[len(c) // 2 :]) / np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("n, bound", [(201, 9e-6), (801, 6e-11)])
+def test_seed_profiles_carry_no_grid_scale_content(n, bound):
+    # Crank-Nicolson is not L-stable: it multiplies a grid-scale mode by
+    # nearly -1 each step instead of damping it, so the schedule presumes
+    # smooth seeds
+    grid = rtmhd.Grid1D(8.0, n)
+    shares = [
+        _upper_spectrum_share(p)
+        for seed in range(20)
+        for p in rtmhd.verify._seed_profiles(grid, seed)
+    ]
+    assert max(shares) <= bound
+
+
+def test_grid_scale_content_stays_within_the_schedule_error():
+    # a checkerboard of 1e-2 of each profile's size in (rho, u3, omega) keeps
+    # the rates inside the schedule's error; one of size 1 does not
+    grid = rtmhd.Grid1D(8.0, 801)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(H, 0.0)
+    xi = rtmhd.Frequency(2.0, 1.0)
+    lam = growth_rate(assemble_forms(prof, grid, xi, mag, CANON_PARAMS)).lam
+    n = grid.n
+    checker = (-1.0) ** np.arange(n) / np.sqrt(n)
+    errors = []
+    for size in (1e-2, 1.0):
+        z = _seed_block(grid, xi)
+        for part in (z[:n], z[n : 2 * n], z[2 * n : 3 * n]):
+            part += size * np.linalg.norm(part, axis=0) * checker[:, None]
+        errors.append(_schedule_error(prof, mag, grid, xi, lam, z))
+    assert errors[0] <= 5e-4
+    assert errors[1] > 0.1
