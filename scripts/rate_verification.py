@@ -53,8 +53,7 @@ def main():
     lam = result.lam
     init = eigenmode_state(mode, profile, PARAMS)
     T = 3.0 / lam
-    dt, record_every = default_schedule(lam, T)
-    est, states = run_rate(init, profile, MAG, PARAMS, dt, T, record_every)
+    est, states = run_rate(init, profile, MAG, PARAMS, default_schedule(lam, T), T)
     with open(os.path.join(out, "timeseries.csv"), "w") as f:
         f.write(series_to_csv(states))
     rel = abs(est.rate - lam) / lam

@@ -261,21 +261,18 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     mode = _build_mode_at(cfg, xi1, mode_tol=1e-2)
     lam = mode.lam
     T = cfg.verify_T if cfg.verify_T is not None else 3.0 / lam
-    if cfg.verify_dt is None and cfg.verify_T is None:
-        dt, record_every = verify.default_schedule(lam, T)
+    if cfg.verify_dt is not None:
+        dt = cfg.verify_dt
+    elif cfg.verify_T is not None:
+        dt = 0.01 / lam  # an explicit T keeps the fixed step
     else:
-        # an explicit dt or T fixes the schedule: dt = 0.01/lam unless set,
-        # about 60 samples
-        dt = cfg.verify_dt if cfg.verify_dt is not None else 0.01 / lam
-        record_every = None
+        dt = verify.default_schedule(lam, T)
     steps = verify.time_steps(dt, T)  # evolve records every step below 60
     if steps + 1 < verify.MIN_RATE_SAMPLES:
         need = verify.MIN_RATE_SAMPLES - 1
         raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
     init = verify.eigenmode_state(mode, cfg.profile, cfg.params)
-    est, states = verify.run_rate(
-        init, cfg.profile, cfg.mag, cfg.params, dt, T, record_every
-    )
+    est, states = verify.run_rate(init, cfg.profile, cfg.mag, cfg.params, dt, T)
     rel_err = abs(est.rate - lam) / lam
     with open(os.path.join(cfg.output_dir, "timeseries.csv"), "w") as f:
         f.write(verify.series_to_csv(states))

@@ -114,7 +114,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for float
         raise ConfigError(f"malformed config: {exc}") from exc
     return RunConfig(
         profile_spec=spec,

@@ -266,10 +266,11 @@ def time_steps(dt: float, T: float) -> int:
     return max(1, int(round(T / dt)))
 
 
-def default_schedule(lam: float, T: float) -> tuple[float, int]:
-    """(dt, record_every) of a run to time T at rate lam: the coarsest step
-    with lam dt <= 1/STEPS_PER_EFOLD that puts a whole number of steps
-    between the SAMPLE_INTERVALS + 1 sample times t_k = k T / SAMPLE_INTERVALS.
+def default_schedule(lam: float, T: float) -> float:
+    """Step of a run to time T at rate lam: the coarsest dt with lam dt <=
+    1/STEPS_PER_EFOLD that puts a whole number of steps between the
+    SAMPLE_INTERVALS + 1 sample times t_k = k T / SAMPLE_INTERVALS, which is
+    where ``_march`` then records by default.
 
     Crank-Nicolson multiplies a mode of rate lam by (1 + lam dt/2) / (1 -
     lam dt/2) = exp(lam dt (1 + (lam dt)^2 / 12 + ...)), so the measured
@@ -278,8 +279,8 @@ def default_schedule(lam: float, T: float) -> tuple[float, int]:
     """
     per_sample = lam * T / SAMPLE_INTERVALS * STEPS_PER_EFOLD
     # the rounding slack keeps T = 3/lam at one step per sample
-    record_every = max(1, math.ceil(per_sample * (1.0 - 1e-12)))
-    return T / (SAMPLE_INTERVALS * record_every), record_every
+    steps_per_sample = max(1, math.ceil(per_sample * (1.0 - 1e-12)))
+    return T / (SAMPLE_INTERVALS * steps_per_sample)
 
 
 def _march(
@@ -423,9 +424,8 @@ def run_rate(
     params: PhysicalParams,
     dt: float,
     T: float,
-    record_every: int | None = None,
 ) -> tuple[RateEstimate, list[LinearState]]:
-    states = evolve(init, profile, mag, params, dt, T, record_every)
+    states = evolve(init, profile, mag, params, dt, T)
     series = [(s.t, s.norm_u()) for s in states]
     return measured_rate(series), states
 
@@ -461,11 +461,11 @@ def sharpness_test(
         key = (xi.norm2, *_frame(mag, xi)[2], lam)
         if key not in stepped:
             # every seed is one column of the same stepped block
-            dt, record_every = default_schedule(lam, horizon / lam)
+            dt = default_schedule(lam, horizon / lam)
             stepper = LinearEvolver(profile, mag, params, grid, xi, dt)
             z = np.stack([_random_stepped_state(grid, xi, s) for s in seeds], axis=1)
             series = [(0.0, stepper.norm_u(z))]
-            for t, _, zk in _march(stepper, z, 0.0, horizon / lam, record_every):
+            for t, _, zk in _march(stepper, z, 0.0, horizon / lam, None):
                 series.append((t, stepper.norm_u(zk)))
             stepped[key] = series
         for i, seed in enumerate(seeds):

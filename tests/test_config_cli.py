@@ -128,6 +128,30 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, section, key, v
 
 
 @pytest.mark.parametrize(
+    "section, key",
+    [
+        ("profile", "base_density"),
+        ("bump", "amp"),
+        ("params", "mu"),
+        ("mag", "magnitude"),
+        ("grid", "half_length"),
+        ("sweep", "radius"),
+    ],
+)
+def test_cli_rejects_integers_too_large_for_float(tmp_path, capsys, section, key):
+    # json reads a 400-digit integer as an int, which float() cannot convert
+    path = tmp_path / "c.json"
+    raw = json.loads(open(_write_config(path)).read())
+    target = raw["profile"]["bumps"][0] if section == "bump" else raw[section]
+    target[key] = 10**400
+    path.write_text(json.dumps(raw))
+    code = main(["profile", str(path)])
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert err["error"] == "config"
+
+
+@pytest.mark.parametrize(
     "section, key, value",
     [
         ("grid", "n", 201.9),

@@ -319,8 +319,7 @@ def _per_seed_rates(prof, mag, grid, seeds, xi_rates, horizon=3.0):
         for seed in seeds:
             init = random_divfree_state(prof, grid, xi, seed)
             T = horizon / lam
-            dt, record_every = default_schedule(lam, T)
-            est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt, T, record_every)
+            est, _ = run_rate(init, prof, mag, CANON_PARAMS, default_schedule(lam, T), T)
             out.append((xi, lam, seed, est.rate))
     return out
 
@@ -471,9 +470,11 @@ def test_sharpness_keeps_mirrored_frequencies_apart(monkeypatch):
 @given(lam=st.floats(1e-3, 1e3), horizon=st.floats(0.5, 12.0))
 def test_default_schedule_is_the_coarsest_on_the_sample_times(lam, horizon):
     T = horizon / lam
-    dt, every = default_schedule(lam, T)
+    dt = default_schedule(lam, T)
+    steps = rtmhd.verify.time_steps(dt, T)
+    every = steps // 60
     assert lam * dt <= (1.0 + 1e-9) / 20
-    assert rtmhd.verify.time_steps(dt, T) == 60 * every
+    assert steps == 60 * every
     assert dt * every == pytest.approx(T / 60, rel=1e-14)
     if every > 1:  # one step fewer per sample would exceed 1/20 per e-fold
         assert lam * T / (60 * (every - 1)) > 1.0 / 20
@@ -482,14 +483,15 @@ def test_default_schedule_is_the_coarsest_on_the_sample_times(lam, horizon):
 @pytest.mark.parametrize("lam", [1e-3, 0.37394963197517, 1.0, 3.7, 1e3])
 def test_default_schedule_at_the_default_horizon(lam):
     # T = 3/lam is exactly 20 steps per e-fold, each one sampled
-    assert default_schedule(lam, 3.0 / lam) == ((3.0 / lam) / 60, 1)
+    assert default_schedule(lam, 3.0 / lam) == (3.0 / lam) / 60
 
 
 def _block_rates(prof, mag, grid, xi, lam, z, every_factor=1, horizon=3.0):
     """Measured rates of the stepped columns z at the default schedule's
     sample times, stepping every_factor times finer, and those times."""
     T = horizon / lam
-    dt, every = default_schedule(lam, T)
+    dt = default_schedule(lam, T)
+    every = rtmhd.verify.time_steps(dt, T) // 60
     stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt / every_factor)
     series = [(0.0, stepper.norm_u(z))]
     marched = rtmhd.verify._march(stepper, z, 0.0, T, every * every_factor)
