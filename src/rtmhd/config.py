@@ -84,29 +84,54 @@ def _section(raw: dict, key: str, required: bool = True) -> dict:
     return raw[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; a string or a boolean is rejected rather than
+    coerced."""
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, what: str) -> int:
-    """``value`` as an int; a boolean or a number with a fractional part is
-    rejected rather than truncated."""
+    """``value`` as an int; a string, a boolean or a number with a
+    fractional part is rejected rather than coerced or truncated."""
     fractional = isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
+    if not _is_number(value) or fractional:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
+def _optional_number(section: dict, key: str, what: str) -> float | None:
+    value = section.get(key)
+    return None if value is None else _number(value, what)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     try:
-        spec = ProfileSpec.from_dict(_section(raw, "profile"))
+        spec = ProfileSpec.from_dict(
+            _section(raw, "profile"), number=lambda v: _number(v, "profile value")
+        )
         p = _section(raw, "params")
-        params = PhysicalParams(float(p["mu"]), float(p["g"]), float(p["L"]))
+        params = PhysicalParams(
+            _number(p["mu"], "mu"), _number(p["g"], "g"), _number(p["L"], "L")
+        )
         m = _section(raw, "mag")
-        mag = MagneticConfig(Orientation(m["orientation"]), float(m["magnitude"]))
+        mag = MagneticConfig(
+            Orientation(m["orientation"]), _number(m["magnitude"], "magnitude")
+        )
         g = _section(raw, "grid")
-        grid = Grid1D(float(g["half_length"]), _integer(g["n"], "grid n"))
-        radius = _section(raw, "sweep", required=False).get("radius")
-        radius = float(radius) if radius is not None else None
+        grid = Grid1D(
+            _number(g["half_length"], "half_length"), _integer(g["n"], "grid n")
+        )
+        sweep = _section(raw, "sweep", required=False)
+        radius = _optional_number(sweep, "radius", "sweep radius")
         verify = _section(raw, "verify", required=False)
-        dt = verify.get("dt")
-        T = verify.get("T")
+        dt = _optional_number(verify, "dt", "verify dt")
+        T = _optional_number(verify, "T", "verify T")
         seeds = verify.get("seeds", [0, 1, 2, 3, 4])
         seeds = tuple(_integer(s, "seed") for s in seeds)
         output_dir = raw.get("output_dir", "out")
@@ -123,8 +148,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         mag=mag,
         grid=grid,
         sweep_radius=radius,
-        verify_dt=float(dt) if dt is not None else None,
-        verify_T=float(T) if T is not None else None,
+        verify_dt=dt,
+        verify_T=T,
         seeds=seeds,
         output_dir=output_dir,
     )

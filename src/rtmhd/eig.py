@@ -4,11 +4,9 @@ By Sylvester's law of inertia, A - sigma*B is positive definite exactly when
 sigma lies below every pencil eigenvalue, and one banded Cholesky (LAPACK
 dpbtrf, info != 0 means not positive definite) answers that: ``definite``.
 
-Cold, the smallest eigenvalue is isolated by definiteness bisection and
-polished by a few inverse-iteration steps.  Warm, Rayleigh-quotient
-iteration runs from a given start vector, and a single definiteness test
-just below the result certifies that no smaller eigenvalue was missed; a
-result that fails the test falls back to the cold path.
+The smallest eigenvalue is found by Rayleigh-quotient iteration, warm from
+a given vector or cold from a coarse definiteness bisection, and certified
+by one such test just below the result (``min_generalized_eig``).
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, solve_banded
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf
 
 from .errors import FactorizationBreakdown
 from .operators import band_combine, band_matvec, band_to_lu
@@ -33,6 +31,8 @@ __all__ = [
 _INVERSE_STEPS = 5
 _RQI_STEPS = 6
 _RESIDUAL_TOL = 1e-8
+_COARSE_WIDTH = 1e-3  # relative bracket width where the cold route starts RQI
+_COLD_INVERSE_STEPS = 2
 
 
 def _band_scale(ab: np.ndarray) -> float:
@@ -98,12 +98,40 @@ def _expand_bracket(
     return lo, hi, iters
 
 
+def _bisect(
+    a: np.ndarray, b: np.ndarray, lo: float, hi: float, width: float
+) -> tuple[float, float, int]:
+    """Halve [lo, hi], keeping A - lo*B positive definite and A - hi*B not,
+    until hi - lo <= width * max(1, |lo|, |hi|)."""
+    iters = 0
+    while hi - lo > width * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        iters += 1
+        if definite(a, b, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, iters
+
+
 def _solve_shifted(
     a: np.ndarray, b: np.ndarray, sigma: float, rhs: np.ndarray
 ) -> np.ndarray:
+    """(A - sigma*B)^-1 rhs by LAPACK's tridiagonal (dgtsv) or general band
+    (dgbsv) solver, both with partial pivoting; LinAlgError if singular."""
     shifted = band_combine([(1.0, a), (-sigma, b)])
-    l_and_u, full = band_to_lu(shifted)
-    return solve_banded(l_and_u, full, rhs)
+    if shifted.shape[0] == 2 and shifted.shape[1] > 1:  # dgtsv needs n > 1
+        sub = shifted[1, :-1]
+        _, _, _, x, info = dgtsv(
+            sub, shifted[0], sub.copy(), rhs,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+        )
+    else:
+        p = shifted.shape[0] - 1
+        _, _, x, info = dgbsv(p, p, band_to_lu(shifted), rhs, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"shifted pencil is singular (info {info})")
+    return x
 
 
 def _inverse_iteration(
@@ -114,63 +142,75 @@ def _inverse_iteration(
     tol: float,
     steps: int,
     rounds: int,
-) -> tuple[np.ndarray, float, float, float, int]:
+) -> tuple[EigenPair, float]:
     """Inverse iteration from x in rounds of `steps` solves.
 
     After each round the shift moves to the Rayleigh quotient, so steps=1 is
-    Rayleigh-quotient iteration.  Returns the B-normalized vector, its
-    Rayleigh quotient, residual, residual floor and the number of solves.
-    The acceptable floor scales with the matvec roundoff eps*|A|*|x|/|Bx|,
-    which dominates 1e-8 once the forms carry 1/h^3-sized fourth-order
-    entries.
+    Rayleigh-quotient iteration.  Returns the pair (B-normalized vector, its
+    Rayleigh quotient and residual |Ax - theta Bx| / |Bx|, iterations = the
+    solves) and the residual floor.  The acceptable floor scales with the
+    matvec roundoff eps*|A|*|x|/|Bx|, which dominates 1e-8 once the forms
+    carry 1/h^3-sized fourth-order entries.
     """
     iters = 0
     residual = np.inf
     value = shift
     floor = _RESIDUAL_TOL
+    bx = band_matvec(b, x)
     for _ in range(rounds):
         try:
             for _ in range(steps):
-                y = _solve_shifted(a, b, shift, band_matvec(b, x))
+                y = _solve_shifted(a, b, shift, bx)
                 iters += 1
-                s = float(y @ band_matvec(b, y))
+                by = band_matvec(b, y)
+                s = float(y @ by)
                 if not np.isfinite(s) or s <= 0.0:
                     raise np.linalg.LinAlgError("inverse iteration lost positivity")
-                x = y / np.sqrt(s)
-        except (np.linalg.LinAlgError, ValueError):
+                root = np.sqrt(s)
+                x, bx = y / root, by / root
+        except np.linalg.LinAlgError:
             shift -= max(tol, abs(shift) * 1e-12)
             continue
-        bx = band_matvec(b, x)
-        value = float(x @ band_matvec(a, x)) / float(x @ bx)
-        shifted = band_combine([(1.0, a), (-value, b)])
+        ax = band_matvec(a, x)
+        value = float(x @ ax) / float(x @ bx)
         norm_bx = float(np.linalg.norm(bx))
-        residual = float(np.linalg.norm(band_matvec(shifted, x))) / norm_bx
+        residual = float(np.linalg.norm(ax - value * bx)) / norm_bx
         floor = max(
             _RESIDUAL_TOL,
             256.0
             * np.finfo(float).eps
-            * _band_scale(shifted)
+            * _band_scale(band_combine([(1.0, a), (-value, b)]))
             * float(np.linalg.norm(x))
             / norm_bx,
         )
         if residual <= floor:
             break
         shift = value  # Rayleigh-shift retry
-    return x, value, residual, floor, iters
-
-
-def _pair(
-    b: np.ndarray, x: np.ndarray, value: float, residual: float, iters: int
-) -> EigenPair:
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:
         x = -x
-    value_tol = residual * float(np.linalg.norm(band_matvec(b, x))) * float(
-        np.linalg.norm(x)
-    )
-    return EigenPair(
-        value=value, vec=x, residual=residual, iterations=iters, value_tol=value_tol
-    )
+    value_tol = residual * float(np.linalg.norm(bx)) * float(np.linalg.norm(x))
+    return EigenPair(value, x, residual, iters, value_tol), floor
+
+
+def _certified_rqi(
+    a: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float, slack: bool
+) -> tuple[EigenPair, bool]:
+    """Rayleigh-quotient iteration from x, then one definiteness test.
+
+    The pair is certified when it reaches its residual floor and
+    A - (value - delta) B is positive definite, delta = tol*max(1, |value|),
+    plus 2*value_tol with slack.  The test counts as an iteration.
+    """
+    shift = float(x @ band_matvec(a, x)) / float(x @ band_matvec(b, x))
+    pair, floor = _inverse_iteration(a, b, x, shift, tol, steps=1, rounds=_RQI_STEPS)
+    if pair.residual > floor:
+        return pair, False
+    pair.iterations += 1
+    delta = tol * max(1.0, abs(pair.value))
+    if slack:
+        delta += 2.0 * pair.value_tol
+    return pair, definite(a, b, pair.value - delta)
 
 
 def min_generalized_eig(
@@ -181,51 +221,53 @@ def min_generalized_eig(
 ) -> EigenPair:
     """Smallest alpha with A psi = alpha B psi; psi normalized to psi^T B psi = 1.
 
-    With a start vector, Rayleigh-quotient iteration runs from it first; its
-    result is accepted only if A - (value - delta) B is positive definite,
-    delta = tol*max(1, |value|) + 2*value_tol, which proves that no pencil
-    eigenvalue lies more than delta below it.  Otherwise (and without a start
-    vector) the smallest eigenvalue is bisected inside a bracket grown from
-    |A| / min diag(B) until it is verified.
+    A Rayleigh quotient is never below the smallest eigenvalue alpha_min, so
+    a result for which A - (value - delta) B is positive definite has
+    value - alpha_min <= delta.  Warm, Rayleigh-quotient iteration (RQI)
+    runs from the start vector, and delta = tol*max(1, |value|) + 2*value_tol
+    allows for the residual's first-order error.  Otherwise, or if that test
+    fails, the cold route bisects a bracket grown from |A| / min diag(B) to a
+    relative width of 1e-3, takes two inverse steps at its lower end (where
+    A - lo*B is positive definite, so they move toward alpha_min) and hands
+    the vector to RQI.  Its delta = tol*max(1, |value|) has no slack, which
+    proves the accuracy of a bisection to tol.  If RQI misses its residual
+    floor or the test fails, the bisection goes on to tol and inverse
+    iteration from the bracket midpoint polishes the result.
     """
     iters = 0
     if start is not None:
-        x = start / np.sqrt(float(start @ band_matvec(b, start)))
-        x, value, residual, floor, iters = _inverse_iteration(
-            a, b, x, float(x @ band_matvec(a, x)), tol, steps=1, rounds=_RQI_STEPS
-        )
-        if residual <= floor:
-            iters += 1  # the certifying factorization
-            pair = _pair(b, x, value, residual, iters)
-            delta = tol * max(1.0, abs(value)) + 2.0 * pair.value_tol
-            if definite(a, b, value - delta):
-                return pair
+        pair, certified = _certified_rqi(a, b, start, tol, slack=True)
+        if certified:
+            return pair
+        iters = pair.iterations
 
     n = a.shape[1]
+    ones = np.ones(n) / np.sqrt(n)
     guess = max(1.0, _band_scale(a) / max(np.min(b[0]), 1e-300))
     lo, hi, k = _expand_bracket(a, b, -guess, guess)
     iters += k
-
-    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if definite(a, b, mid):
-            lo = mid
-        else:
-            hi = mid
-
-    # inverse iteration from the bracket midpoint; the shift is within tol of
-    # the eigenvalue so a handful of steps reaches the residual floor
-    x, value, residual, floor, k = _inverse_iteration(
-        a, b, np.ones(n) / np.sqrt(n), 0.5 * (lo + hi), tol,
-        steps=_INVERSE_STEPS, rounds=3,
-    )
+    lo, hi, k = _bisect(a, b, lo, hi, _COARSE_WIDTH)
     iters += k
-    if residual > floor:
+
+    prefix, _ = _inverse_iteration(a, b, ones, lo, tol, _COLD_INVERSE_STEPS, rounds=1)
+    pair, certified = _certified_rqi(a, b, prefix.vec, tol, slack=False)
+    iters += prefix.iterations + pair.iterations
+    if certified:
+        pair.iterations = iters
+        return pair
+
+    lo, hi, k = _bisect(a, b, lo, hi, tol)
+    # the shift is within tol of the eigenvalue, so a handful of steps
+    # reaches the residual floor
+    pair, floor = _inverse_iteration(
+        a, b, ones, 0.5 * (lo + hi), tol, steps=_INVERSE_STEPS, rounds=3
+    )
+    pair.iterations += iters + k
+    if pair.residual > floor:
         raise FactorizationBreakdown(
-            f"inverse iteration stalled at residual {residual:.3g}"
+            f"inverse iteration stalled at residual {pair.residual:.3g}"
         )
-    return _pair(b, x, value, residual, iters)
+    return pair
 
 
 def max_generalized_eig(
@@ -239,7 +281,7 @@ def max_generalized_eig(
     A start vector is used and certified as in ``min_generalized_eig``: the
     result is accepted only if A - (value + delta) B is negative definite,
     so a start that converges to a lower eigenvalue falls back to the cold
-    bisection.
+    route.
     """
     pair = min_generalized_eig(band_combine([(-1.0, a)]), b, tol=tol, start=start)
     pair.value = -pair.value

@@ -80,16 +80,21 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def band_to_lu(ab: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
-    """Expand symmetric storage to the (l, u) layout of scipy.solve_banded."""
+def band_to_lu(ab: np.ndarray) -> np.ndarray:
+    """Expand symmetric storage to the general band layout of LAPACK dgbsv.
+
+    With kl = ku = p, out[2p + i - j, j] = A[i, j]; the top p rows are the
+    workspace dgbsv fills in while it pivots.  Fortran order, so dgbsv
+    factors it in place.
+    """
     p1, n = ab.shape
     p = p1 - 1
-    full = np.zeros((2 * p + 1, n))
-    full[p] = ab[0]
+    out = np.zeros((3 * p + 1, n), order="F")
+    out[2 * p] = ab[0]
     for d in range(1, p1):
-        full[p + d, : n - d] = ab[d, : n - d]   # subdiagonal d
-        full[p - d, d:] = ab[d, : n - d]        # superdiagonal d
-    return (p, p), full
+        out[2 * p + d, : n - d] = ab[d, : n - d]   # subdiagonal d
+        out[2 * p - d, d:] = ab[d, : n - d]        # superdiagonal d
+    return out
 
 
 # --- banded stencils ----------------------------------------------------------

@@ -116,12 +116,13 @@ class ProfileSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ProfileSpec":
+    def from_dict(cls, d: dict, number=float) -> "ProfileSpec":
+        """The spec of ``to_dict``; ``number`` converts each field."""
         bumps = tuple(
-            Bump(float(b["amp"]), float(b["center"]), float(b["half_width"]))
+            Bump(number(b["amp"]), number(b["center"]), number(b["half_width"]))
             for b in d["bumps"]
         )
-        return cls(base_density=float(d["base_density"]), bumps=bumps)
+        return cls(base_density=number(d["base_density"]), bumps=bumps)
 
 
 @dataclass(frozen=True)

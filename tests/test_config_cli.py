@@ -174,6 +174,45 @@ def test_cli_rejects_non_integral_counts(tmp_path, capsys, section, key, value):
     assert "integer" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("grid", "n", "33"),
+        ("verify", "seeds", ["3"]),
+        ("params", "mu", "1.0"),
+        ("params", "mu", True),
+        ("params", "g", False),
+        ("params", "L", "1"),
+        ("mag", "magnitude", "0.3"),
+        ("mag", "magnitude", True),
+        ("grid", "half_length", "8"),
+        ("sweep", "radius", "2"),
+        ("verify", "T", "3"),
+        ("verify", "dt", "0.01"),
+        ("verify", "dt", True),
+        ("profile", "base_density", "1.0"),
+        ("bump", "amp", "0.5"),
+        ("bump", "center", "0"),
+        ("bump", "half_width", True),
+        ("verify", "dt", "abc"),
+    ],
+)
+def test_cli_rejects_strings_and_booleans_for_numbers(
+    tmp_path, capsys, section, key, value
+):
+    # float() and int() coerced numeric strings, a boolean read as 0 or 1,
+    # and a non-numeric verify dt escaped as a ValueError
+    path = tmp_path / "c.json"
+    raw = json.loads(open(_write_config(path, grid={"half_length": 8.0, "n": 33})).read())
+    target = raw["profile"]["bumps"][0] if section == "bump" else raw[section]
+    target[key] = value
+    path.write_text(json.dumps(raw))
+    code = main(["profile", str(path)])
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert err["error"] == "config"
+
+
 def test_integral_floats_are_counts(tmp_path):
     path = _write_config(
         tmp_path / "c.json",

@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+import rtmhd
 from rtmhd.eig import (
+    _solve_shifted,
     definite,
     inertia_count,
     max_generalized_eig,
     min_generalized_eig,
 )
+from rtmhd.forms import assemble_forms
 from rtmhd.operators import band_to_dense, band_zeros
 
+from .conftest import CANON_PARAMS, CANON_SPEC
 from .oracles import dense_count_below, dense_smallest
 
 
@@ -167,3 +171,72 @@ def test_property_smallest_below_all_rayleigh_quotients(seed):
         x = rng.standard_normal(20)
         quotient = (x @ da @ x) / (x @ db @ x)
         assert pair.value <= quotient + 1e-9 * max(1.0, abs(quotient))
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-8])
+def test_cold_route_falls_back_on_a_near_double_eigenvalue(gap):
+    # RQI from the coarse bracket stops between 1 and 1 + gap; with the warm
+    # slack 2*value_tol (about 1e-8 here) the certificate would pass a value
+    # gap/2 too high, and without it the cold route must bisect on to tol
+    rng = np.random.default_rng(41)
+    n = 20
+    a = band_zeros(0, n)
+    a[0] = rng.permutation(np.concatenate([[1.0, 1.0 + gap], rng.uniform(2, 5, n - 2)]))
+    b = band_zeros(0, n)
+    b[0] = 1.0
+    pair = min_generalized_eig(a, b)
+    assert abs(pair.value - dense_smallest(a, b)) <= 1e-10
+
+
+@pytest.mark.parametrize("p, n", [(1, 37), (2, 37), (3, 37), (1, 1)])
+def test_solve_shifted_matches_dense_solve(p, n):
+    # p = 1 takes dgtsv, which needs n > 1; every other band takes dgbsv
+    rng = np.random.default_rng(43 + p)
+    a, b = _random_pencil(rng, n=n, p=p)
+    rhs = rng.standard_normal(n)
+    sigma = float(rng.standard_normal())
+    dense = band_to_dense(a) - sigma * band_to_dense(b)
+    got = _solve_shifted(a, b, sigma, rhs)
+    want = np.linalg.solve(dense, rhs)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_solve_shifted_at_an_exact_eigenvalue_raises(p):
+    # 2x2 blocks [[2, 1], [1, 2]] have the eigenvalue 1 exactly; at that
+    # shift elimination meets an exact zero pivot
+    n = 12
+    a = band_zeros(p, n)
+    a[0] = 2.0
+    a[1, 0::2] = 1.0
+    b = band_zeros(0, n)
+    b[0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_shifted(a, b, 1.0, np.ones(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(8, 60),
+    p=st.sampled_from([1, 2, 3]),
+)
+def test_property_cold_value_matches_dense_smallest(seed, n, p):
+    a, b = _random_pencil(np.random.default_rng(seed), n=n, p=p)
+    w0 = dense_smallest(a, b)
+    pair = min_generalized_eig(a, b)
+    assert abs(pair.value - w0) <= 1e-10 * max(1.0, abs(w0))
+
+
+def test_cold_solve_work_count_on_the_canonical_energy_pencil():
+    # bisecting all the way to tol took 40 iterations here
+    grid = rtmhd.Grid1D(8.0, 201)
+    profile = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(rtmhd.Orientation.HORIZONTAL, 0.0)
+    forms = assemble_forms(profile, grid, rtmhd.Frequency(1.0, 1.0), mag, CANON_PARAMS)
+    cap = float(np.sqrt(CANON_PARAMS.g * profile.sup_ratio))
+    a = forms.energy(1e-8 * cap)
+    pair = min_generalized_eig(a, forms.j)
+    assert pair.iterations <= 20
+    truth = dense_smallest(a, forms.j)
+    assert abs(pair.value - truth) <= 1e-8 * max(1.0, abs(truth))

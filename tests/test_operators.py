@@ -167,13 +167,16 @@ def test_band_matvec_and_lu_layout():
     x = rng.standard_normal(17)
     dense = band_to_dense(ab)
     assert np.allclose(band_matvec(ab, x), dense @ x, atol=1e-13)
-    (kl, ku), full = band_to_lu(ab)
+    lu = band_to_lu(ab)
+    p = ab.shape[0] - 1
+    assert lu.shape == (3 * p + 1, 17) and lu.flags.f_contiguous
+    assert not lu[:p].any()  # dgbsv's fill-in workspace
     rebuilt = np.zeros_like(dense)
     n = 17
     for i in range(n):
         for j in range(n):
-            if abs(i - j) <= kl:
-                rebuilt[i, j] = full[ku + i - j, j]
+            if abs(i - j) <= p:
+                rebuilt[i, j] = lu[2 * p + i - j, j]
     assert np.allclose(rebuilt, dense, atol=0)
 
 
