@@ -123,18 +123,31 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def _run_tree(src: Path) -> dict:
+def _run_tree(src: Path, script: Path = Path(__file__).resolve()) -> dict:
+    """The ``--measure`` output of ``script`` on the tree whose source
+    directory is ``src``, in a child process with one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure"],
+        [sys.executable, str(script), "--measure"],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _run_rounds(trees: dict, rounds: int, run) -> dict:
+    """``run(src)`` for every tree in each of ``rounds`` rounds.  Odd rounds
+    take the trees in reverse order, so neither tree always runs first."""
+    results = {label: [] for label in trees}
+    order = list(trees.items())
+    for r in range(max(1, rounds)):
+        for label, src in order if r % 2 == 0 else order[::-1]:
+            results[label].append(run(src))
+    return results
 
 
 def _merge(rounds: list[dict]) -> dict:
@@ -171,10 +184,7 @@ def main():
     trees = {"after": ROOT / "src"}
     if args.before is not None:
         trees = {"before": args.before.resolve(), **trees}
-    rounds = {label: [] for label in trees}
-    for _ in range(max(1, args.rounds)):
-        for label, src in trees.items():
-            rounds[label].append(_run_tree(src))
+    rounds = _run_rounds(trees, args.rounds, _run_tree)
     import numpy
     import scipy
 

@@ -5,8 +5,9 @@ two source trees.
 
 Each tree is measured in its own child process, with its ``src`` directory
 on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
-alternating rounds and each time is the median over the rounds; iteration
-counts are deterministic and equal in every round.
+rounds that alternate which tree goes first, and each time is the median
+over the rounds; iteration counts are deterministic and equal in every
+round.
 
 Usage:
     python scripts/bench_eig.py [--before OTHER/src] [--out FILE]
@@ -16,10 +17,9 @@ import argparse
 import json
 import os
 import platform
-import subprocess
-import sys
-import time
 from pathlib import Path
+
+from bench_cn_step import _cpu_model, _median, _run_rounds, _run_tree, _timed
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (201, 801)
@@ -28,21 +28,6 @@ S_COLD = 1e-8  # times the rate cap sqrt(g sup rho'/rho), as growth_rate's s_lo
 S_WARM = 0.1  # the warm solve starts from the cold solve's vector
 CRITICAL_N0 = 17  # the thresholds workload's M_c trace
 CRITICAL_LZ0 = 8.0
-
-
-def _median(values):
-    values = sorted(values)
-    mid = len(values) // 2
-    return values[mid] if len(values) % 2 else 0.5 * (values[mid - 1] + values[mid])
-
-
-def _timed(fn, repeat):
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return _median(times)
 
 
 def measure() -> dict:
@@ -138,31 +123,6 @@ def measure() -> dict:
     return cases
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def _run_tree(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def _merge(rounds: list[dict]) -> dict:
     """Median of every time over the rounds; counts and values are equal in each."""
     return {
@@ -190,10 +150,8 @@ def main():
     trees = {"after": ROOT / "src"}
     if args.before is not None:
         trees = {"before": args.before.resolve(), **trees}
-    rounds = {label: [] for label in trees}
-    for _ in range(max(1, args.rounds)):
-        for label, src in trees.items():
-            rounds[label].append(_run_tree(src))
+    script = Path(__file__).resolve()
+    rounds = _run_rounds(trees, args.rounds, lambda src: _run_tree(src, script))
     import numpy
     import scipy
 

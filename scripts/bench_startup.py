@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_cn_step import _cpu_model, _median
+from bench_cn_step import _cpu_model, _median, _run_rounds
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "canonical.json"
@@ -87,10 +87,7 @@ def main():
     if args.before is not None:
         trees = {"before": args.before.resolve(), **trees}
     rounds = max(1, args.rounds)
-    starts = {label: [] for label in trees}
-    for _ in range(rounds):
-        for label, src in trees.items():
-            starts[label].append(_start(src))
+    starts = _run_rounds(trees, rounds, _start)
     import numpy
     import scipy
 

@@ -112,9 +112,7 @@ def _optional_number(section: dict, key: str, what: str) -> float | None:
 
 def config_from_dict(raw: dict) -> RunConfig:
     try:
-        spec = ProfileSpec.from_dict(
-            _section(raw, "profile"), number=lambda v: _number(v, "profile value")
-        )
+        spec = ProfileSpec.from_dict(_section(raw, "profile"))
         p = _section(raw, "params")
         params = PhysicalParams(
             _number(p["mu"], "mu"), _number(p["g"], "g"), _number(p["L"], "L")

@@ -116,8 +116,15 @@ class ProfileSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, number=float) -> "ProfileSpec":
-        """The spec of ``to_dict``; ``number`` converts each field."""
+    def from_dict(cls, d: dict) -> "ProfileSpec":
+        """The spec of ``to_dict``; a string or a boolean where a number
+        belongs raises TypeError rather than being coerced."""
+
+        def number(value) -> float:
+            if isinstance(value, (str, bool)):
+                raise TypeError(f"profile value must be a number, got {value!r}")
+            return float(value)
+
         bumps = tuple(
             Bump(number(b["amp"]), number(b["center"]), number(b["half_width"]))
             for b in d["bumps"]
