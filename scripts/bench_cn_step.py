@@ -69,8 +69,8 @@ def measure() -> dict:
                 return verify.LinearEvolver(profile, mag, params, grid, xi, DT)
 
             stepper = factor()
-            # trees before the reduced step stacked a state with verify._pack
-            pack = getattr(stepper, "pack", None) or verify._pack
+            # trees before the 7n state packed a state with the stepper's pack
+            pack = getattr(verify, "stepped_state", None) or stepper.pack
             states = [
                 verify.random_divfree_state(profile, grid, xi, s) for s in range(COLUMNS)
             ]

@@ -9,7 +9,8 @@ One ``assemble_forms`` call, which reads the profile, is timed at
 n = 201 and 801 (M = 0, the mean over 16 lattice frequencies).
 Each tree is measured in its own child process, with its ``src`` directory
 on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
-alternating rounds and each number is the median over the rounds.
+rounds that alternate which tree goes first, and each number is the median
+over the rounds.
 
 Usage:
     python scripts/bench_profile.py [--before OTHER/src] [--out FILE]
@@ -19,32 +20,16 @@ import argparse
 import json
 import os
 import platform
-import subprocess
-import sys
-import time
 import tracemalloc
 from pathlib import Path
+
+from bench_cn_step import _cpu_model, _median, _run_rounds, _run_tree, _timed
 
 SIZES = (201, 801, 20001)
 RATIO_POINTS = 200_001
 RATIO_GRID_N = 801
 ASSEMBLY_SIZES = (201, 801)
 REPEAT = 5
-
-
-def _median(values):
-    values = sorted(values)
-    mid = len(values) // 2
-    return values[mid] if len(values) % 2 else 0.5 * (values[mid - 1] + values[mid])
-
-
-def _timed(fn, repeat):
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return _median(times)
 
 
 def _peak_mb(fn) -> float:
@@ -115,31 +100,6 @@ def measure() -> dict:
     return {"build_profile": builds, "ratio": ratio, "assemble_forms": assembly}
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def _run_tree(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def _merge(rounds: list[dict]) -> dict:
     """Median of every number over the rounds; the point counts are equal in each."""
     first = rounds[0]
@@ -177,13 +137,11 @@ def main():
         print(json.dumps(measure()))
         return
 
-    trees = {"after": Path(__file__).resolve().parent.parent / "src"}
+    script = Path(__file__).resolve()
+    trees = {"after": script.parent.parent / "src"}
     if args.before is not None:
         trees = {"before": args.before.resolve(), **trees}
-    rounds = {label: [] for label in trees}
-    for _ in range(max(1, args.rounds)):
-        for label, src in trees.items():
-            rounds[label].append(_run_tree(src))
+    rounds = _run_rounds(trees, args.rounds, lambda src: _run_tree(src, script))
     import numpy
     import scipy
 

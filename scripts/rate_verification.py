@@ -15,7 +15,14 @@ from rtmhd.dispersion import lattice_sweep, sup_rate
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, export_mode, export_snapshot
-from rtmhd.verify import default_schedule, eigenmode_state, run_rate, series_to_csv
+from rtmhd.verify import (
+    default_schedule,
+    eigenmode_state,
+    march_norms,
+    measured_rate,
+    series_csv,
+    stepped_state,
+)
 
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
 PARAMS = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
@@ -51,11 +58,13 @@ def main():
     export_snapshot(snap, os.path.join(out, "snapshot_t0.csv"))
 
     lam = result.lam
-    init = eigenmode_state(mode, profile, PARAMS)
     T = 3.0 / lam
-    est, states = run_rate(init, profile, MAG, PARAMS, default_schedule(lam, T), T)
+    init = stepped_state(eigenmode_state(mode, profile, PARAMS))
+    run = (xi1, default_schedule(lam, T), T, init[:, None])
+    [(times, norms)] = march_norms(profile, MAG, PARAMS, GRID, [run])
+    est = measured_rate(list(zip(times, norms[:, 1, 0])))
     with open(os.path.join(out, "timeseries.csv"), "w") as f:
-        f.write(series_to_csv(states))
+        f.write(series_csv(times, norms[:, :, 0]))
     rel = abs(est.rate - lam) / lam
     print(f"predicted rate  {lam:.8f}")
     print(f"measured rate   {est.rate:.8f}   (relative error {rel:.2e})")

@@ -267,15 +267,29 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         dt = 0.01 / lam  # an explicit T keeps the fixed step
     else:
         dt = verify.default_schedule(lam, T)
-    steps = verify.time_steps(dt, T)  # evolve records every step below 60
+    steps = verify.time_steps(dt, T)  # the march records every step below 60
     if steps + 1 < verify.MIN_RATE_SAMPLES:
         need = verify.MIN_RATE_SAMPLES - 1
         raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
-    init = verify.eigenmode_state(mode, cfg.profile, cfg.params)
-    est, states = verify.run_rate(init, cfg.profile, cfg.mag, cfg.params, dt, T)
+
+    # sharpness: random data at the strongest member frequencies must stay
+    # below the per-frequency rates and the sweep maximum; the rate is even
+    # in each component, so one (|xi1|, |xi2|) stands for each sign orbit
+    orbits = {Frequency(abs(x.xi1), abs(x.xi2)): lam for x, lam in members.items()}
+    ranked = sorted(
+        orbits.items(), key=lambda kv: (-kv[1], kv[0].norm, kv[0].xi1, kv[0].xi2)
+    )[:8]
+    seeds = list(cfg.seeds)
+    runs, checks = verify.sharpness_runs(cfg.mag, cfg.grid, seeds, dict(ranked))
+    # the eigenmode run joins the sharpness run of its stepped problem, if any
+    init = verify.stepped_state(verify.eigenmode_state(mode, cfg.profile, cfg.params))
+    (times, norms), *series = verify.march_norms(
+        cfg.profile, cfg.mag, cfg.params, cfg.grid, [(xi1, dt, T, init[:, None]), *runs]
+    )
+    est = verify.measured_rate(list(zip(times, norms[:, 1, 0])))
     rel_err = abs(est.rate - lam) / lam
     with open(os.path.join(cfg.output_dir, "timeseries.csv"), "w") as f:
-        f.write(verify.series_to_csv(states))
+        f.write(verify.series_csv(times, norms[:, :, 0]))
     _write_json(
         os.path.join(cfg.output_dir, "verify.json"),
         {
@@ -301,24 +315,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             f"(dt = {dt:g}, T = {T:g})"
         )
 
-    # sharpness: random data at the strongest member frequencies must stay
-    # below the per-frequency rates and the sweep maximum; the rate is even
-    # in each component, so one (|xi1|, |xi2|) stands for each sign orbit
-    orbits = {Frequency(abs(x.xi1), abs(x.xi2)): lam for x, lam in members.items()}
-    ranked = sorted(
-        orbits.items(), key=lambda kv: (-kv[1], kv[0].norm, kv[0].xi1, kv[0].xi2)
-    )[:8]
-    worst = verify.sharpness_test(
-        cfg.profile, cfg.mag, cfg.params, cfg.grid, lam_cap,
-        seeds=list(cfg.seeds), xi_rates=dict(ranked),
-    )
+    worst = verify.sharpness_verdict(lam_cap, seeds, checks, series)
     _write_json(
         os.path.join(cfg.output_dir, "sharpness.json"),
         {
             "Lambda": lam_cap,
             "max_measured_rate": worst,
             "ratio": worst / lam_cap,
-            "seeds": list(cfg.seeds),
+            "seeds": seeds,
             "frequencies": [[x.xi1, x.xi2] for x, _ in ranked],
         },
     )

@@ -7,7 +7,10 @@ velocity component, which keeps a sparse LU so that it solves the same
 system as the stacked stepper it checks.  Its induction and Lorentz blocks,
 ``coupling_reference``, are written out per field orientation.  The other
 exception is ``bump_cdf_unblocked``, the bump quadrature evaluated for all
-points at once, which the blocked evaluation must match bitwise.
+points at once, which the blocked evaluation must match bitwise.  Last,
+``run_rate`` is the state route to a measured rate: ``evolve`` and the norms
+of each recorded ``LinearState``, against which the norm-only march of the
+``verify`` command is checked.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from rtmhd.operators import band_to_dense
+from rtmhd.verify import evolve, measured_rate
 from rtmhd.profiles import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -256,3 +260,10 @@ def cn_step_reference(profile, mag, params, grid, xi, dt, rho_p, u, N):
     rho_new = rho_p - 0.5 * dt * drho * (u[2] + u_new[2])
     n_new = N + 0.5 * dt * (induct(u) + induct(u_new))
     return rho_new, u_new, n_new, sol[3 * n :]
+
+
+def run_rate(init, profile, mag, params, dt, T):
+    """``evolve`` from ``init`` to T and fit the rate of the velocity norms of
+    the recorded states.  Returns (RateEstimate, states)."""
+    states = evolve(init, profile, mag, params, dt, T)
+    return measured_rate([(s.t, s.norm_u()) for s in states]), states

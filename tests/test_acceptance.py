@@ -23,10 +23,10 @@ from rtmhd.errors import OutOfRange
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import alpha, growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, snapshot_divergence
-from rtmhd.verify import eigenmode_state, random_divfree_state, run_rate
+from rtmhd.verify import eigenmode_state, random_divfree_state
 
 from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
-from .oracles import dense_count_below, dense_smallest, eoc
+from .oracles import dense_count_below, dense_smallest, eoc, run_rate
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import rtmhd
-from rtmhd.cli import main
+from rtmhd.cli import _build_mode_at, main
 from rtmhd.config import load_config
 from rtmhd.errors import ConfigError
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
+
+from .oracles import run_rate
 
 
 def _write_config(path, **overrides):
@@ -274,7 +276,7 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
 ):
     # too few steps for the rate fit is a config error found before stepping
     calls = []
-    monkeypatch.setattr(rtmhd.verify, "evolve", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
     grid = {"half_length": 8.0, "n": 201}
     for verify in ({"dt": 0.1, "T": 0.3}, {"T": 0.05}):
         path = _write_config(tmp_path / "c.json", grid=grid, verify=verify)
@@ -284,6 +286,63 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
         assert err["error"] == "config"
         assert "steps" in err["message"] and "T = " in err["message"]
         assert not calls
+
+
+@pytest.mark.parametrize("M", [0.0, 0.3], ids=["M0", "vertical-M0.3"])
+@pytest.mark.parametrize("dt", [None, 0.05], ids=["default", "dt"])
+def test_cli_verify_norm_march_matches_the_state_route(tmp_path, capsys, dt, M):
+    # the command records only norms; evolve unpacks every recorded state.
+    # A vertical field induces N at every xi.
+    path = _write_config(
+        tmp_path / "c.json",
+        mag={"orientation": "vertical", "magnitude": M},
+        grid={"half_length": 8.0, "n": 201},
+        verify={"dt": dt, "T": None, "seeds": [0, 1]},
+    )
+    assert main(["verify", path]) == 0
+    cfg = load_config(path)
+    report = json.load(open(os.path.join(cfg.output_dir, "verify.json")))
+    series = np.loadtxt(
+        os.path.join(cfg.output_dir, "timeseries.csv"), delimiter=",", skiprows=1
+    )
+    mode = _build_mode_at(cfg, rtmhd.Frequency(*report["xi"]), mode_tol=1e-2)
+    init = rtmhd.verify.eigenmode_state(mode, cfg.profile, cfg.params)
+    est, states = run_rate(
+        init, cfg.profile, cfg.mag, cfg.params, report["dt"], report["T"]
+    )
+    assert abs(report["lambda_meas"] - est.rate) <= 1e-12 * abs(est.rate)
+    assert np.array_equal(series[:, 0], [s.t for s in states])
+    ref = [[s.norm_rho(), s.norm_u(), s.norm_N()] for s in states]
+    np.testing.assert_allclose(series[:, 1:], ref, rtol=1e-12, atol=0.0)
+    assert (M > 0) == bool(series[1:, 3].all())
+
+
+def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, monkeypatch):
+    # at M = 0 the eigenmode run steps the sharpness problem of its own
+    # orbit, so it adds no factorization; an explicit dt makes it its own
+    calls = []
+    real = rtmhd.verify.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.verify, "splu", counting)
+    problems = []
+    for dt in (None, 0.05):
+        path = _write_config(
+            tmp_path / "c.json",
+            grid={"half_length": 8.0, "n": 201},
+            verify={"dt": dt, "T": None, "seeds": [0, 1]},
+        )
+        calls.clear()
+        assert main(["verify", path]) == 0
+        out = load_config(path).output_dir
+        sharp = json.load(open(os.path.join(out, "sharpness.json")))
+        # one stepped problem per |xi|^2 at M = 0, for rates read off |xi|
+        problems.append(len({x1 * x1 + x2 * x2 for x1, x2 in sharp["frequencies"]}))
+        assert len(calls) == problems[-1] + (dt is not None)
+    assert problems[0] == problems[1] > 1
 
 
 def test_cli_verify_rate_miss_exits_3(tmp_path, capsys):

@@ -20,13 +20,13 @@ from rtmhd.verify import (
     evolve,
     measured_rate,
     random_divfree_state,
-    run_rate,
+    series_csv,
     sharpness_test,
-    series_to_csv,
+    stepped_state,
 )
 
 from .conftest import CANON_PARAMS, CANON_SPEC
-from .oracles import cn_step_reference
+from .oracles import cn_step_reference, run_rate
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -226,11 +226,15 @@ def test_sharpness_violation_detected(setup_horizontal):
 def test_series_csv(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     init = eigenmode_state(mode, prof, CANON_PARAMS)
-    states = evolve(init, prof, mag, CANON_PARAMS, dt=0.1 / res.lam, T=0.5 / res.lam)
-    text = series_to_csv(states)
+    run = (mode.xi, 0.1 / res.lam, 0.5 / res.lam, stepped_state(init)[:, None])
+    [(times, norms)] = rtmhd.verify.march_norms(prof, mag, CANON_PARAMS, GRID, [run])
+    text = series_csv(times, norms[:, :, 0])
     lines = text.strip().split("\n")
     assert lines[0] == "t,norm_rho,norm_u,norm_N"
-    assert len(lines) == len(states) + 1
+    assert len(lines) == len(times) + 1 == 7
+    # every number round-trips
+    assert np.array_equal(np.loadtxt(text.splitlines()[1:], delimiter=","),
+                          np.column_stack([times, norms[:, :, 0]]))
 
 
 FIELDS = {"h-M0": (H, 0.0), "h-M0.3": (H, 0.3), "v-M0.3": (V, 0.3)}
@@ -259,7 +263,7 @@ def test_step_matches_per_component_reference(orientation, M, xi):
     init.N = states[1].u  # a divergence-free field, so the Lorentz terms act
     stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt)
 
-    z0 = stepper.pack(init)
+    z0 = stepped_state(init)
     z = stepper.step(z0)
     q = stepper.pressure(z0, z)
     rho, u, N = stepper.unpack(z)
@@ -272,7 +276,7 @@ def test_step_matches_per_component_reference(orientation, M, xi):
     assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
 
     # a block of columns steps like each column alone
-    block = np.stack([stepper.pack(s) for s in states], axis=1)
+    block = np.stack([stepped_state(s) for s in states], axis=1)
     z_block = stepper.step(block)
     q_block = stepper.pressure(block, z_block)
     for k in range(3):
@@ -284,7 +288,7 @@ def test_step_matches_per_component_reference(orientation, M, xi):
 
 def test_stepped_seed_is_the_packed_random_state():
     # sharpness draws its seeds directly as stepped states; they are the
-    # random divergence-free states with chi left implied
+    # random divergence-free states, chi set from u3 as in any packed state
     grid = rtmhd.Grid1D(8.0, 201)
     prof = rtmhd.build_profile(CANON_SPEC, grid)
     mag = rtmhd.MagneticConfig(H, 0.3)
@@ -292,12 +296,37 @@ def test_stepped_seed_is_the_packed_random_state():
         stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, 0.03)
         for seed in (0, 3):
             state = random_divfree_state(prof, grid, xi, seed)
-            z = rtmhd.verify._random_stepped_state(grid, xi, seed)
-            assert np.abs(stepper.pack(state) - z).max() <= 1e-14 * np.abs(z).max()
+            profiles = [rtmhd.verify._seed_profiles(grid, seed)]
+            z = rtmhd.verify._seed_block(grid, xi, profiles)[:, 0]
+            assert np.abs(stepped_state(state) - z).max() <= 1e-14 * np.abs(z).max()
             rho, u, N = stepper.unpack(z)
             assert np.abs(u - state.u).max() <= 1e-14 * np.abs(state.u).max()
             assert np.array_equal(rho, state.rho) and not N.any()
             assert stepper.norm_u(z) == pytest.approx(state.norm_u(), rel=1e-14)
+
+
+@pytest.mark.parametrize("orientation, M", FIELDS.values(), ids=FIELDS.keys())
+def test_norms_are_the_unpacked_state_norms(orientation, M):
+    # one reduction over the rho, u and N row ranges of each column equals
+    # the norms of the lab-frame state, off the axes where the rotation mixes
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(orientation, M)
+    xi = rtmhd.Frequency(1.0, 2.0)
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, 0.03)
+    states = [random_divfree_state(prof, grid, xi, seed) for seed in (3, 4, 5)]
+    for a, b in zip(states, states[1:] + states[:1]):
+        a.N = b.u  # a divergence-free field, so every row range is nonzero
+    block = stepper.step(np.stack([stepped_state(s) for s in states], axis=1))
+    norms = stepper.norms(block)
+    assert norms.shape == (3, 3)
+    assert np.array_equal(stepper.norm_u(block), norms[1])
+    for k in range(3):
+        np.testing.assert_allclose(stepper.norms(block[:, k]), norms[:, k], rtol=1e-15)
+        rho, u, N = stepper.unpack(block[:, k])
+        state = LinearState(xi, grid, 0.0, rho, u, N, np.zeros(grid.n, complex))
+        ref = [state.norm_rho(), state.norm_u(), state.norm_N()]
+        np.testing.assert_allclose(norms[:, k], ref, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("orientation, M", FIELDS.values(), ids=FIELDS.keys())
@@ -504,8 +533,8 @@ def _block_rates(prof, mag, grid, xi, lam, z, every_factor=1, horizon=3.0):
 
 def _seed_block(grid, xi):
     """The stepped states of seeds 0-4 as the columns of one block."""
-    seeds = [rtmhd.verify._random_stepped_state(grid, xi, s) for s in range(5)]
-    return np.stack(seeds, axis=1)
+    profiles = [rtmhd.verify._seed_profiles(grid, s) for s in range(5)]
+    return rtmhd.verify._seed_block(grid, xi, profiles)
 
 
 def _schedule_error(prof, mag, grid, xi, lam, z):
