@@ -69,12 +69,17 @@ def measure() -> dict:
                 return verify.LinearEvolver(profile, mag, params, grid, xi, DT)
 
             stepper = factor()
-            # trees before the 7n state packed a state with the stepper's pack
-            pack = getattr(verify, "stepped_state", None) or stepper.pack
-            states = [
-                verify.random_divfree_state(profile, grid, xi, s) for s in range(COLUMNS)
-            ]
-            z = np.stack([pack(state) for state in states], axis=1)
+            if hasattr(verify, "_seed_block"):
+                profiles = [verify._seed_profiles(grid, s) for s in range(COLUMNS)]
+                z = verify._seed_block(grid, xi, profiles)
+            else:
+                # trees before the 7n state packed a random state with the
+                # stepper's pack
+                states = [
+                    verify.random_divfree_state(profile, grid, xi, s)
+                    for s in range(COLUMNS)
+                ]
+                z = np.stack([stepper.pack(state) for state in states], axis=1)
             # a step forms no pressure; trees before the split formed q in
             # every step
             stepper.step(z)

@@ -17,11 +17,10 @@ from rtmhd.growth import growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, export_mode, export_snapshot
 from rtmhd.verify import (
     default_schedule,
-    eigenmode_state,
+    eigenmode_column,
     march_norms,
     measured_rate,
     series_csv,
-    stepped_state,
 )
 
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
@@ -59,7 +58,7 @@ def main():
 
     lam = result.lam
     T = 3.0 / lam
-    init = stepped_state(eigenmode_state(mode, profile, PARAMS))
+    init = eigenmode_column(mode, profile)
     run = (xi1, default_schedule(lam, T), T, init[:, None])
     [(times, norms)] = march_norms(profile, MAG, PARAMS, GRID, [run])
     est = measured_rate(list(zip(times, norms[:, 1, 0])))

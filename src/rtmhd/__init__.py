@@ -41,12 +41,10 @@ from .profiles import (
     profile_metrics,
 )
 from .verify import (
-    LinearState,
     RateEstimate,
-    eigenmode_state,
-    evolve,
+    eigenmode_column,
+    march_norms,
     measured_rate,
-    random_divfree_state,
     sharpness_test,
 )
 

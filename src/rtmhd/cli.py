@@ -282,7 +282,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     seeds = list(cfg.seeds)
     runs, checks = verify.sharpness_runs(cfg.mag, cfg.grid, seeds, dict(ranked))
     # the eigenmode run joins the sharpness run of its stepped problem, if any
-    init = verify.stepped_state(verify.eigenmode_state(mode, cfg.profile, cfg.params))
+    init = verify.eigenmode_column(mode, cfg.profile)
     (times, norms), *series = verify.march_norms(
         cfg.profile, cfg.mag, cfg.params, cfg.grid, [(xi1, dt, T, init[:, None]), *runs]
     )

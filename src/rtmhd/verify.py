@@ -10,38 +10,40 @@ constraint (pressure as multiplier).
 That solve is reduced exactly.  The horizontal velocity is rotated into chi
 along xi and omega across it.  The divergence row i|xi| chi + D1 u3 = 0 gives
 chi = i D1 u3 / |xi|, and the momentum row along xi, in which the pressure
-enters as i|xi| q, gives q once the velocity is known.  One sparse system in
-(u3, omega) remains, 2n rows, factored once per stepper.
+enters as i|xi| q, fixes q; the vertical row less D1 of it is free of q.
+One sparse system in (u3, omega) remains, 2n rows, factored once per
+stepper, and the pressure is never formed.
 
-The stepper works on the stacked state z = [rho; u3; omega; chi; N_chi;
-N_omega; N3] (7n rows, one column per solution).  chi is carried so that
-the velocity is one contiguous row range: ``norms`` reduces the rho, u and
-N row ranges in one pass, and ``unpack`` is a pure rotation.  The whole
+The stepper works on the stacked column z = [rho; u3; omega; chi; N_chi;
+N_omega; N3] (7n rows, one column per solution), the only state this module
+steps.  chi is carried so that the velocity is one contiguous row range:
+``norms`` reduces the rho, u and N row ranges in one pass, and ``unpack``,
+which reads a column back in the lab frame, is a pure rotation.  The whole
 step is two sparse products around one factored solve: ``rhs`` (2n x 7n)
 maps z to the right-hand side of the (u3, omega) system, and ``update``
 (7n x 9n) maps [z; u3+; omega+] to the new z, chi+ = i D1 u3+ / |xi| being
-one of its row blocks.  The half-step pressure depends only on z and the
-new z; ``pressure`` (n x 14n) forms it from the two, built on its first
-use, and only where a caller records it.  All four operators are assembled
-from stencil blocks.  The induction and Lorentz blocks are
-``modes.magnetic_coupling`` in the rotated frame, where the gradient is
-(i |xi|, 0, D) and the field is M e rotated, (xi1, -xi2, 0) M / |xi| for
-e = e1; no other block sees the field.
+one of its row blocks.  Both operators are assembled from stencil blocks.
+The induction and Lorentz blocks are ``modes.magnetic_coupling`` in the
+rotated frame, where the gradient is (i |xi|, 0, D) and the field is M e
+rotated, (xi1, -xi2, 0) M / |xi| for e = e1; no other block sees the field.
 
-A run reads xi only through |xi|^2 and the rotated field, so a stepped
-problem is (|xi|^2, rotated field, dt, T) (``_problem_key``).
-``march_norms`` builds one stepper per distinct problem and marches the
-columns of all its runs as one block, recording only the norms.  The
-sharpness test draws each seed once, in (rho, u3, omega), so frequencies
-that share a problem step identical data and add one run; the ``verify``
-command's eigenmode run joins the sharpness run of its own problem when
-there is one.
+``eigenmode_column`` builds the column of a normal mode at t = 0 and
+``_seed_block`` the columns of the random seeds of the sharpness test.  A
+run reads xi only through |xi|^2 and the rotated field b, and its step is
+unchanged under b -> -b with N -> -N, so a stepped problem is (|xi|^2, b up
+to sign, dt, T) (``_problem``).  ``march_norms`` builds one stepper per
+distinct problem and marches the columns of all its runs as one block,
+the N rows of a run of the opposite field negated, recording only the
+norms, which are even in N.  The sharpness test draws each seed once, in
+(rho, u3, omega), so frequencies that share a problem step identical data
+and add one run; the ``verify`` command's eigenmode run joins the
+sharpness run of its own problem when there is one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -52,7 +54,7 @@ from .errors import (
     SolverSingular,
     ZeroFrequency,
 )
-from .modes import NormalMode, magnetic_coupling, mode_fields, relative_divergence
+from .modes import NormalMode, magnetic_coupling, mode_fields
 from .operators import (
     Blocks,
     block_combine,
@@ -71,14 +73,10 @@ from .profiles import (
 )
 
 __all__ = [
-    "LinearState",
     "RateEstimate",
     "LinearEvolver",
-    "stepped_state",
-    "evolve",
     "march_norms",
-    "eigenmode_state",
-    "random_divfree_state",
+    "eigenmode_column",
     "measured_rate",
     "default_schedule",
     "sharpness_runs",
@@ -92,39 +90,6 @@ RATE_RTOL = 0.02  # admissible relative error of a normal mode's measured rate
 MIN_RATE_SAMPLES = 10  # fewest norm samples ``measured_rate`` fits
 STEPS_PER_EFOLD = 20  # coarsest default step: CN rate error (1/20)^2/12 = 2.1e-4
 SAMPLE_INTERVALS = 60  # a default run samples its norm at t_k = k T / 60
-
-
-@dataclass
-class LinearState:
-    """Complex vertical profiles of all perturbation fields at frequency xi."""
-
-    xi: Frequency
-    grid: Grid1D
-    t: float
-    rho: np.ndarray
-    u: np.ndarray  # shape (3, n)
-    N: np.ndarray  # shape (3, n)
-    q: np.ndarray
-
-    def copy(self) -> "LinearState":
-        return replace(
-            self, rho=self.rho.copy(), u=self.u.copy(), N=self.N.copy(), q=self.q.copy()
-        )
-
-    def norm_u(self) -> float:
-        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.u) ** 2)))
-
-    def norm_rho(self) -> float:
-        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.rho) ** 2)))
-
-    def norm_N(self) -> float:
-        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.N) ** 2)))
-
-    def divergence_u(self) -> float:
-        return relative_divergence(self.u, self.xi, self.grid)
-
-    def divergence_N(self) -> float:
-        return relative_divergence(self.N, self.xi, self.grid)
 
 
 def _place(blocks: Blocks, row: int, col: int) -> Blocks:
@@ -161,14 +126,14 @@ def _stepped(grid: Grid1D, k: float, rho, u3, omega, N) -> np.ndarray:
     return np.concatenate([rho, u3, omega, chi, N])
 
 
-def stepped_state(state: LinearState) -> np.ndarray:
-    """The stepped state of a divergence-free state, in the frame of its xi;
-    its velocity along xi is set from u3 by the divergence row."""
-    k, unit = _unit(state.xi)
-    _, omega, u3 = _rotate(unit, state.u)
-    return _stepped(
-        state.grid, k, state.rho, u3, omega, np.concatenate(_rotate(unit, state.N))
-    )
+def eigenmode_column(mode: NormalMode, profile: DensityProfile) -> np.ndarray:
+    """The stepped state (7n,) of the growing mode at t = 0, in the frame of
+    its xi; its velocity along xi is set from u3 by the divergence row."""
+    f = mode_fields(mode, profile)
+    k, unit = _unit(mode.xi)
+    _, omega, u3 = _rotate(unit, (f["u1"], f["u2"], f["u3"]))
+    N = _rotate(unit, (f["N1"], f["N2"], f["N3"]))
+    return _stepped(mode.grid, k, f["rho"], u3, omega, np.concatenate(N))
 
 
 class LinearEvolver:
@@ -178,8 +143,9 @@ class LinearEvolver:
     of the induced field and the buoyancy of the advected density), the step
     is (rho/dt - A) u+ + grad q = (rho/dt + A) u + F N - g rho e3, div u+ = 0.
     The horizontal velocity is rotated into chi along xi and omega across it;
-    the divergence row gives chi = c D1 u3 and the chi row gives q, with
-    c = i/|xi|, so one factored system in (u3, omega) remains.
+    the divergence row gives chi = c D1 u3, with c = i/|xi|, and the chi row
+    fixes q, which is eliminated and never formed, so one factored system in
+    (u3, omega) remains.
     """
 
     def __init__(
@@ -249,12 +215,6 @@ class LinearEvolver:
             ),
             (7, 9),
         )
-        # [z; z+] -> q from the chi row, whose pressure coefficient is i k;
-        # u3+ and omega+ are blocks 1 and 2 of z+.  Built on first use.
-        chi_rhs = {ij: st for ij, st in rhs.items() if ij[0] == 0}
-        chi_lhs = {ij: st for ij, st in lhs.items() if ij[0] == 0}
-        self._pressure_terms = ((-c, chi_rhs), (c, _place(chi_lhs, 0, 8)))
-        self._pressure = None
         # row ranges of rho, u = (u3, omega, chi) and N in z
         self._ranges = np.array([0, n, 4 * n])
         self.grid = grid
@@ -266,12 +226,6 @@ class LinearEvolver:
         """z at the new time, for a stacked state z of shape (7n,) or (7n, k)."""
         sol = self._lu.solve(self._rhs @ z)
         return self._update @ np.concatenate([z, sol])
-
-    def pressure(self, z: np.ndarray, z_next: np.ndarray) -> np.ndarray:
-        """The pressure q at the half step from z to z_next = step(z)."""
-        if self._pressure is None:
-            self._pressure = block_sparse(block_combine(*self._pressure_terms), (1, 14))
-        return self._pressure @ np.concatenate([z, z_next])
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho, u, N) of a stepped state, u and N of shape (3, n)."""
@@ -289,10 +243,6 @@ class LinearEvolver:
         squares = z.real**2 + z.imag**2
         return np.sqrt(self.grid.h * np.add.reduceat(squares, self._ranges, axis=0))
 
-    def norm_u(self, z: np.ndarray) -> np.ndarray:
-        """Velocity norm of each column of a stepped state."""
-        return self.norms(z)[1]
-
 
 def time_steps(dt: float, T: float) -> int:
     """Number of steps of size dt that march a state to time T."""
@@ -303,7 +253,7 @@ def default_schedule(lam: float, T: float) -> float:
     """Step of a run to time T at rate lam: the coarsest dt with lam dt <=
     1/STEPS_PER_EFOLD that puts a whole number of steps between the
     SAMPLE_INTERVALS + 1 sample times t_k = k T / SAMPLE_INTERVALS, which is
-    where ``_march`` then records by default.
+    where ``_march`` then records.
 
     Crank-Nicolson multiplies a mode of rate lam by (1 + lam dt/2) / (1 -
     lam dt/2) = exp(lam dt (1 + (lam dt)^2 / 12 + ...)), so the measured
@@ -316,49 +266,27 @@ def default_schedule(lam: float, T: float) -> float:
     return T / (SAMPLE_INTERVALS * steps_per_sample)
 
 
-def _march(
-    stepper: LinearEvolver, z: np.ndarray, t: float, T: float, record_every: int | None
-):
-    """Step z to time T, yielding (t, z_prev, z) every ``record_every`` steps
-    and at the last step, z_prev being the state one step before; the
-    default records about SAMPLE_INTERVALS times."""
+def _march(stepper: LinearEvolver, z: np.ndarray, T: float):
+    """Step z from t = 0 to T, yielding (t, z) every n_steps //
+    SAMPLE_INTERVALS steps (at least every step) and at the last step."""
     n_steps = time_steps(stepper.dt, T)
-    if record_every is None:
-        record_every = max(1, n_steps // SAMPLE_INTERVALS)
+    every = max(1, n_steps // SAMPLE_INTERVALS)
+    t = 0.0
     for k in range(1, n_steps + 1):
-        z_prev, z = z, stepper.step(z)
+        z = stepper.step(z)
         t += stepper.dt
-        if k % record_every == 0 or k == n_steps:
-            yield t, z_prev, z
+        if k % every == 0 or k == n_steps:
+            yield t, z
 
 
-def evolve(
-    init: LinearState,
-    profile: DensityProfile,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-    dt: float,
-    T: float,
-    record_every: int | None = None,
-) -> list[LinearState]:
-    """Integrate to time T, recording every ``record_every`` steps.
-
-    ``init`` must be discretely divergence-free: its velocity along xi is
-    not read but recovered from u3, as in every later state.
-    """
-    stepper = LinearEvolver(profile, mag, params, init.grid, init.xi, dt)
-    out = [init.copy()]
-    for t, z_prev, z in _march(stepper, stepped_state(init), init.t, T, record_every):
-        rho, u, N = stepper.unpack(z)
-        q = stepper.pressure(z_prev, z)
-        out.append(replace(init, t=t, rho=rho, u=u, N=N, q=q))
-    return out
-
-
-def _problem_key(mag: MagneticConfig, xi: Frequency, dt: float, T: float) -> tuple:
-    """All that a run of step dt to time T reads of xi: |xi|^2 and the
-    rotated field.  Runs with equal keys step the same problem."""
-    return (xi.norm2, *_frame(mag, xi)[2], dt, T)
+def _problem(mag: MagneticConfig, xi: Frequency, dt: float, T: float):
+    """The key of the problem a run of step dt to time T steps, and the sign
+    of its field.  The run reads of xi only |xi|^2 and the rotated field b,
+    and its step is unchanged under b -> -b with N -> -N, so the key holds b
+    up to sign: its first nonzero component made positive."""
+    field = _frame(mag, xi)[2]
+    sign = -1.0 if next((b for b in field if b != 0.0), 0.0) < 0.0 else 1.0
+    return (xi.norm2, *(sign * b for b in field), dt, T), sign
 
 
 def march_norms(
@@ -371,38 +299,33 @@ def march_norms(
     """The norm series of each run (xi, dt, T, z), z a block (7n, k) of
     stepped states at xi, stepped from t = 0 to T.
 
-    The runs of one stepped problem (equal ``_problem_key``) share one
-    stepper and one march, their columns side by side.  Returns, per run,
+    The runs of one stepped problem (equal ``_problem`` keys) share one
+    stepper and one march, their columns side by side, the N rows of a run
+    whose field is opposite to the first run's negated.  Returns, per run,
     the sample times, t = 0 and those where ``_march`` records, and the
     norms (rho, u, N) there, of shape (samples, 3, k).
     """
-    problems: dict[tuple, list[int]] = {}
+    problems: dict[tuple, list[tuple[int, float]]] = {}
     for i, (xi, dt, T, _) in enumerate(runs):
-        problems.setdefault(_problem_key(mag, xi, dt, T), []).append(i)
+        key, sign = _problem(mag, xi, dt, T)
+        problems.setdefault(key, []).append((i, sign))
     out: list = [None] * len(runs)
     for members in problems.values():
-        xi, dt, T, _ = runs[members[0]]
+        first, sign = members[0]
+        xi, dt, T, _ = runs[first]
         stepper = LinearEvolver(profile, mag, params, grid, xi, dt)
-        blocks = [runs[i][3] for i in members]
+        blocks = [runs[i][3] for i, _ in members]
         z = np.concatenate(blocks, axis=1)
+        flips = [np.full(b.shape[1], s * sign) for b, (_, s) in zip(blocks, members)]
+        z[4 * grid.n :] *= np.concatenate(flips)
         times, norms = [0.0], [stepper.norms(z)]
-        for t, _, zk in _march(stepper, z, 0.0, T, None):
+        for t, zk in _march(stepper, z, T):
             times.append(t)
             norms.append(stepper.norms(zk))
         ends = np.cumsum([b.shape[1] for b in blocks])[:-1]
-        for i, part in zip(members, np.split(np.array(norms), ends, axis=2)):
+        for (i, _), part in zip(members, np.split(np.array(norms), ends, axis=2)):
             out[i] = (np.array(times), part)
     return out
-
-
-def eigenmode_state(
-    mode: NormalMode, profile: DensityProfile, params: PhysicalParams
-) -> LinearState:
-    """Initial data matching the growing mode at t = 0."""
-    f = mode_fields(mode, profile)
-    u = np.stack([f["u1"], f["u2"], f["u3"]])
-    N = np.stack([f["N1"], f["N2"], f["N3"]])
-    return LinearState(mode.xi, mode.grid, 0.0, rho=f["rho"], u=u, N=N, q=f["q"])
 
 
 def _random_smooth_compact(grid: Grid1D, rng: np.random.Generator) -> np.ndarray:
@@ -426,40 +349,11 @@ def _seed_profiles(grid: Grid1D, seed: int) -> tuple[np.ndarray, ...]:
     return tuple(_random_smooth_compact(grid, rng) for _ in range(3))
 
 
-def random_divfree_state(
-    profile: DensityProfile,
-    grid: Grid1D,
-    xi: Frequency,
-    seed: int,
-) -> LinearState:
-    """Random smooth initial data with exact discrete incompressibility.
-
-    u3 is drawn as a smooth compactly supported profile and the horizontal
-    components are derived from the potential chi = D1 u3 / |xi|^2, so the
-    discrete divergence vanishes identically; an extra swirl term keeps the
-    horizontal components generic.  N starts at zero (trivially
-    divergence-free), rho is an independent random profile.
-    """
-    u3, beta, rho = _seed_profiles(grid, seed)
-    chi = d1_stencil(grid).apply(u3) / xi.norm2
-    u1 = 1j * xi.xi1 * chi + 1j * xi.xi2 * beta
-    u2 = 1j * xi.xi2 * chi - 1j * xi.xi1 * beta
-    u = np.stack([u1, u2, u3])
-    return LinearState(
-        xi=xi,
-        grid=grid,
-        t=0.0,
-        rho=rho,
-        u=u,
-        N=np.zeros_like(u),
-        q=np.zeros(grid.n, dtype=complex),
-    )
-
-
 def _seed_block(grid: Grid1D, xi: Frequency, profiles) -> np.ndarray:
-    """``random_divfree_state`` of each seed's ``_seed_profiles`` as a
-    stepped state, one column per seed: its swirl is omega = -i |xi| beta,
-    so frequencies of equal |xi| share the same data."""
+    """Random smooth divergence-free data, one stepped column per seed's
+    ``_seed_profiles`` (u3, beta, rho): the swirl is omega = -i |xi| beta,
+    chi = i D1 u3 / |xi| closes the divergence row, and N starts at zero.
+    Frequencies of equal |xi| share the same data."""
     k = float(np.sqrt(xi.norm2))
     zero = np.zeros(3 * grid.n, dtype=complex)
     return np.stack(
@@ -514,7 +408,7 @@ def sharpness_runs(
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
         T = horizon / lam
         dt = default_schedule(lam, T)
-        key = _problem_key(mag, xi, dt, T)
+        key, _ = _problem(mag, xi, dt, T)  # N = 0 is its own negation
         if key not in index:
             index[key] = len(runs)
             runs.append((xi, dt, T, _seed_block(grid, xi, profiles)))

@@ -8,9 +8,9 @@ system as the stacked stepper it checks.  Its induction and Lorentz blocks,
 ``coupling_reference``, are written out per field orientation.  The other
 exception is ``bump_cdf_unblocked``, the bump quadrature evaluated for all
 points at once, which the blocked evaluation must match bitwise.  Last,
-``run_rate`` is the state route to a measured rate: ``evolve`` and the norms
-of each recorded ``LinearState``, against which the norm-only march of the
-``verify`` command is checked.
+``run_rate`` marches one stepped column alone through ``march_norms``,
+against which the ``verify`` command's march, with the column joined to the
+sharpness runs, is checked.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from rtmhd.operators import band_to_dense
-from rtmhd.verify import evolve, measured_rate
+from rtmhd.verify import march_norms, measured_rate
 from rtmhd.profiles import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -262,8 +262,9 @@ def cn_step_reference(profile, mag, params, grid, xi, dt, rho_p, u, N):
     return rho_new, u_new, n_new, sol[3 * n :]
 
 
-def run_rate(init, profile, mag, params, dt, T):
-    """``evolve`` from ``init`` to T and fit the rate of the velocity norms of
-    the recorded states.  Returns (RateEstimate, states)."""
-    states = evolve(init, profile, mag, params, dt, T)
-    return measured_rate([(s.t, s.norm_u()) for s in states]), states
+def run_rate(profile, mag, params, grid, xi, z, dt, T):
+    """March the stepped column z (7n,) at xi alone to T and fit the rate of
+    its velocity norms.  Returns (RateEstimate, times, norms), the norms
+    (rho, u, N) of shape (samples, 3)."""
+    [(times, norms)] = march_norms(profile, mag, params, grid, [(xi, dt, T, z[:, None])])
+    return measured_rate(list(zip(times, norms[:, 1, 0]))), times, norms[:, :, 0]

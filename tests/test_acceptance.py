@@ -23,7 +23,7 @@ from rtmhd.errors import OutOfRange
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import alpha, growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, snapshot_divergence
-from rtmhd.verify import eigenmode_state, random_divfree_state
+from rtmhd.verify import eigenmode_column
 
 from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
 from .oracles import dense_count_below, dense_smallest, eoc, run_rate
@@ -272,12 +272,16 @@ def test_criterion_9_end_to_end_rates():
         res = growth_rate(forms)
         mode = build_mode(res, mag, CANON_PARAMS, prof, grid, mode_tol=1e-3)
         lam = res.lam
-        init = eigenmode_state(mode, prof, CANON_PARAMS)
-        est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt=0.01 / lam, T=3.0 / lam)
+        z = eigenmode_column(mode, prof)
+        est, _, _ = run_rate(
+            prof, mag, CANON_PARAMS, grid, xi, z, dt=0.01 / lam, T=3.0 / lam
+        )
         assert abs(est.rate - lam) / lam <= 0.02
         errs = []
         for fac in (0.2, 0.1, 0.05):
-            e, _ = run_rate(init, prof, mag, CANON_PARAMS, dt=fac / lam, T=2.0 / lam)
+            e, _, _ = run_rate(
+                prof, mag, CANON_PARAMS, grid, xi, z, dt=fac / lam, T=2.0 / lam
+            )
             errs.append(abs(e.rate - lam) / lam)
         orders = [eoc(errs[i], errs[i + 1]) for i in range(2)]
         assert all(1.7 <= o <= 2.3 for o in orders), orders

@@ -291,8 +291,9 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
 @pytest.mark.parametrize("M", [0.0, 0.3], ids=["M0", "vertical-M0.3"])
 @pytest.mark.parametrize("dt", [None, 0.05], ids=["default", "dt"])
 def test_cli_verify_norm_march_matches_the_state_route(tmp_path, capsys, dt, M):
-    # the command records only norms; evolve unpacks every recorded state.
-    # A vertical field induces N at every xi.
+    # the command marches the eigenmode column joined to the sharpness runs;
+    # joining them must not change it from the column marched alone.  A
+    # vertical field induces N at every xi.
     path = _write_config(
         tmp_path / "c.json",
         mag={"orientation": "vertical", "magnitude": M},
@@ -305,21 +306,26 @@ def test_cli_verify_norm_march_matches_the_state_route(tmp_path, capsys, dt, M):
     series = np.loadtxt(
         os.path.join(cfg.output_dir, "timeseries.csv"), delimiter=",", skiprows=1
     )
-    mode = _build_mode_at(cfg, rtmhd.Frequency(*report["xi"]), mode_tol=1e-2)
-    init = rtmhd.verify.eigenmode_state(mode, cfg.profile, cfg.params)
-    est, states = run_rate(
-        init, cfg.profile, cfg.mag, cfg.params, report["dt"], report["T"]
-    )
-    assert abs(report["lambda_meas"] - est.rate) <= 1e-12 * abs(est.rate)
-    assert np.array_equal(series[:, 0], [s.t for s in states])
-    ref = [[s.norm_rho(), s.norm_u(), s.norm_N()] for s in states]
-    np.testing.assert_allclose(series[:, 1:], ref, rtol=1e-12, atol=0.0)
+    _check_series_is_the_column_alone(cfg, report, series)
     assert (M > 0) == bool(series[1:, 3].all())
 
 
-def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, monkeypatch):
-    # at M = 0 the eigenmode run steps the sharpness problem of its own
-    # orbit, so it adds no factorization; an explicit dt makes it its own
+def _check_series_is_the_column_alone(cfg, report, series):
+    """The verify command's rate and norm series are those of the eigenmode
+    column marched alone."""
+    mode = _build_mode_at(cfg, rtmhd.Frequency(*report["xi"]), mode_tol=1e-2)
+    z = rtmhd.verify.eigenmode_column(mode, cfg.profile)
+    est, times, norms = run_rate(
+        cfg.profile, cfg.mag, cfg.params, cfg.grid, mode.xi, z, report["dt"], report["T"]
+    )
+    assert abs(report["lambda_meas"] - est.rate) <= 1e-12 * abs(est.rate)
+    assert np.array_equal(series[:, 0], times)
+    np.testing.assert_allclose(series[:, 1:], norms, rtol=1e-12, atol=0.0)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that collects one entry per time-step factorization."""
     calls = []
     real = rtmhd.verify.splu
 
@@ -328,6 +334,13 @@ def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, monkeypat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(rtmhd.verify, "splu", counting)
+    return calls
+
+
+def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, splu_calls):
+    # at M = 0 the eigenmode run steps the sharpness problem of its own
+    # orbit, so it adds no factorization; an explicit dt makes it its own
+    calls = splu_calls
     problems = []
     for dt in (None, 0.05):
         path = _write_config(
@@ -343,6 +356,29 @@ def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, monkeypat
         problems.append(len({x1 * x1 + x2 * x2 for x1, x2 in sharp["frequencies"]}))
         assert len(calls) == problems[-1] + (dt is not None)
     assert problems[0] == problems[1] > 1
+
+
+def test_cli_verify_eigenmode_joins_the_run_of_the_opposite_field(
+    tmp_path, capsys, splu_calls
+):
+    # a horizontal field rotated onto xi1 = (0, -1) is the negative of the
+    # one rotated onto its orbit's (0, 1); the step is the same under b -> -b
+    # with N -> -N, so the eigenmode run adds no factorization
+    path = _write_config(
+        tmp_path / "c.json", mag={"orientation": "horizontal", "magnitude": 0.3}
+    )
+    assert main(["verify", path]) == 0
+    cfg = load_config(path)
+    report = json.load(open(os.path.join(cfg.output_dir, "verify.json")))
+    sharp = json.load(open(os.path.join(cfg.output_dir, "sharpness.json")))
+    assert report["xi"] == [0.0, -1.0] and [0.0, 1.0] in sharp["frequencies"]
+    # each sharpness frequency is a problem of its own, and the eigenmode
+    # run joins the one of (0, 1)
+    assert len(splu_calls) == len(sharp["frequencies"]) == 5
+    series = np.loadtxt(
+        os.path.join(cfg.output_dir, "timeseries.csv"), delimiter=",", skiprows=1
+    )
+    _check_series_is_the_column_alone(cfg, report, series)
 
 
 def test_cli_verify_rate_miss_exits_3(tmp_path, capsys):

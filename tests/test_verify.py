@@ -10,19 +10,16 @@ import rtmhd
 from rtmhd.errors import DegenerateSeries, SharpnessViolation, ZeroFrequency
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
-from rtmhd.modes import build_mode
+from rtmhd.modes import build_mode, relative_divergence
 import rtmhd.verify
 from rtmhd.verify import (
     LinearEvolver,
-    LinearState,
     default_schedule,
-    eigenmode_state,
-    evolve,
+    eigenmode_column,
+    march_norms,
     measured_rate,
-    random_divfree_state,
     series_csv,
     sharpness_test,
-    stepped_state,
 )
 
 from .conftest import CANON_PARAMS, CANON_SPEC
@@ -55,40 +52,57 @@ def setup_vertical():
     return prof, mag, mode, res
 
 
+def _seed_block(grid, xi, seeds=range(5)):
+    """The stepped states of the seeds as the columns of one block."""
+    profiles = [rtmhd.verify._seed_profiles(grid, s) for s in seeds]
+    return rtmhd.verify._seed_block(grid, xi, profiles)
+
+
+def _seed_column(grid, xi, seed):
+    """The stepped state (7n,) of one seed."""
+    return _seed_block(grid, xi, [seed])[:, 0]
+
+
+def _with_field(z, donor):
+    """z with the velocity of donor as its field: (N_chi, N_omega, N3) =
+    (chi, omega, u3) of donor, so N is divergence-free and nonzero."""
+    n = len(z) // 7
+    out = z.copy()
+    out[4 * n :] = donor[n : 4 * n].reshape(3, n)[::-1].ravel()
+    return out
+
+
 def test_zero_initial_state_stays_zero(setup_horizontal):
     prof, mag, mode, _ = setup_horizontal
-    n = GRID.n
-    zero = LinearState(
-        xi=mode.xi, grid=GRID, t=0.0,
-        rho=np.zeros(n, complex), u=np.zeros((3, n), complex),
-        N=np.zeros((3, n), complex), q=np.zeros(n, complex),
-    )
-    states = evolve(zero, prof, mag, CANON_PARAMS, dt=0.05, T=1.0)
-    assert states[-1].norm_u() == 0.0
-    assert states[-1].norm_rho() == 0.0
-    assert states[-1].norm_N() == 0.0
+    zero = np.zeros((7 * GRID.n, 1), complex)
+    run = (mode.xi, 0.05, 1.0, zero)
+    [(_, norms)] = march_norms(prof, mag, CANON_PARAMS, GRID, [run])
+    assert np.all(norms == 0.0)
 
 
 @pytest.mark.parametrize("which", ["horizontal", "vertical"])
 def test_eigenmode_growth_rate_reproduced(which, setup_horizontal, setup_vertical):
     prof, mag, mode, res = setup_horizontal if which == "horizontal" else setup_vertical
     lam = res.lam
-    init = eigenmode_state(mode, prof, CANON_PARAMS)
-    est, states = run_rate(init, prof, mag, CANON_PARAMS, dt=0.01 / lam, T=3.0 / lam)
+    z = eigenmode_column(mode, prof)
+    est, times, norms = run_rate(
+        prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=0.01 / lam, T=3.0 / lam
+    )
     assert abs(est.rate - lam) / lam <= 0.02
     assert est.fit_residual <= 1e-3
-    ratio = states[-1].norm_u() / states[0].norm_u()
-    assert ratio == pytest.approx(np.exp(lam * states[-1].t), rel=0.02)
+    ratio = norms[-1, 1] / norms[0, 1]
+    assert ratio == pytest.approx(np.exp(lam * times[-1]), rel=0.02)
 
 
 def test_incompressibility_preserved_each_step(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
-    init = eigenmode_state(mode, prof, CANON_PARAMS)
-    states = evolve(init, prof, mag, CANON_PARAMS, dt=0.05 / res.lam, T=1.0 / res.lam,
-                    record_every=1)
-    for s in states:
-        assert s.divergence_u() <= 1e-10
-        assert s.divergence_N() <= 1e-10
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.xi, 0.05 / res.lam)
+    z = eigenmode_column(mode, prof)
+    for _ in range(21):  # the column and its first 20 steps
+        _, u, N = stepper.unpack(z)
+        assert relative_divergence(u, mode.xi, GRID) <= 1e-10
+        assert relative_divergence(N, mode.xi, GRID) <= 1e-10
+        z = stepper.step(z)
 
 
 def test_single_step_rescale_consistency(setup_horizontal):
@@ -97,11 +111,12 @@ def test_single_step_rescale_consistency(setup_horizontal):
     # the mode's spatial discretization mismatch
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    init = eigenmode_state(mode, prof, CANON_PARAMS)
     dt = 0.1 / lam
-    states = evolve(init, prof, mag, CANON_PARAMS, dt=dt, T=dt, record_every=1)
-    u1 = states[-1].u * np.exp(-lam * dt)
-    defect = np.linalg.norm(u1 - init.u) / np.linalg.norm(init.u)
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.xi, dt)
+    z = eigenmode_column(mode, prof)
+    u0 = stepper.unpack(z)[1]
+    u1 = stepper.unpack(stepper.step(z))[1] * np.exp(-lam * dt)
+    defect = np.linalg.norm(u1 - u0) / np.linalg.norm(u0)
     assert defect <= 0.01
 
 
@@ -110,13 +125,16 @@ def test_fixed_horizon_richardson_order(setup_horizontal):
     # each other at a fixed horizon converge at second order
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    init = eigenmode_state(mode, prof, CANON_PARAMS)
     T = 1.0 / lam
+    z0 = eigenmode_column(mode, prof)
     ends = []
     for fac in (0.2, 0.1, 0.05, 0.025):
         n_steps = int(round(T / (fac / lam)))
-        states = evolve(init, prof, mag, CANON_PARAMS, dt=T / n_steps, T=T)
-        ends.append(states[-1].u)
+        stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.xi, T / n_steps)
+        z = z0
+        for _ in range(n_steps):
+            z = stepper.step(z)
+        ends.append(stepper.unpack(z)[1])
     d1 = np.linalg.norm(ends[0] - ends[1])
     d2 = np.linalg.norm(ends[1] - ends[2])
     d3 = np.linalg.norm(ends[2] - ends[3])
@@ -127,10 +145,12 @@ def test_fixed_horizon_richardson_order(setup_horizontal):
 def test_timestep_convergence_order(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    init = eigenmode_state(mode, prof, CANON_PARAMS)
+    z = eigenmode_column(mode, prof)
     errs = []
     for fac in (0.2, 0.1, 0.05):
-        est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt=fac / lam, T=2.0 / lam)
+        est, _, _ = run_rate(
+            prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=fac / lam, T=2.0 / lam
+        )
         errs.append(abs(est.rate - lam) / lam)
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all((orders >= 1.7) & (orders <= 2.3))
@@ -168,12 +188,17 @@ def test_measured_rate_degenerate_series():
 
 
 def test_random_divfree_state_exact_constraint():
+    # the seed columns are exactly divergence-free in the lab frame
     prof = rtmhd.build_profile(CANON_SPEC, GRID)
+    xi = rtmhd.Frequency(1.0, 2.0)
+    mag = rtmhd.MagneticConfig(H, 0.0)
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, xi, 0.03)
     for seed in (0, 1, 2):
-        state = random_divfree_state(prof, GRID, rtmhd.Frequency(1.0, 2.0), seed)
-        assert state.divergence_u() <= 1e-13
-        assert state.divergence_N() == 0.0
-        assert state.norm_u() > 0
+        z = _seed_column(GRID, xi, seed)
+        _, u, N = stepper.unpack(z)
+        assert relative_divergence(u, xi, GRID) <= 1e-13
+        assert relative_divergence(N, xi, GRID) == 0.0
+        assert stepper.norms(z)[1] > 0
 
 
 def test_viscous_decay_without_sources(setup_horizontal):
@@ -181,20 +206,21 @@ def test_viscous_decay_without_sources(setup_horizontal):
     prof, _, _, _ = setup_horizontal
     mag0 = rtmhd.MagneticConfig(H, 0.0)
     xi = rtmhd.Frequency(1.0, 0.0)
-    state = random_divfree_state(prof, GRID, xi, seed=4)
-    state.u[2][:] = 0.0
-    state.u[0][:] = 0.0  # keep only the swirl component u2(x3)
-    state.rho[:] = 0.0
-    states = evolve(state, prof, mag0, CANON_PARAMS, dt=0.02, T=2.0)
-    est = measured_rate([(s.t, s.norm_u()) for s in states])
+    z = _seed_column(GRID, xi, seed=4)
+    n = GRID.n
+    z[: 2 * n] = 0.0  # no density, no vertical velocity
+    z[3 * n : 4 * n] = 0.0  # chi = i D1 u3 / |xi|: only the swirl omega = u2(x3)
+    est, _, _ = run_rate(prof, mag0, CANON_PARAMS, GRID, xi, z, dt=0.02, T=2.0)
     assert est.rate <= 0.0
 
 
 def test_generic_data_approaches_dominant_rate(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    init = random_divfree_state(prof, GRID, mode.xi, seed=7)
-    est, _ = run_rate(init, prof, mag, CANON_PARAMS, dt=0.01 / lam, T=4.0 / lam)
+    z = _seed_column(GRID, mode.xi, seed=7)
+    est, _, _ = run_rate(
+        prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=0.01 / lam, T=4.0 / lam
+    )
     assert est.rate <= lam * 1.02
     assert est.rate >= 0.9 * lam
 
@@ -203,11 +229,11 @@ def test_generic_rate_monotone_in_horizon(setup_horizontal):
     # last-window fits approach the dominant rate from below as T grows
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    init = random_divfree_state(prof, GRID, mode.xi, seed=11)
+    z = _seed_column(GRID, mode.xi, seed=11)
     fits = []
     for horizon in (1.5, 3.0, 5.0):
-        est, _ = run_rate(
-            init, prof, mag, CANON_PARAMS, dt=0.02 / lam, T=horizon / lam
+        est, _, _ = run_rate(
+            prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=0.02 / lam, T=horizon / lam
         )
         assert est.rate <= lam * 1.02
         fits.append(est.rate)
@@ -225,8 +251,7 @@ def test_sharpness_violation_detected(setup_horizontal):
 
 def test_series_csv(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
-    init = eigenmode_state(mode, prof, CANON_PARAMS)
-    run = (mode.xi, 0.1 / res.lam, 0.5 / res.lam, stepped_state(init)[:, None])
+    run = (mode.xi, 0.1 / res.lam, 0.5 / res.lam, eigenmode_column(mode, prof)[:, None])
     [(times, norms)] = rtmhd.verify.march_norms(prof, mag, CANON_PARAMS, GRID, [run])
     text = series_csv(times, norms[:, :, 0])
     lines = text.strip().split("\n")
@@ -258,51 +283,25 @@ def test_step_matches_per_component_reference(orientation, M, xi):
     mag = rtmhd.MagneticConfig(orientation, M)
     xi = rtmhd.Frequency(*xi)
     dt = 0.03
-    states = [random_divfree_state(prof, grid, xi, seed) for seed in (3, 4, 5)]
-    init = states[0]
-    init.N = states[1].u  # a divergence-free field, so the Lorentz terms act
+    block = _seed_block(grid, xi, (3, 4, 5))
+    # a divergence-free field, so the Lorentz terms act
+    block[:, 0] = _with_field(block[:, 0], block[:, 1])
     stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt)
 
-    z0 = stepped_state(init)
-    z = stepper.step(z0)
-    q = stepper.pressure(z0, z)
-    rho, u, N = stepper.unpack(z)
-    rho_ref, u_ref, N_ref, q_ref = cn_step_reference(
-        prof, mag, CANON_PARAMS, grid, xi, dt, init.rho, init.u, init.N
+    z0 = block[:, 0]
+    rho, u, N = stepper.unpack(stepper.step(z0))
+    rho_ref, u_ref, N_ref, _ = cn_step_reference(
+        prof, mag, CANON_PARAMS, grid, xi, dt, *stepper.unpack(z0)
     )
     got = np.concatenate([rho, u.ravel(), N.ravel()])
     z_ref = np.concatenate([rho_ref, u_ref.ravel(), N_ref.ravel()])
     assert np.linalg.norm(got - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
-    assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
 
     # a block of columns steps like each column alone
-    block = np.stack([stepped_state(s) for s in states], axis=1)
     z_block = stepper.step(block)
-    q_block = stepper.pressure(block, z_block)
     for k in range(3):
         z_k = stepper.step(block[:, k])
-        q_k = stepper.pressure(block[:, k], z_k)
         assert np.linalg.norm(z_block[:, k] - z_k) <= 1e-13 * np.linalg.norm(z_k)
-        assert np.linalg.norm(q_block[:, k] - q_k) <= 1e-13 * np.linalg.norm(q_k)
-
-
-def test_stepped_seed_is_the_packed_random_state():
-    # sharpness draws its seeds directly as stepped states; they are the
-    # random divergence-free states, chi set from u3 as in any packed state
-    grid = rtmhd.Grid1D(8.0, 201)
-    prof = rtmhd.build_profile(CANON_SPEC, grid)
-    mag = rtmhd.MagneticConfig(H, 0.3)
-    for xi in (rtmhd.Frequency(*v) for v in ((1.0, 2.0), (0.0, 1.0), (-2.0, 1.0))):
-        stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, 0.03)
-        for seed in (0, 3):
-            state = random_divfree_state(prof, grid, xi, seed)
-            profiles = [rtmhd.verify._seed_profiles(grid, seed)]
-            z = rtmhd.verify._seed_block(grid, xi, profiles)[:, 0]
-            assert np.abs(stepped_state(state) - z).max() <= 1e-14 * np.abs(z).max()
-            rho, u, N = stepper.unpack(z)
-            assert np.abs(u - state.u).max() <= 1e-14 * np.abs(state.u).max()
-            assert np.array_equal(rho, state.rho) and not N.any()
-            assert stepper.norm_u(z) == pytest.approx(state.norm_u(), rel=1e-14)
 
 
 @pytest.mark.parametrize("orientation, M", FIELDS.values(), ids=FIELDS.keys())
@@ -314,18 +313,16 @@ def test_norms_are_the_unpacked_state_norms(orientation, M):
     mag = rtmhd.MagneticConfig(orientation, M)
     xi = rtmhd.Frequency(1.0, 2.0)
     stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, 0.03)
-    states = [random_divfree_state(prof, grid, xi, seed) for seed in (3, 4, 5)]
-    for a, b in zip(states, states[1:] + states[:1]):
-        a.N = b.u  # a divergence-free field, so every row range is nonzero
-    block = stepper.step(np.stack([stepped_state(s) for s in states], axis=1))
+    seeds = _seed_block(grid, xi, (3, 4, 5))
+    # a divergence-free field, so every row range is nonzero
+    fields = [_with_field(seeds[:, k], seeds[:, (k + 1) % 3]) for k in range(3)]
+    block = stepper.step(np.stack(fields, axis=1))
     norms = stepper.norms(block)
     assert norms.shape == (3, 3)
-    assert np.array_equal(stepper.norm_u(block), norms[1])
     for k in range(3):
         np.testing.assert_allclose(stepper.norms(block[:, k]), norms[:, k], rtol=1e-15)
-        rho, u, N = stepper.unpack(block[:, k])
-        state = LinearState(xi, grid, 0.0, rho, u, N, np.zeros(grid.n, complex))
-        ref = [state.norm_rho(), state.norm_u(), state.norm_N()]
+        fields = stepper.unpack(block[:, k])
+        ref = [np.sqrt(grid.h * np.sum(np.abs(f) ** 2)) for f in fields]
         np.testing.assert_allclose(norms[:, k], ref, rtol=1e-14, atol=0.0)
 
 
@@ -346,9 +343,10 @@ def _per_seed_rates(prof, mag, grid, seeds, xi_rates, horizon=3.0):
     out = []
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
         for seed in seeds:
-            init = random_divfree_state(prof, grid, xi, seed)
+            z = _seed_column(grid, xi, seed)
             T = horizon / lam
-            est, _ = run_rate(init, prof, mag, CANON_PARAMS, default_schedule(lam, T), T)
+            dt = default_schedule(lam, T)
+            est, _, _ = run_rate(prof, mag, CANON_PARAMS, grid, xi, z, dt, T)
             out.append((xi, lam, seed, est.rate))
     return out
 
@@ -495,6 +493,27 @@ def test_sharpness_keeps_mirrored_frequencies_apart(monkeypatch):
         assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
+def test_march_joins_runs_of_opposite_fields(monkeypatch):
+    # a horizontal field rotated onto xi is the negative of the one rotated
+    # onto -xi; the step is the same under b -> -b with N -> -N, so both runs
+    # share one stepper, and each keeps the series it has alone
+    grid = rtmhd.Grid1D(8.0, 201)
+    prof = rtmhd.build_profile(CANON_SPEC, grid)
+    mag = rtmhd.MagneticConfig(H, 0.3)
+    runs = []
+    for xi in (rtmhd.Frequency(1.0, 2.0), rtmhd.Frequency(-1.0, -2.0)):
+        seeds = _seed_block(grid, xi, (3, 4))
+        z = np.stack([_with_field(seeds[:, 0], seeds[:, 1]), seeds[:, 1]], axis=1)
+        runs.append((xi, 0.1, 3.0, z))
+    alone = [march_norms(prof, mag, CANON_PARAMS, grid, [run])[0] for run in runs]
+    calls, _ = _instrument(monkeypatch)
+    joined = march_norms(prof, mag, CANON_PARAMS, grid, runs)
+    assert len(calls) == 1
+    for (times, norms), (t_ref, ref) in zip(joined, alone, strict=True):
+        assert np.array_equal(times, t_ref)
+        np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(lam=st.floats(1e-3, 1e3), horizon=st.floats(0.5, 12.0))
 def test_default_schedule_is_the_coarsest_on_the_sample_times(lam, horizon):
@@ -516,25 +535,17 @@ def test_default_schedule_at_the_default_horizon(lam):
 
 
 def _block_rates(prof, mag, grid, xi, lam, z, every_factor=1, horizon=3.0):
-    """Measured rates of the stepped columns z at the default schedule's
-    sample times, stepping every_factor times finer, and those times."""
+    """Measured rates of the stepped columns z, stepping every_factor times
+    finer than the default schedule, and the sample times.  The march
+    records every n_steps // 60 steps, so every factor samples the default
+    schedule's 61 times."""
     T = horizon / lam
-    dt = default_schedule(lam, T)
-    every = rtmhd.verify.time_steps(dt, T) // 60
-    stepper = LinearEvolver(prof, mag, CANON_PARAMS, grid, xi, dt / every_factor)
-    series = [(0.0, stepper.norm_u(z))]
-    marched = rtmhd.verify._march(stepper, z, 0.0, T, every * every_factor)
-    series += [(t, stepper.norm_u(zk)) for t, _, zk in marched]
+    dt = default_schedule(lam, T) / every_factor
+    [(times, norms)] = march_norms(prof, mag, CANON_PARAMS, grid, [(xi, dt, T, z)])
     rates = [
-        measured_rate([(t, v[i]) for t, v in series]).rate for i in range(z.shape[1])
+        measured_rate(list(zip(times, norms[:, 1, i]))).rate for i in range(z.shape[1])
     ]
-    return np.array(rates), np.array([t for t, _ in series])
-
-
-def _seed_block(grid, xi):
-    """The stepped states of seeds 0-4 as the columns of one block."""
-    profiles = [rtmhd.verify._seed_profiles(grid, s) for s in range(5)]
-    return rtmhd.verify._seed_block(grid, xi, profiles)
+    return np.array(rates), times
 
 
 def _schedule_error(prof, mag, grid, xi, lam, z):
