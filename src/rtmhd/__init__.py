@@ -11,13 +11,12 @@ from .dispersion import (
     DispersionTable,
     critical_freq_horizontal,
     critical_freq_vertical,
-    critical_number,
     critical_number_auto,
     in_growing_domain,
     lattice_sweep,
     sup_rate,
 )
-from .eig import EigenPair, inertia_count, max_generalized_eig, min_generalized_eig
+from .eig import EigenPair, max_generalized_eig, min_generalized_eig
 from .forms import FormSet, assemble_forms
 from .growth import GrowthResult, alpha, growth_rate
 from .modes import (

@@ -19,6 +19,7 @@ from .profiles import (
     Orientation,
     PhysicalParams,
     ProfileSpec,
+    _known_keys,
     build_profile,
 )
 
@@ -51,6 +52,9 @@ class RunConfig:
             raise ConfigError("verify T must be positive and finite")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        for k, seed in enumerate(self.seeds):
+            if seed in self.seeds[:k]:
+                raise ConfigError(f"seed {seed} is listed twice")
 
     @property
     def radius(self) -> float:
@@ -73,15 +77,23 @@ class RunConfig:
         }
 
 
-def _section(raw: dict, key: str, required: bool = True) -> dict:
-    """The config section ``key``, which must be a JSON object."""
+_TOP_KEYS = ("profile", "params", "mag", "grid", "sweep", "verify", "output_dir")
+
+
+def _section(
+    raw: dict, key: str, keys: tuple[str, ...] | None, required: bool = True
+) -> dict:
+    """The config section ``key``, a JSON object with no key outside keys
+    (None: its reader checks them)."""
     if key not in raw:
         if required:
             raise ConfigError(f"missing key '{key}' in config")
         return {}
     if not isinstance(raw[key], dict):
         raise ConfigError(f"config section '{key}' must be a JSON object")
-    return raw[key]
+    if keys is None:
+        return raw[key]
+    return _known_keys(raw[key], keys, f"config section '{key}'")
 
 
 def _is_number(value) -> bool:
@@ -112,22 +124,23 @@ def _optional_number(section: dict, key: str, what: str) -> float | None:
 
 def config_from_dict(raw: dict) -> RunConfig:
     try:
-        spec = ProfileSpec.from_dict(_section(raw, "profile"))
-        p = _section(raw, "params")
+        _known_keys(raw, _TOP_KEYS, "config")
+        spec = ProfileSpec.from_dict(_section(raw, "profile", None))
+        p = _section(raw, "params", ("mu", "g", "L"))
         params = PhysicalParams(
             _number(p["mu"], "mu"), _number(p["g"], "g"), _number(p["L"], "L")
         )
-        m = _section(raw, "mag")
+        m = _section(raw, "mag", ("orientation", "magnitude"))
         mag = MagneticConfig(
             Orientation(m["orientation"]), _number(m["magnitude"], "magnitude")
         )
-        g = _section(raw, "grid")
+        g = _section(raw, "grid", ("half_length", "n"))
         grid = Grid1D(
             _number(g["half_length"], "half_length"), _integer(g["n"], "grid n")
         )
-        sweep = _section(raw, "sweep", required=False)
+        sweep = _section(raw, "sweep", ("radius",), required=False)
         radius = _optional_number(sweep, "radius", "sweep radius")
-        verify = _section(raw, "verify", required=False)
+        verify = _section(raw, "verify", ("dt", "T", "seeds"), required=False)
         dt = _optional_number(verify, "dt", "verify dt")
         T = _optional_number(verify, "T", "verify T")
         seeds = verify.get("seeds", [0, 1, 2, 3, 4])

@@ -4,10 +4,12 @@ The growing-mode domain of a field configuration is the set of frequencies
 where the magnetic + buoyancy form E0 is indefinite.  Membership is decided
 by one banded Cholesky test: the smallest eigenvalue of (E0, mass) lies
 below -floor exactly when E0 + floor * mass is not positive definite.  The
-same threshold can be located through dedicated critical quantities (the
-critical field strength, the horizontal critical-frequency function, and
-the vertical critical-frequency constant), and both routes agree up to
-solver tolerance.
+same threshold can be located through dedicated critical quantities: the
+critical field strength M_c (per truncation of the domain), the horizontal
+critical-frequency function S(xi) (per slope xi2/xi1) and the vertical
+critical-frequency constant |xi|_vc.  Each is the largest eigenvalue of one
+banded pencil, found by one certified ``max_generalized_eig`` call, and
+both routes agree up to solver tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .eig import EigenPair, definite, max_generalized_eig
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange
-from .forms import FormSet, assemble_forms, e0_builder, form_key
+from .forms import FormSet, _xi_free_bands, assemble_forms, form_key
 from .growth import growth_rate
 from .operators import band_combine, grad_stiffness_band, mass_band
 from .profiles import (
@@ -38,7 +40,6 @@ __all__ = [
     "DispersionTable",
     "SupRate",
     "in_growing_domain",
-    "critical_number",
     "critical_number_auto",
     "default_truncation_grids",
     "critical_freq_horizontal",
@@ -121,11 +122,6 @@ def _truncations(
         yield grid.half_length, float(np.sqrt(pair.value))
 
 
-def _critical_value_on(profile: DensityProfile, grid: Grid1D, g: float) -> float:
-    """sqrt of the largest eigenvalue of (g drho mass, gradient stiffness)."""
-    return next(_truncations(profile, [grid], g))[1]
-
-
 def default_truncation_grids(
     profile: DensityProfile,
     lz0: float | None = None,
@@ -180,48 +176,6 @@ def _classify_trace(
     return None
 
 
-def _classified_trace(
-    profile: DensityProfile, grids: list[Grid1D], g: float, early: bool
-) -> CriticalNumber:
-    """Run the truncation trace over grids and classify it.
-
-    With early=True the trace stops at the first prefix (of at least three
-    truncations) that classifies; the full trace is always classified
-    strictly, so an undecided trace raises.
-    """
-    trace: list[tuple[float, float]] = []
-    for point in _truncations(profile, grids, g):
-        trace.append(point)
-        if early and 3 <= len(trace) < len(grids):
-            result = _classify_trace(trace, profile.total_jump, strict=False)
-            if result is not None:
-                return result
-    result = _classify_trace(trace, profile.total_jump, strict=True)
-    assert result is not None  # strict classification raises instead
-    return result
-
-
-def critical_number(
-    profile: DensityProfile, grids: list[Grid1D], g: float = 1.0
-) -> CriticalNumber:
-    """Classify the critical field strength from a doubling-Lz truncation trace.
-
-    Divergence (>= 1.5x growth per doubling over the last two doublings) means
-    infinite; a settled trace (< 1e-4 relative change at the last doubling)
-    means finite with the last value.  Either way the numerical decision is
-    cross-checked against the sign of the total density jump.  Unless that
-    jump is positive, each truncation's eigen-solve starts from the previous
-    eigenvector, interpolated onto the doubled domain and zero outside the
-    old one, and is certified like a cold solve.
-    """
-    if len(grids) < 3:
-        raise ValueError("need at least 3 truncations, each doubling Lz")
-    for ga, gb in zip(grids, grids[1:]):
-        if not math.isclose(gb.half_length, 2.0 * ga.half_length, rel_tol=1e-9):
-            raise ValueError("each truncation must double the previous Lz")
-    return _classified_trace(profile, grids, g, early=False)
-
-
 def critical_number_auto(
     profile: DensityProfile,
     lz0: float | None = None,
@@ -229,17 +183,32 @@ def critical_number_auto(
     g: float = 1.0,
     max_doublings: int = 14,
 ) -> CriticalNumber:
-    """Extend the doubling-Lz trace until the classification rules trigger.
+    """Classify the critical field strength from a doubling-Lz truncation trace.
 
     The trace runs over ``default_truncation_grids`` with up to
-    3 + max_doublings truncations and stops at the first one that
-    classifies; the last is classified strictly and raises if undecided.
-    Truncations are warm-started as in ``critical_number``: on a settling
-    trace a truncation after the first takes 2-4 iterations
+    3 + max_doublings truncations and stops at the first (from the third on)
+    that classifies.  Divergence (>= 1.5x growth per doubling over the last
+    two doublings) means infinite; a settled trace (< 1e-4 relative change
+    at the last doubling) means finite with the last value.  Either way the
+    decision is cross-checked against the sign of the total density jump,
+    and the last truncation raises if still undecided.  Unless that jump is
+    positive, each truncation's eigen-solve starts from the previous
+    eigenvector, interpolated onto the doubled domain and zero outside the
+    old one, and is certified like a cold solve: on a settling trace a
+    truncation after the first takes 2-4 iterations
     (``EigenPair.iterations``) in place of a 40-step bisection.
     """
     grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3 + max_doublings)
-    return _classified_trace(profile, grids, g, early=True)
+    trace: list[tuple[float, float]] = []
+    for point in _truncations(profile, grids, g):
+        trace.append(point)
+        if 3 <= len(trace) < len(grids):
+            result = _classify_trace(trace, profile.total_jump, strict=False)
+            if result is not None:
+                return result
+    result = _classify_trace(trace, profile.total_jump, strict=True)
+    assert result is not None  # strict classification raises instead
+    return result
 
 
 # --- critical frequencies ----------------------------------------------------
@@ -294,15 +263,22 @@ def threshold_rows(
 
     The rows are the sweep's lattice points with i >= 1 and j >= 0, in the
     sweep's order; a row without a threshold carries None.  The pencil
-    depends on xi only through xi2/xi1, so the rows are solved in order of
-    that slope, each solve starting from the eigenvector of the one before
-    and certified like a cold solve.
+    depends on xi only through the slope xi2/xi1, so it is solved once per
+    lattice direction (i, j)/gcd(i, j), at that reduced point, and rows of
+    one slope share the value.  The directions are solved in slope order,
+    each solve starting from the eigenvector of the one before and certified
+    like a cold solve.
     """
     points = [(i, j) for i, j in _lattice(radius, L) if i >= 1 and j >= 0]
     bands = _horizontal_bands(profile, grid)
+
+    def direction(i: int, j: int) -> tuple[int, int]:
+        k = math.gcd(i, j)
+        return i // k, j // k
+
     s_of: dict[tuple[int, int], float | None] = {}
     start = None
-    for i, j in sorted(points, key=lambda p: p[1] / p[0]):
+    for i, j in sorted({direction(i, j) for i, j in points}, key=lambda p: p[1] / p[0]):
         xi = Frequency.lattice(i, j, L)
         s_of[(i, j)] = None
         if M * xi.xi1 != 0.0:
@@ -310,62 +286,38 @@ def threshold_rows(
             start = pair.vec
             if pair.value > 0:
                 s_of[(i, j)] = float(np.sqrt(pair.value))
-    return [(Frequency.lattice(i, j, L), s_of[(i, j)]) for i, j in points]
+    return [(Frequency.lattice(i, j, L), s_of[direction(i, j)]) for i, j in points]
 
 
 def critical_freq_vertical(
-    profile: DensityProfile,
-    grid: Grid1D,
-    M: float,
-    g: float = 1.0,
-    rtol: float = 1e-8,
+    profile: DensityProfile, grid: Grid1D, M: float, g: float = 1.0
 ) -> float:
     """Threshold |xi|_vc for a vertical field; instability requires |xi| > it.
 
-    Located by bisection in |xi| on whether the vertical E0 is positive
-    definite (one banded Cholesky per step); its smallest eigenvalue against
-    the mass is nonincreasing in |xi|.  The bands of E0 that do not depend
-    on |xi| are built once.  A positive total density jump makes the
-    threshold zero.
+    With t = |xi|^2 and K the gradient stiffness, t times the vertical E0 is
+    A - t B with A = M^2 D2^T D2 (positive definite) and
+    B = g drho mass - M^2 K.  So E0 is positive definite exactly when
+    t < 1/mu, mu the largest eigenvalue of (B, A), and |xi|_vc = 1/sqrt(mu):
+    one eigen-solve on the bands that ``assemble_forms`` builds E0 from.  A
+    positive total density jump makes the threshold zero; mu <= 0 means the
+    field is at or above critical.
     """
     if profile.total_jump > 0:
         return 0.0
     if M == 0.0:
         raise OutOfRange("the vertical threshold needs M != 0")
-    e0 = e0_builder(
-        profile,
-        grid,
-        MagneticConfig(Orientation.VERTICAL, abs(M)),
-        PhysicalParams(mu=1.0, g=g, L=1.0),
-    )
-    mass = mass_band(grid)
-
-    def indefinite(xi_norm: float) -> bool:
-        return not definite(e0(Frequency(0.0, xi_norm)), mass, 0.0)
-
-    hi = 1.0
-    for _ in range(60):
-        if indefinite(hi):
-            break
-        hi *= 2.0
-    else:
+    mag = MagneticConfig(Orientation.VERTICAL, abs(M))
+    bands = _xi_free_bands(profile, grid, mag, PhysicalParams(mu=1.0, g=g, L=1.0))
+    m2 = M * M
+    a = band_combine([(m2, bands.d2_gram)])
+    b = band_combine([(-1.0, bands.buoyancy), (-m2, bands.k_grad)])
+    pair = max_generalized_eig(b, a)
+    if pair.value <= 0:
         raise OutOfRange(
-            f"E0 stays nonnegative up to |xi| = {hi:.3g}: the field strength "
-            "appears to be at or above critical"
+            f"E0 is positive definite at every |xi|: M = {M:.6g} is at or above "
+            "the critical field strength"
         )
-    lo = hi / 2.0
-    while indefinite(lo):
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-12:
-            return 0.0
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if indefinite(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(1.0 / np.sqrt(pair.value))
 
 
 # --- lattice sweep -----------------------------------------------------------

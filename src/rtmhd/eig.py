@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf
 
 from .errors import FactorizationBreakdown
@@ -23,7 +22,6 @@ from .operators import band_combine, band_matvec, band_to_lu
 __all__ = [
     "EigenPair",
     "definite",
-    "inertia_count",
     "min_generalized_eig",
     "max_generalized_eig",
 ]
@@ -47,17 +45,6 @@ def definite(a: np.ndarray, b: np.ndarray, sigma: float) -> bool:
     """
     _, info = dpbtrf(band_combine([(1.0, a), (-sigma, b)]), lower=1)
     return info == 0
-
-
-def inertia_count(a: np.ndarray, b: np.ndarray, sigma: float) -> int:
-    """Number of pencil eigenvalues strictly below sigma.
-
-    With B positive definite, Sylvester's law makes this the number of
-    negative eigenvalues of A - sigma*B.
-    """
-    shifted = band_combine([(1.0, a), (-sigma, b)])
-    w = eig_banded(shifted, lower=True, eigvals_only=True)
-    return int(np.count_nonzero(w < 0.0))
 
 
 @dataclass

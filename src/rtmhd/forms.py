@@ -12,7 +12,6 @@ All forms are symmetric banded Gram assemblies on the clamped interior grid
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from .profiles import (
     PhysicalParams,
 )
 
-__all__ = ["FormSet", "assemble_forms", "e0_builder", "form_key"]
+__all__ = ["FormSet", "assemble_forms", "form_key"]
 
 
 @dataclass(frozen=True)
@@ -103,36 +102,6 @@ def _xi_free_bands(
     return bands
 
 
-def e0_builder(
-    profile: DensityProfile,
-    grid: Grid1D,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-) -> Callable[[Frequency], np.ndarray]:
-    """E0 as a function of xi, from the bands that do not depend on xi.
-
-    With b = mag.direction() and K the gradient stiffness, the magnetic part is
-    M^2 (b_h . xi)^2 (mass + K/|xi|^2) + M^2 b3^2 (K + D2^T D2/|xi|^2); the
-    terms of a vanishing field component are not formed.  A loop over many
-    frequencies of one setup (the |xi|_vc bisection) pays one band
-    combination per frequency.
-    """
-    bands = _xi_free_bands(profile, grid, mag, params)
-    b1, b2, b3 = mag.direction()
-    m2b3 = mag.magnitude**2 * b3**2
-
-    def e0(xi: Frequency) -> np.ndarray:
-        xi2, m2bxi = form_key(xi, mag)
-        terms = []
-        if b1 or b2:
-            terms += [(m2bxi, bands.mass), (m2bxi / xi2, bands.k_grad)]
-        if b3:
-            terms += [(m2b3, bands.k_grad), (m2b3 / xi2, bands.d2_gram)]
-        return band_combine(terms + [(1.0, bands.buoyancy)])
-
-    return e0
-
-
 def assemble_forms(
     profile: DensityProfile,
     grid: Grid1D,
@@ -143,14 +112,26 @@ def assemble_forms(
     """Build E0, E1, J and the L^2 mass for one frequency and field setup.
 
     The bands that do not depend on xi are built once per (profile, grid,
-    mag, params); a call combines them with the xi-dependent terms.
+    mag, params); a call combines them with the xi-dependent terms.  With
+    b = mag.direction() and K the gradient stiffness, the magnetic part of E0
+    is M^2 (b_h . xi)^2 (mass + K/|xi|^2) + M^2 b3^2 (K + D2^T D2/|xi|^2);
+    the terms of a vanishing field component are not formed.
     """
     if xi.is_zero():
         raise ZeroFrequency("forms are defined only for |xi| > 0")
 
     bands = _xi_free_bands(profile, grid, mag, params)
-    xi2 = xi.norm2
+    xi2, m2bxi = form_key(xi, mag)
     w = np.full(grid.n, grid.h)
+
+    b1, b2, b3 = mag.direction()
+    m2b3 = mag.magnitude**2 * b3**2
+    terms = []
+    if b1 or b2:
+        terms += [(m2bxi, bands.mass), (m2bxi / xi2, bands.k_grad)]
+    if b3:
+        terms += [(m2b3, bands.k_grad), (m2b3 / xi2, bands.d2_gram)]
+    e0 = band_combine(terms + [(1.0, bands.buoyancy)])
 
     e1 = band_combine(
         [
@@ -162,7 +143,7 @@ def assemble_forms(
     j = band_combine([(xi2, bands.j_mass), (1.0, bands.j_grad)])
 
     return FormSet(
-        e0=e0_builder(profile, grid, mag, params)(xi),
+        e0=e0,
         e1=e1,
         j=j,
         mass=bands.mass,

@@ -92,6 +92,14 @@ class Bump:
             raise ValueError("bump half_width must be positive and finite")
 
 
+def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> dict:
+    """obj, which must hold no key outside keys (ValueError names the first)."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    return obj
+
+
 @dataclass(frozen=True)
 class ProfileSpec:
     """Base density below the transition region plus a list of bumps."""
@@ -118,18 +126,22 @@ class ProfileSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ProfileSpec":
         """The spec of ``to_dict``; a string or a boolean where a number
-        belongs raises TypeError rather than being coerced."""
+        belongs raises TypeError rather than being coerced, and a key that
+        ``to_dict`` does not write raises ValueError."""
 
         def number(value) -> float:
             if isinstance(value, (str, bool)):
                 raise TypeError(f"profile value must be a number, got {value!r}")
             return float(value)
 
-        bumps = tuple(
-            Bump(number(b["amp"]), number(b["center"]), number(b["half_width"]))
-            for b in d["bumps"]
-        )
-        return cls(base_density=number(d["base_density"]), bumps=bumps)
+        _known_keys(d, ("base_density", "bumps"), "profile")
+        bumps = []
+        for b in d["bumps"]:
+            _known_keys(b, ("amp", "center", "half_width"), "bump")
+            bumps.append(
+                Bump(number(b["amp"]), number(b["center"]), number(b["half_width"]))
+            )
+        return cls(base_density=number(d["base_density"]), bumps=tuple(bumps))
 
 
 @dataclass(frozen=True)

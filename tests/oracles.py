@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here goes through dense LAPACK routines or generic quadrature so
-that it shares no code path with the banded solvers under test.  The one
-exception is ``cn_step_reference``, the Crank-Nicolson step written out per
-velocity component, which keeps a sparse LU so that it solves the same
-system as the stacked stepper it checks.  Its induction and Lorentz blocks,
-``coupling_reference``, are written out per field orientation.  The other
-exception is ``bump_cdf_unblocked``, the bump quadrature evaluated for all
-points at once, which the blocked evaluation must match bitwise.  Last,
+that it shares no code path with the banded solvers under test.  There are
+four exceptions.  ``inertia_count`` counts a pencil's eigenvalues below a
+shift with LAPACK's banded symmetric eigensolver, a route beside the dense
+count and the Cholesky test it checks.  ``cn_step_reference``, the
+Crank-Nicolson step written out per velocity component, keeps a sparse LU
+so that it solves the same system as the stacked stepper it checks.  Its
+induction and Lorentz blocks, ``coupling_reference``, are written out per
+field orientation.  ``bump_cdf_unblocked``, the bump quadrature evaluated
+for all points at once, must match the blocked evaluation bitwise.  Last,
 ``run_rate`` marches one stepped column alone through ``march_norms``,
 against which the ``verify`` command's march, with the column joined to the
 sharpness runs, is checked.
@@ -16,11 +18,11 @@ sharpness runs, is checked.
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eig_banded, eigh, eigvalsh
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
-from rtmhd.operators import band_to_dense
+from rtmhd.operators import band_combine, band_to_dense
 from rtmhd.verify import march_norms, measured_rate
 from rtmhd.profiles import (
     _GL_NODES,
@@ -46,6 +48,18 @@ def dense_largest(a_band: np.ndarray, b_band: np.ndarray) -> float:
 def dense_count_below(a_band: np.ndarray, b_band: np.ndarray, sigma: float) -> int:
     w = eigh(band_to_dense(a_band), band_to_dense(b_band), eigvals_only=True)
     return int(np.sum(w < sigma))
+
+
+def inertia_count(a_band: np.ndarray, b_band: np.ndarray, sigma: float) -> int:
+    """Number of pencil eigenvalues strictly below sigma, by banded LAPACK.
+
+    With B positive definite, Sylvester's law makes this the number of
+    negative eigenvalues of A - sigma*B, which ``eig_banded`` counts without
+    forming the dense matrix.
+    """
+    shifted = band_combine([(1.0, a_band), (-sigma, b_band)])
+    w = eig_banded(shifted, lower=True, eigvals_only=True)
+    return int(np.count_nonzero(w < 0.0))
 
 
 def adaptive_bump_integral(amp: float, half_width: float) -> float:

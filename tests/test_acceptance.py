@@ -16,9 +16,9 @@ from rtmhd.dispersion import (
     in_growing_domain,
     lattice_sweep,
     sup_rate,
-    _critical_value_on,
+    _truncations,
 )
-from rtmhd.eig import inertia_count, min_generalized_eig
+from rtmhd.eig import definite, min_generalized_eig
 from rtmhd.errors import OutOfRange
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import alpha, growth_rate
@@ -26,7 +26,7 @@ from rtmhd.modes import assemble_real_solution, build_mode, snapshot_divergence
 from rtmhd.verify import eigenmode_column
 
 from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
-from .oracles import dense_count_below, dense_smallest, eoc, run_rate
+from .oracles import dense_count_below, dense_smallest, eoc, inertia_count, run_rate
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -85,7 +85,9 @@ def test_criterion_1_eigensolver_correctness():
         worst = max(worst, abs(pair.value - truth))
         assert abs(pair.value - truth) <= 1e-10
         sigma = float(rng.standard_normal())
-        assert inertia_count(a, b, sigma) == dense_count_below(a, b, sigma)
+        below = dense_count_below(a, b, sigma)
+        assert inertia_count(a, b, sigma) == below
+        assert definite(a, b, sigma) == (below == 0)
     _report(1, time.monotonic() - t0, 5.0, f"max |err| = {worst:.2e}")
 
 
@@ -159,8 +161,9 @@ def test_criterion_5_critical_dichotomy(canon_profile, jumpneg_profile, canon_gr
     )
     scaled = rtmhd.build_profile(scaled_spec, canon_grid)
     grid = rtmhd.Grid1D(16.0, 403)
-    ratio = _critical_value_on(scaled, grid, 1.0) / _critical_value_on(
-        jumpneg_profile, grid, 1.0
+    ratio = (
+        next(_truncations(scaled, [grid], 1.0))[1]
+        / next(_truncations(jumpneg_profile, [grid], 1.0))[1]
     )
     assert ratio == pytest.approx(np.sqrt(c), rel=1e-6)
     _report(

@@ -215,6 +215,41 @@ def test_cli_rejects_strings_and_booleans_for_numbers(
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        (None, "extra", 1, "'extra'"),
+        ("profile", "base", 1.0, "'base'"),
+        ("bump", "width", 1.0, "'width'"),
+        ("params", "mu2", 1.0, "'mu2'"),
+        ("mag", "angle", 0.0, "'angle'"),
+        ("grid", "lz", 8.0, "'lz'"),
+        ("sweep", "r", 2.0, "'r'"),
+        ("verify", "tt", 3.0, "'tt'"),
+        ("verify", "seeds", [1, 1], "seed 1"),
+    ],
+)
+def test_cli_rejects_unknown_keys_and_duplicate_seeds(
+    tmp_path, capsys, section, key, value, named
+):
+    # a misspelt key ran with its default, and a repeated seed ran twice
+    path = tmp_path / "c.json"
+    raw = json.loads(open(_write_config(path, grid={"half_length": 8.0, "n": 33})).read())
+    if section is None:
+        target = raw
+    elif section == "bump":
+        target = raw["profile"]["bumps"][0]
+    else:
+        target = raw[section]
+    target[key] = value
+    path.write_text(json.dumps(raw))
+    code = main(["profile", str(path)])
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert err["error"] == "config"
+    assert named in err["message"]
+
+
 def test_integral_floats_are_counts(tmp_path):
     path = _write_config(
         tmp_path / "c.json",

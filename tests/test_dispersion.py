@@ -5,7 +5,6 @@ import rtmhd
 from rtmhd.dispersion import (
     critical_freq_horizontal,
     critical_freq_vertical,
-    critical_number,
     critical_number_auto,
     default_truncation_grids,
     in_growing_domain,
@@ -14,15 +13,15 @@ from rtmhd.dispersion import (
     table_to_csv,
     threshold_rows,
     trace_to_csv,
-    _critical_value_on,
+    _truncations,
 )
 from rtmhd.errors import EmptyDomain, OutOfRange, ZeroFrequency
-from rtmhd.forms import assemble_forms, e0_builder, form_key
+from rtmhd.forms import assemble_forms, form_key
 from rtmhd.growth import growth_rate
 from rtmhd.operators import band_combine, d2_stencil, grad_stiffness_band, mass_band
 
 from .conftest import CANON_PARAMS, JUMP_NEG_SPEC
-from .oracles import cone_infimum_dense
+from .oracles import cone_infimum_dense, dense_largest
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -97,10 +96,6 @@ def test_critical_number_finite_converged(jumpneg_profile):
     assert not result.is_infinite
     values = [v for _, v in result.trace]
     assert abs(values[-1] - values[-2]) <= 1e-4 * abs(values[-1])
-    # fixed-sequence entry point agrees on the same truncations
-    grids = default_truncation_grids(jumpneg_profile, lz0=8.0, n0=129, count=len(result.trace))
-    again = critical_number(jumpneg_profile, grids, g=1.0)
-    assert again.value == pytest.approx(result.value, rel=1e-12)
 
 
 # 1/Lz-model extrapolation of the Lz = {8, 16, 32} trace (n0 = 129, g = 1);
@@ -126,15 +121,9 @@ def test_critical_number_sqrt_scaling(jumpneg_profile, canon_grid):
     )
     scaled = rtmhd.build_profile(scaled_spec, canon_grid)
     grid = rtmhd.Grid1D(16.0, 403)
-    v1 = _critical_value_on(jumpneg_profile, grid, 1.0)
-    v2 = _critical_value_on(scaled, grid, 1.0)
+    v1 = next(_truncations(jumpneg_profile, [grid], 1.0))[1]
+    v2 = next(_truncations(scaled, [grid], 1.0))[1]
     assert v2 / v1 == pytest.approx(np.sqrt(c), rel=1e-6)
-
-
-def test_critical_number_needs_doubling_sequence(jumpneg_profile):
-    grids = [rtmhd.Grid1D(8.0, 129), rtmhd.Grid1D(12.0, 193), rtmhd.Grid1D(24.0, 385)]
-    with pytest.raises(ValueError):
-        critical_number(jumpneg_profile, grids)
 
 
 def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
@@ -204,9 +193,9 @@ def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch):
     monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
     rows = threshold_rows(jumpneg_profile, grid, M, radius=4.0, L=1.0, g=1.0)
     monkeypatch.undo()
-    # only the first solve is cold; each later one continues from a
-    # neighbouring slope xi2/xi1
-    assert len(iterations) == len(rows)
+    # one solve per slope xi2/xi1: 8 for the 12 rows; only the first is
+    # cold, each later one continues from the neighbouring slope
+    assert len(iterations) == 8
     assert max(iterations[1:]) <= 8
     assert [(xi.xi1, xi.xi2) for xi, _ in rows] == [
         (i, j) for i in range(1, 5) for j in range(4) if i * i + j * j <= 16
@@ -222,6 +211,17 @@ def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch):
         assert s_val == pytest.approx(cold, rel=1e-12)
     # M = 1 lies above the critical ratio for the flatter directions
     assert (blanks > 0) == (M == 1.0)
+
+
+def test_threshold_rows_of_one_slope_are_bitwise_equal(jumpneg_profile):
+    grid = rtmhd.Grid1D(8.0, 201)
+    rows = threshold_rows(jumpneg_profile, grid, 0.3, radius=4.0, L=1.0, g=1.0)
+    by_slope: dict[float, set] = {}
+    for xi, s_val in rows:
+        assert s_val is not None
+        by_slope.setdefault(xi.xi2 / xi.xi1, set()).add(s_val)
+    assert len(rows) == 12 and len(by_slope) == 8
+    assert all(len(values) == 1 for values in by_slope.values())
 
 
 def test_s_homogeneity_degree_zero(canon_profile, canon_grid):
@@ -282,13 +282,12 @@ def test_xi_vc_matches_direct_formula_oracle(jumpneg_profile):
 
 
 def test_vertical_e0_from_prebuilt_bands_is_bitwise(jumpneg_profile, canon_grid):
-    # E0 written out term by term, in the order the bisection has always used
+    # E0 written out term by term, in the order assemble_forms has always used
     params = rtmhd.PhysicalParams(mu=1.0, g=1.0, L=1.0)
     mag = rtmhd.MagneticConfig(V, M_HALF_CRITICAL)
     m2 = M_HALF_CRITICAL**2
     x = canon_grid.points()
     d2_gram = d2_stencil(canon_grid).gram(np.full(canon_grid.n, canon_grid.h))
-    e0 = e0_builder(jumpneg_profile, canon_grid, mag, params)
     for xi_norm in (0.05, 0.3, 0.5441472474485636, 1.7, 12.0):
         xi = rtmhd.Frequency(0.0, xi_norm)
         reference = band_combine(
@@ -298,41 +297,62 @@ def test_vertical_e0_from_prebuilt_bands_is_bitwise(jumpneg_profile, canon_grid)
                 (1.0, mass_band(canon_grid, -jumpneg_profile.drho(x))),
             ]
         )
-        assert np.array_equal(e0(xi), reference)
         assembled = assemble_forms(jumpneg_profile, canon_grid, xi, mag, params)
-        assert np.array_equal(e0(xi), assembled.e0)
+        assert np.array_equal(assembled.e0, reference)
 
 
-# |xi|_vc as the bisection gave it with a full form assembly per step
+def _vertical_pencil(profile, grid, M):
+    """(B, A) of |xi|_vc: t E0 = A - t B with t = |xi|^2 (g = 1)."""
+    x = grid.points()
+    d2_gram = d2_stencil(grid).gram(np.full(grid.n, grid.h))
+    a = band_combine([(M**2, d2_gram)])
+    b = band_combine(
+        [(1.0, mass_band(grid, profile.drho(x))), (-(M**2), grad_stiffness_band(grid))]
+    )
+    return b, a
+
+
 @pytest.mark.parametrize(
-    "n, M, expected",
-    [
-        (201, 0.3, 0.5565214995294809),
-        (801, M_HALF_CRITICAL, 0.5441472474485636),
-        (801, 0.3 * M_HALF_CRITICAL, 0.10585442138835788),
-    ],
+    "n, M",
+    [(201, 0.3), (801, M_HALF_CRITICAL), (801, 0.3 * M_HALF_CRITICAL)],
 )
-def test_xi_vc_unchanged_by_prebuilt_bands(jumpneg_profile, n, M, expected):
+def test_xi_vc_is_one_solve_of_its_pencil(jumpneg_profile, n, M, monkeypatch):
+    solve = rtmhd.dispersion.max_generalized_eig
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
     grid = rtmhd.Grid1D(8.0, n)
-    assert critical_freq_vertical(jumpneg_profile, grid, M, g=1.0) == expected
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    xi_vc = critical_freq_vertical(jumpneg_profile, grid, M, g=1.0)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    mu = dense_largest(*_vertical_pencil(jumpneg_profile, grid, M))
+    assert xi_vc == pytest.approx(1.0 / np.sqrt(mu), rel=1e-8)
+
+
+def test_xi_vc_out_of_range_at_and_above_critical(jumpneg_profile):
+    # E0 = (A - t B)/t stays positive definite at every |xi| once M reaches
+    # the critical field strength of the same grid
+    grid = rtmhd.Grid1D(8.0, 201)
+    m_c = next(_truncations(jumpneg_profile, [grid], 1.0))[1]
+    with pytest.raises(OutOfRange):
+        critical_freq_vertical(jumpneg_profile, grid, 0.0, g=1.0)
+    with pytest.raises(OutOfRange):
+        critical_freq_vertical(jumpneg_profile, grid, 1.001 * m_c, g=1.0)
+    xi_vc = critical_freq_vertical(jumpneg_profile, grid, 0.999 * m_c, g=1.0)
+    assert 10.0 < xi_vc < np.inf
 
 
 def test_xi_vc_direct_formula_cross_method(jumpneg_profile, canon_grid):
-    # same-grid cross check: membership-threshold bisection vs dense
-    # evaluation of the variational quotient over the admissible cone
-    M = M_HALF_CRITICAL
-    x = canon_grid.points()
-    d2_gram = d2_stencil(canon_grid).gram(np.full(canon_grid.n, canon_grid.h))
-    a = band_combine([(M**2, d2_gram)])
-    b = band_combine(
-        [
-            (1.0, mass_band(canon_grid, jumpneg_profile.drho(x))),
-            (-(M**2), grad_stiffness_band(canon_grid)),
-        ]
-    )
+    # same-grid cross check: the banded pencil solve vs a dense bisection
+    # of the variational quotient over the admissible cone
+    b, a = _vertical_pencil(jumpneg_profile, canon_grid, M_HALF_CRITICAL)
     direct = np.sqrt(cone_infimum_dense(a, b))
-    bisected = critical_freq_vertical(jumpneg_profile, canon_grid, M, g=1.0)
-    assert bisected == pytest.approx(direct, rel=1e-3)
+    xi_vc = critical_freq_vertical(jumpneg_profile, canon_grid, M_HALF_CRITICAL, g=1.0)
+    assert xi_vc == pytest.approx(direct, rel=1e-7)
 
 
 def test_sweep_symmetry_and_mirrors(canon_sweep):

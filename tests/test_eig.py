@@ -8,7 +8,6 @@ import rtmhd
 from rtmhd.eig import (
     _solve_shifted,
     definite,
-    inertia_count,
     max_generalized_eig,
     min_generalized_eig,
 )
@@ -16,7 +15,7 @@ from rtmhd.forms import assemble_forms
 from rtmhd.operators import band_to_dense, band_zeros
 
 from .conftest import CANON_PARAMS, CANON_SPEC
-from .oracles import dense_count_below, dense_smallest
+from .oracles import dense_count_below, dense_smallest, inertia_count
 
 
 def _random_pencil(rng, n=None, p=None):
