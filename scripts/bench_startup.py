@@ -7,7 +7,8 @@ command pays it before any compute.  Each start runs in its own child
 process, with the tree's ``src`` directory on PYTHONPATH and one BLAS
 thread.  With ``--before``, the two trees start in alternating rounds and
 each time is the median over the rounds.  The report also records how many
-modules the start loads and which scipy subpackages are among them.
+modules the start loads, how many of them are scipy's, and which scipy
+subpackages are among them.
 
 Usage:
     python scripts/bench_startup.py [--before OTHER/src] [--out FILE]
@@ -39,7 +40,11 @@ scipy = sorted(
     m[6:] for m, mod in sys.modules.items()
     if m.count(".") == 1 and m.startswith("scipy.") and hasattr(mod, "__path__")
 )
-print(json.dumps({"import_s": elapsed, "modules": len(sys.modules), "scipy": scipy}))
+scipy_modules = sum(m.split(".")[0] == "scipy" for m in sys.modules)
+print(json.dumps({
+    "import_s": elapsed, "modules": len(sys.modules), "scipy_modules": scipy_modules,
+    "scipy": scipy,
+}))
 """
 
 
@@ -67,6 +72,7 @@ def _merge(starts: list[dict]) -> dict:
         "process_s": _median([s["process_s"] for s in starts]),
         "import_s": _median([s["import_s"] for s in starts]),
         "modules": first["modules"],
+        "scipy_modules": first["scipy_modules"],
         "scipy_subpackages": [m for m in first["scipy"] if not m.startswith("_")],
     }
 
@@ -117,8 +123,9 @@ def main():
         row = report[label]
         print(
             f"{label}: import+load {row['import_s']:.3f} s, process "
-            f"{row['process_s']:.3f} s, {row['modules']} modules, scipy "
-            f"{', '.join(row['scipy_subpackages'])}"
+            f"{row['process_s']:.3f} s, {row['modules']} modules "
+            f"({row['scipy_modules']} of scipy), scipy subpackages "
+            f"{', '.join(row['scipy_subpackages']) or 'none'}"
         )
     print(f"wrote {args.out}")
 

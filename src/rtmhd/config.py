@@ -23,7 +23,20 @@ from .profiles import (
     build_profile,
 )
 
-__all__ = ["RunConfig", "config_from_dict", "load_config", "read_config"]
+__all__ = [
+    "MAX_GRID_N",
+    "MAX_LATTICE_POINTS",
+    "RunConfig",
+    "config_from_dict",
+    "load_config",
+    "read_config",
+]
+
+# Fixed bounds on the work one config may ask for, checked before any
+# array is built: the grid size, and the lattice disc pi (radius L)^2 of
+# the sweep and the threshold table.
+MAX_GRID_N = 20_001
+MAX_LATTICE_POINTS = 50_000
 
 
 @dataclass
@@ -40,12 +53,21 @@ class RunConfig:
     profile: DensityProfile = field(init=False)
 
     def __post_init__(self):
+        if self.grid.n > MAX_GRID_N:
+            raise ConfigError(f"grid n = {self.grid.n} exceeds the cap {MAX_GRID_N}")
         try:
             self.profile = build_profile(self.profile_spec, self.grid)
         except (RtmhdError, ValueError) as exc:
             raise ConfigError(f"profile rejected: {exc}") from exc
         if self.sweep_radius is not None and not 0 < self.sweep_radius < math.inf:
             raise ConfigError("sweep radius must be positive and finite")
+        side = self.radius * self.params.L
+        lattice = math.pi * side * side  # inf, not OverflowError, when huge
+        if lattice > MAX_LATTICE_POINTS:
+            raise ConfigError(
+                f"sweep lattice pi (radius L)^2 = {lattice:.6g} exceeds the cap "
+                f"{MAX_LATTICE_POINTS} points"
+            )
         if self.verify_dt is not None and not 0 < self.verify_dt < math.inf:
             raise ConfigError("verify dt must be positive and finite")
         if self.verify_T is not None and not 0 < self.verify_T < math.inf:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .eig import EigenPair, definite, max_generalized_eig
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange
-from .forms import FormSet, _xi_free_bands, assemble_forms, form_key
+from .forms import FormSet, _e0_bands, assemble_forms, form_key
 from .growth import growth_rate
 from .operators import band_combine, grad_stiffness_band, mass_band
 from .profiles import (
@@ -30,7 +30,6 @@ from .profiles import (
     Frequency,
     Grid1D,
     MagneticConfig,
-    Orientation,
     PhysicalParams,
 )
 
@@ -306,8 +305,7 @@ def critical_freq_vertical(
         return 0.0
     if M == 0.0:
         raise OutOfRange("the vertical threshold needs M != 0")
-    mag = MagneticConfig(Orientation.VERTICAL, abs(M))
-    bands = _xi_free_bands(profile, grid, mag, PhysicalParams(mu=1.0, g=g, L=1.0))
+    bands = _e0_bands(profile, grid, g, True)
     m2 = M * M
     a = band_combine([(m2, bands.d2_gram)])
     b = band_combine([(-1.0, bands.buoyancy), (-m2, bands.k_grad)])

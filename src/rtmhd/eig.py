@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf
 
+from ._lapack import dgbsv, dgtsv, dpbtrf
 from .errors import FactorizationBreakdown
 from .operators import band_combine, band_matvec, band_to_lu
 

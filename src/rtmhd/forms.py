@@ -65,41 +65,59 @@ def form_key(xi: Frequency, mag: MagneticConfig) -> tuple[float, float]:
     return xi.norm2, mag.magnitude**2 * (b1 * xi.xi1 + b2 * xi.xi2) ** 2
 
 
-class _Bands(NamedTuple):
-    """The bands of the forms that do not depend on xi."""
+class _E0Bands(NamedTuple):
+    """The bands of E0 that do not depend on xi."""
 
-    buoyancy: np.ndarray  # -g drho mass, in E0
-    k_grad: np.ndarray  # gradient stiffness, in E0
-    mass: np.ndarray  # plain L^2 mass
+    buoyancy: np.ndarray  # -g drho mass
+    k_grad: np.ndarray  # gradient stiffness
     d2_gram: np.ndarray | None  # D2^T D2, in E0 of a field with b3 != 0
+
+
+class _RestBands(NamedTuple):
+    """The bands of the mass, E1 and J that do not depend on xi."""
+
+    mass: np.ndarray  # plain L^2 mass, also in E0 of a field with b_h != 0
     d1_gram: np.ndarray  # D1^T D1, in E1
     j_mass: np.ndarray  # rho-weighted mass, in J
     j_grad: np.ndarray  # rho-weighted gradient stiffness, in J
 
 
-@functools.lru_cache(maxsize=4)
-def _xi_free_bands(
-    profile: DensityProfile,
-    grid: Grid1D,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-) -> _Bands:
-    """The xi-independent bands of one setup, built once and read-only."""
-    x = grid.points()
-    w = np.full(grid.n, grid.h)
-    bands = _Bands(
-        buoyancy=mass_band(grid, -params.g * profile.drho(x)),
-        k_grad=grad_stiffness_band(grid),
-        mass=mass_band(grid),
-        d2_gram=d2_stencil(grid).gram(w) if mag.direction()[2] else None,
-        d1_gram=d1_stencil(grid).gram(w),
-        j_mass=mass_band(grid, profile.rho(x)),
-        j_grad=grad_stiffness_band(grid, profile.rho(grid.midpoints())),
-    )
+def _read_only(bands: tuple) -> tuple:
     for band in bands:
         if band is not None:
             band.flags.writeable = False
     return bands
+
+
+@functools.lru_cache(maxsize=4)
+def _e0_bands(
+    profile: DensityProfile, grid: Grid1D, g: float, vertical: bool
+) -> _E0Bands:
+    """The xi-independent E0 bands, built once and read-only; D2^T D2 only
+    when the field has a vertical component."""
+    w = np.full(grid.n, grid.h)
+    return _read_only(
+        _E0Bands(
+            buoyancy=mass_band(grid, -g * profile.drho(grid.points())),
+            k_grad=grad_stiffness_band(grid),
+            d2_gram=d2_stencil(grid).gram(w) if vertical else None,
+        )
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _rest_bands(profile: DensityProfile, grid: Grid1D) -> _RestBands:
+    """The xi-independent mass, E1 and J bands, built once and read-only."""
+    x = grid.points()
+    w = np.full(grid.n, grid.h)
+    return _read_only(
+        _RestBands(
+            mass=mass_band(grid),
+            d1_gram=d1_stencil(grid).gram(w),
+            j_mass=mass_band(grid, profile.rho(x)),
+            j_grad=grad_stiffness_band(grid, profile.rho(grid.midpoints())),
+        )
+    )
 
 
 def assemble_forms(
@@ -111,8 +129,8 @@ def assemble_forms(
 ) -> FormSet:
     """Build E0, E1, J and the L^2 mass for one frequency and field setup.
 
-    The bands that do not depend on xi are built once per (profile, grid,
-    mag, params); a call combines them with the xi-dependent terms.  With
+    The bands that do not depend on xi are built once per setup, E0's apart
+    from the rest; a call combines them with the xi-dependent terms.  With
     b = mag.direction() and K the gradient stiffness, the magnetic part of E0
     is M^2 (b_h . xi)^2 (mass + K/|xi|^2) + M^2 b3^2 (K + D2^T D2/|xi|^2);
     the terms of a vanishing field component are not formed.
@@ -120,33 +138,34 @@ def assemble_forms(
     if xi.is_zero():
         raise ZeroFrequency("forms are defined only for |xi| > 0")
 
-    bands = _xi_free_bands(profile, grid, mag, params)
+    b1, b2, b3 = mag.direction()
+    bands = _e0_bands(profile, grid, params.g, bool(b3))
+    rest = _rest_bands(profile, grid)
     xi2, m2bxi = form_key(xi, mag)
     w = np.full(grid.n, grid.h)
 
-    b1, b2, b3 = mag.direction()
     m2b3 = mag.magnitude**2 * b3**2
     terms = []
     if b1 or b2:
-        terms += [(m2bxi, bands.mass), (m2bxi / xi2, bands.k_grad)]
+        terms += [(m2bxi, rest.mass), (m2bxi / xi2, bands.k_grad)]
     if b3:
         terms += [(m2b3, bands.k_grad), (m2b3 / xi2, bands.d2_gram)]
     e0 = band_combine(terms + [(1.0, bands.buoyancy)])
 
     e1 = band_combine(
         [
-            (4.0 * params.mu * xi2, bands.d1_gram),
+            (4.0 * params.mu * xi2, rest.d1_gram),
             (params.mu, composite_stencil(grid, xi2).gram(w)),
         ]
     )
 
-    j = band_combine([(xi2, bands.j_mass), (1.0, bands.j_grad)])
+    j = band_combine([(xi2, rest.j_mass), (1.0, rest.j_grad)])
 
     return FormSet(
         e0=e0,
         e1=e1,
         j=j,
-        mass=bands.mass,
+        mass=rest.mass,
         xi=xi,
         mag=mag,
         params=params,

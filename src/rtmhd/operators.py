@@ -15,11 +15,14 @@ makes their symmetry and semidefiniteness structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .profiles import Grid1D
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "band_zeros",
@@ -218,8 +221,10 @@ def block_sparse(blocks: Blocks, shape: tuple[int, int]) -> sp.csr_matrix:
 
     ``blocks`` maps (block row, block column) to a stencil; ``shape`` counts
     blocks, and absent blocks are zero.  Entries on boundary values and zeros
-    are dropped.
+    are dropped.  ``scipy.sparse`` is imported here, on first use.
     """
+    import scipy.sparse as sp
+
     first = next(iter(blocks.values()))
     m, n = first.n_rows, first.n_cols
     rows, cols, vals = [], [], []

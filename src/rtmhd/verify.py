@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DegenerateSeries,
@@ -90,6 +89,13 @@ RATE_RTOL = 0.02  # admissible relative error of a normal mode's measured rate
 MIN_RATE_SAMPLES = 10  # fewest norm samples ``measured_rate`` fits
 STEPS_PER_EFOLD = 20  # coarsest default step: CN rate error (1/20)^2/12 = 2.1e-4
 SAMPLE_INTERVALS = 60  # a default run samples its norm at t_k = k T / 60
+
+
+def splu(a):
+    """scipy's sparse LU of ``a``; ``scipy.sparse`` is imported on first use."""
+    from scipy.sparse.linalg import splu
+
+    return splu(a)
 
 
 def _place(blocks: Blocks, row: int, col: int) -> Blocks:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -259,6 +260,45 @@ def test_integral_floats_are_counts(tmp_path):
     cfg = load_config(path)
     assert cfg.grid.n == 201 and isinstance(cfg.grid.n, int)
     assert cfg.seeds == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"sweep": {"radius": 1e4}}, "lattice"),
+        ({"sweep": {"radius": 1e300}, "params": {"mu": 1.0, "g": 9.8, "L": 1e300}}, "lattice"),
+        ({"grid": {"half_length": 8.0, "n": 10**6}}, "grid n"),
+    ],
+    ids=["radius", "radius-overflow", "n"],
+)
+def test_cli_caps_the_work_up_front(tmp_path, capsys, overrides, named):
+    # a radius of 1e4 swept for many seconds, 1e300 overflowed to exit 1,
+    # and n = 10^6 built its profile before anything bounded it
+    path = _write_config(tmp_path / "c.json", **overrides)
+    t0 = time.perf_counter()
+    code = main(["sweep", path])
+    elapsed = time.perf_counter() - t0
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 2
+    assert err["error"] == "config" and named in err["message"]
+    assert elapsed < 1.0
+    assert not os.path.exists(tmp_path / "out" / "sweep_summary.json")
+
+
+def test_caps_admit_the_largest_lattice_and_grid(tmp_path):
+    from rtmhd.config import MAX_GRID_N, MAX_LATTICE_POINTS
+
+    radius = math.sqrt(MAX_LATTICE_POINTS / math.pi)
+    cfg = load_config(
+        _write_config(
+            tmp_path / "c.json",
+            grid={"half_length": 8.0, "n": MAX_GRID_N},
+            sweep={"radius": radius},
+        )
+    )
+    assert cfg.grid.n == MAX_GRID_N and cfg.radius == radius
+    with pytest.raises(ConfigError, match="lattice"):
+        load_config(_write_config(tmp_path / "d.json", sweep={"radius": 1.001 * radius}))
 
 
 def _verify_outputs(tmp_path, verify):

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -42,19 +43,11 @@ def test_script_help_runs_nothing(script, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_start_loads_no_heavy_scipy_subpackage():
-    # a fresh process, because pytest and the oracles may have loaded these
+def _child(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on the package source."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = (
-        "import sys\n"
-        "import rtmhd.cli\n"
-        "from rtmhd.config import load_config\n"
-        "load_config('configs/canonical.json')\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.fft')"
-        " if m in sys.modules))\n"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -62,4 +55,97 @@ def test_cli_start_loads_no_heavy_scipy_subpackage():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_start_loads_no_heavy_scipy_subpackage():
+    # a fresh process, because pytest and the oracles may have loaded these;
+    # of scipy only the compiled LAPACK extension is loaded, not even
+    # scipy.linalg or scipy.sparse
+    code = (
+        "import sys\n"
+        "import rtmhd.cli\n"
+        "from rtmhd.config import load_config\n"
+        "load_config('configs/canonical.json')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _child(code) == "['scipy.linalg._flapack']"
+
+
+# One definiteness test and one eigen-solve of each LAPACK route (dgbsv on
+# the canonical energy pencil, dgtsv on stiffness against mass), printed
+# bit for bit, with _lapack on the route the arguments name.
+_ROUTE_CHILD = """
+import importlib.util, json, sys
+
+order, route = sys.argv[1:]
+refused = []
+if order == "scipy-first":
+    import scipy.linalg
+if route == "fallback":
+    # the path load fails, and no loaded extension is there to reuse
+    saved = sys.modules.pop("scipy.linalg._flapack", None)
+    real_find_spec = importlib.util.find_spec
+
+    def refuse(name, *args, **kwargs):
+        if name == "scipy":
+            refused.append(name)
+            raise ImportError("path load refused")
+        return real_find_spec(name, *args, **kwargs)
+
+    importlib.util.find_spec = refuse
+import rtmhd
+from rtmhd import _lapack
+if route == "fallback":
+    importlib.util.find_spec = real_find_spec
+    if saved is not None:
+        sys.modules["scipy.linalg._flapack"] = saved
+loaded_linalg = "scipy.linalg" in sys.modules
+
+from rtmhd.config import load_config
+from rtmhd.eig import definite, min_generalized_eig
+from rtmhd.operators import grad_stiffness_band, mass_band
+
+cfg = load_config("configs/canonical.json")
+grid = rtmhd.Grid1D(cfg.grid.half_length, 201)
+profile = rtmhd.build_profile(cfg.profile_spec, grid)
+forms = rtmhd.assemble_forms(profile, grid, rtmhd.Frequency(1.0, 0.0), cfg.mag, cfg.params)
+energy = forms.energy(1.0)
+banded = min_generalized_eig(energy, forms.j)
+tridiagonal = min_generalized_eig(grad_stiffness_band(grid), mass_band(grid))
+sigmas = [banded.value + d * max(1.0, abs(banded.value)) for d in (-1e-3, 0.0, 1e-3)]
+
+import scipy.linalg.lapack as lapack
+print(json.dumps({
+    "loaded_linalg": loaded_linalg,
+    "refused": len(refused),
+    "same_routines": all(
+        getattr(_lapack, f) is getattr(lapack, f) for f in ("dpbtrf", "dgtsv", "dgbsv")
+    ),
+    "definite": [definite(energy, forms.j, s) for s in sigmas],
+    "pairs": [
+        [p.value.hex(), p.vec.tobytes().hex(), p.iterations]
+        for p in (banded, tridiagonal)
+    ],
+}))
+"""
+
+
+def test_lapack_fallback_gives_the_same_bits_in_either_import_order():
+    runs = {
+        (order, route): json.loads(_child(_ROUTE_CHILD, order, route))
+        for order in ("rtmhd-first", "scipy-first")
+        for route in ("path", "fallback")
+    }
+    # the path load leaves scipy.linalg unloaded; the fallback imports it
+    assert not runs["rtmhd-first", "path"]["loaded_linalg"]
+    assert runs["rtmhd-first", "fallback"]["loaded_linalg"]
+    for order in ("rtmhd-first", "scipy-first"):
+        assert runs[order, "fallback"]["refused"] == 1
+    reference = runs["rtmhd-first", "path"]
+    # definite just below the smallest eigenvalue, not just above it
+    assert reference["definite"][0] and not reference["definite"][2]
+    for run in runs.values():
+        assert run["same_routines"]
+        assert run["definite"] == reference["definite"]
+        assert run["pairs"] == reference["pairs"]
