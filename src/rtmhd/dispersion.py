@@ -9,7 +9,9 @@ critical field strength M_c (per truncation of the domain), the horizontal
 critical-frequency function S(xi) (per slope xi2/xi1) and the vertical
 critical-frequency constant |xi|_vc.  Each is the largest eigenvalue of one
 banded pencil, found by one certified ``max_generalized_eig`` call, and
-both routes agree up to solver tolerance.
+both routes agree up to solver tolerance.  The M_c pencil is condensed onto
+the nodes of the support of drho, so its size does not grow with the
+truncation length.
 """
 
 from __future__ import annotations
@@ -81,25 +83,47 @@ class CriticalNumber:
 def _critical_pair(
     profile: DensityProfile, grid: Grid1D, g: float, start: np.ndarray | None
 ) -> EigenPair:
-    """Largest eigenpair of (g drho mass, gradient stiffness)."""
-    x = grid.points()
-    a = mass_band(grid, g * profile.drho(x))
-    b = grad_stiffness_band(grid)
+    """Largest eigenpair of (g drho mass, gradient stiffness), condensed onto
+    the nodes from the first to the last where g drho != 0.
+
+    The mass form is zero outside that window.  There, the stiffness on each
+    chain of m nodes between the window and a wall has the Schur complement
+    of one gradient edge of weight 1/(m+1), and the chain is folded into that
+    edge (static condensation).  The complement keeps every nonzero pencil
+    eigenvalue, and for a shift sigma > 0 the definiteness of A - sigma B
+    (the chain's block of it is negative definite; Haynsworth's inertia
+    additivity), so the top eigenvalue and its certificate are the full
+    pencil's.  drho is evaluated only on the nodes of ``profile.support``,
+    so the cost does not grow with Lz.  The vector lives on the window; a
+    start of another length is not used.
+    """
+    h = grid.h
+    lo, hi = profile.support
+    first = max(0, math.floor((lo + grid.half_length) / h) - 1)
+    stop = min(grid.n, math.ceil((hi + grid.half_length) / h))
+    # grid.points()[first:stop], bit for bit
+    q = g * profile.drho(-grid.half_length + h * np.arange(first + 1, stop + 1))
+    nonzero = np.flatnonzero(q)
+    if nonzero.size == 0:
+        raise OutOfRange("no grid node carries drho != 0")
+    below, above = first + nonzero[0], grid.n - first - nonzero[-1] - 1
+    q = q[nonzero[0] : nonzero[-1] + 1]
+    a = (h * q)[np.newaxis]  # mass_band's entries
+    # gradient edges as grad_stiffness_band weighs them; a folded chain of
+    # m nodes is one edge of weight 1/(m+1)
+    weight = np.ones(q.size + 1)
+    weight[0], weight[-1] = 1.0 / (below + 1), 1.0 / (above + 1)
+    c = 1.0 / h
+    edge = h * weight * c * c
+    b = np.zeros((2, q.size))
+    b[0] = edge[:-1] + edge[1:]
+    b[1, :-1] = -edge[1:-1]
+    if start is not None and start.size != q.size:
+        start = None
     pair = max_generalized_eig(a, b, start=start)
     if pair.value <= 0:
         raise OutOfRange("profile admits no positive Rayleigh quotient")
     return pair
-
-
-def _continued(vec: np.ndarray, old: Grid1D, new: Grid1D) -> np.ndarray:
-    """vec on old's points, interpolated onto new's, zero outside old's domain.
-
-    On a fixed-spacing doubling of Lz the old points are the centre of the new
-    ones, so this is exactly zero padding.
-    """
-    xs = np.concatenate(([-old.half_length], old.points(), [old.half_length]))
-    vs = np.concatenate(([0.0], vec, [0.0]))
-    return np.interp(new.points(), xs, vs)
 
 
 def _truncations(
@@ -107,17 +131,18 @@ def _truncations(
 ) -> Iterator[tuple[float, float]]:
     """(Lz, value) per truncation, each solve continued from the one before.
 
-    The previous eigenvector, carried onto the new grid, starts the next
-    solve; max_generalized_eig certifies the result, so a start that lands on
-    a lower eigenvalue costs a cold solve, not a wrong value.  A trace with a
-    positive total jump diverges, and its padded eigenvector always lands
-    below the doubled top eigenvalue, so it solves cold throughout.
+    Each pencil lives on the nodes of the support (see ``_critical_pair``),
+    which on a fixed-spacing doubling are the same nodes every time; only
+    the two folded edges change.  So the previous eigenvector, unchanged,
+    starts the next solve, and max_generalized_eig certifies the result: a
+    start that lands on a lower eigenvalue costs a cold solve, not a wrong
+    value.  A trace with a positive total jump, which diverges, solves cold
+    throughout.
     """
     pair = None
-    for k, grid in enumerate(grids):
-        cold = pair is None or profile.total_jump > 0
-        start = None if cold else _continued(pair.vec, grids[k - 1], grid)
-        pair = _critical_pair(profile, grid, g, start)
+    for grid in grids:
+        warm = pair is not None and profile.total_jump <= 0
+        pair = _critical_pair(profile, grid, g, pair.vec if warm else None)
         yield grid.half_length, float(np.sqrt(pair.value))
 
 
@@ -190,12 +215,13 @@ def critical_number_auto(
     two doublings) means infinite; a settled trace (< 1e-4 relative change
     at the last doubling) means finite with the last value.  Either way the
     decision is cross-checked against the sign of the total density jump,
-    and the last truncation raises if still undecided.  Unless that jump is
-    positive, each truncation's eigen-solve starts from the previous
-    eigenvector, interpolated onto the doubled domain and zero outside the
-    old one, and is certified like a cold solve: on a settling trace a
-    truncation after the first takes 2-4 iterations
-    (``EigenPair.iterations``) in place of a 40-step bisection.
+    and the last truncation raises if still undecided.  Each truncation
+    solves a pencil on the support's nodes alone (``_critical_pair``), so
+    its cost does not depend on Lz.  Unless the jump is positive, each
+    eigen-solve starts from the previous eigenvector, unchanged, and is
+    certified like a cold solve: on a settling trace a truncation after the
+    first takes 2-3 iterations (``EigenPair.iterations``) in place of a
+    40-step bisection.
     """
     grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3 + max_doublings)
     trace: list[tuple[float, float]] = []

@@ -301,6 +301,32 @@ def test_caps_admit_the_largest_lattice_and_grid(tmp_path):
         load_config(_write_config(tmp_path / "d.json", sweep={"radius": 1.001 * radius}))
 
 
+def test_critical_at_the_largest_grid_is_fast(tmp_path):
+    # the trace doubles n from MAX_GRID_N up to about 1.3e9 nodes; only the
+    # support's nodes are solved on
+    from rtmhd.config import MAX_GRID_N
+
+    path = _write_config(
+        tmp_path / "c.json",
+        profile={
+            "base_density": 5.0,
+            "bumps": [
+                {"amp": 0.6, "center": 1.0, "half_width": 0.5},
+                {"amp": -1.8, "center": -1.0, "half_width": 0.5},
+            ],
+        },
+        params={"mu": 1.0, "g": 1.0, "L": 1.0},
+        grid={"half_length": 8.0, "n": MAX_GRID_N},
+    )
+    t0 = time.perf_counter()
+    code = main(["critical", path])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert elapsed < 2.0
+    critical = json.loads((tmp_path / "out" / "critical.json").read_text())
+    assert critical["kind"] == "finite" and critical["value"] > 0
+
+
 def _verify_outputs(tmp_path, verify):
     path = _write_config(
         tmp_path / "c.json",

@@ -15,6 +15,7 @@ from rtmhd.dispersion import (
     trace_to_csv,
     _truncations,
 )
+from rtmhd.eig import max_generalized_eig
 from rtmhd.errors import EmptyDomain, OutOfRange, ZeroFrequency
 from rtmhd.forms import assemble_forms, form_key
 from rtmhd.growth import growth_rate
@@ -177,6 +178,103 @@ def test_critical_trace_continues_only_without_positive_jump(
     assert len(starts) == len(result.trace) >= 4
     assert starts[0] is None
     assert all(start is not None for start in starts[1:])
+
+
+def _full_grid_pair(profile, grid, g):
+    """The truncation's pencil on every grid node, solved cold, and the
+    OutOfRange of a pencil with no positive eigenvalue."""
+    a = mass_band(grid, g * profile.drho(grid.points()))
+    b = grad_stiffness_band(grid)
+    pair = max_generalized_eig(a, b)
+    if pair.value <= 0:
+        raise OutOfRange("profile admits no positive Rayleigh quotient")
+    return a, b, pair
+
+
+def _spec(*bumps, base=1.0):
+    return rtmhd.ProfileSpec(base, tuple(rtmhd.Bump(*b) for b in bumps))
+
+
+# (spec, g, lz0, n0) of the truncation traces checked against the full grid
+CONDENSED_CASES = {
+    # h = 0.5, so the support edges -1 and 1 are nodes
+    "edge-on-node": (_spec((0.5, 0.0, 1.0)), 9.8, 8.0, 31),
+    # support [-0.2, 1.8] against the wall at 1.5: no node above the window
+    "past-wall": (_spec((0.5, 0.8, 1.0)), 9.8, 1.5, 31),
+    # negative jump off centre: chains of unequal length, warm starts
+    "off-centre": (_spec((0.6, 3.0, 0.5), (-1.8, 1.5, 0.5), base=5.0), 1.0, 8.0, 31),
+    # drho = 0 on the nodes between the bumps
+    "gap": (JUMP_NEG_SPEC, 1.0, 8.0, 17),
+    # n0 + 1 odd: the first grid's nodes sit half a step off the others', so
+    # its window has another length and the second truncation solves cold
+    "half-step": (JUMP_NEG_SPEC, 1.0, 8.0, 32),
+}
+
+
+@pytest.mark.parametrize("case", list(CONDENSED_CASES))
+def test_condensed_trace_matches_the_full_grid(case, canon_grid, monkeypatch):
+    spec, g, lz0, n0 = CONDENSED_CASES[case]
+    profile = rtmhd.build_profile(spec, canon_grid)
+    grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3)
+    solve = rtmhd.dispersion.max_generalized_eig
+    condensed = []
+
+    def recording(a, b, *args, **kwargs):
+        condensed.append(a)
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", recording)
+    trace = list(_truncations(profile, grids, g))
+    assert [lz for lz, _ in trace] == [grid.half_length for grid in grids]
+    for grid, (_, value), a_window in zip(grids, trace, condensed):
+        a, b, cold = _full_grid_pair(profile, grid, g)
+        assert value == pytest.approx(np.sqrt(cold.value), rel=1e-11)
+        assert value == pytest.approx(np.sqrt(dense_largest(a, b)), rel=1e-11)
+        # the window runs from the first to the last nonzero entry, bit for bit
+        nonzero = np.flatnonzero(a[0])
+        assert np.array_equal(a_window[0], a[0, nonzero[0] : nonzero[-1] + 1])
+    first = grids[0].points()
+    if case == "edge-on-node":
+        assert -1.0 in first and 1.0 in first
+    if case == "past-wall":
+        assert profile.drho(first[-1]) != 0.0
+    if case == "gap":
+        assert 0.0 in condensed[0][0]
+    if case == "half-step":
+        assert condensed[0].shape != condensed[1].shape == condensed[2].shape
+
+
+def test_condensed_pencil_without_support_nodes_is_out_of_range(canon_grid):
+    # drho lives on [0.15, 0.35], between the nodes 0 and 0.5 of h = 0.5
+    profile = rtmhd.build_profile(_spec((0.5, 0.25, 0.1)), canon_grid)
+    grid = rtmhd.Grid1D(8.0, 31)
+    assert not profile.drho(grid.points()).any()
+    with pytest.raises(OutOfRange):
+        next(_truncations(profile, [grid], 1.0))
+    with pytest.raises(OutOfRange):
+        _full_grid_pair(profile, grid, 1.0)
+
+
+def test_critical_pencil_size_does_not_grow_with_lz(jumpneg_profile, monkeypatch):
+    # the pencil spans the support's nodes, whatever the truncation length:
+    # three traces of one spacing h = 16/130 solve pencils of one size
+    solve = rtmhd.dispersion.max_generalized_eig
+    rows = []
+
+    def counted(a, b, *args, **kwargs):
+        rows.append(a.shape[1])
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    sizes = set()
+    for lz0, n0 in ((8.0, 129), (16.0, 259), (64.0, 1039)):
+        rows.clear()
+        result = critical_number_auto(jumpneg_profile, lz0=lz0, n0=n0, g=1.0)
+        assert len(rows) == len(result.trace) >= 3
+        sizes.update(rows)
+    lo, hi = jumpneg_profile.support
+    assert len(sizes) == 1
+    assert sizes.pop() <= (hi - lo) / (16.0 / 130) + 1
 
 
 @pytest.mark.parametrize("M", [0.3, 1.0])
