@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time and count the eigen-solves: one cold and one warm solve of the
-energy pencil, one growth rate, and the thresholds' M_c trace, for one or
-two source trees.
+energy pencil, one growth rate, the thresholds' M_c trace, and two cold
+solves that take the second pass (the |xi|_vc pencil and a small-spectrum
+random pencil), for one or two source trees.
 
 Each tree is measured in its own child process, with its ``src`` directory
 on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
@@ -28,6 +29,10 @@ S_COLD = 1e-8  # times the rate cap sqrt(g sup rho'/rho), as growth_rate's s_lo
 S_WARM = 0.1  # the warm solve starts from the cold solve's vector
 CRITICAL_N0 = 17  # the thresholds workload's M_c trace
 CRITICAL_LZ0 = 8.0
+VERTICAL_N = 801
+M_HALF_CRITICAL = 0.5 * 0.5938125387139516  # half of JUMP_NEG_SPEC's M_c
+SMALL_SCALE = 1e-3  # A of the random pencil, so its spectrum is narrower than 1e-3
+SMALL_SEED, SMALL_N, SMALL_P = 0, 60, 2
 
 
 def measure() -> dict:
@@ -36,6 +41,7 @@ def measure() -> dict:
 
     import rtmhd
     import rtmhd.dispersion as dispersion
+    import rtmhd.eig as eig
     import rtmhd.growth as growth
     from rtmhd.eig import min_generalized_eig
     from rtmhd.forms import assemble_forms
@@ -120,6 +126,57 @@ def measure() -> dict:
         **counts,
         "value": critical.value,
     }
+
+    # cold solves that fail the first pass's certificate and take the second
+    # pass: the ill-conditioned |xi|_vc pencil, and a random pencil whose
+    # whole spectrum is narrower than the coarse bracket width
+    def second_passes(solve):
+        widths = []
+        bisect = eig._bisect
+
+        def recording(a, b, lo, hi, width):
+            widths.append(width)
+            return bisect(a, b, lo, hi, width)
+
+        eig._bisect = recording
+        try:
+            pair = solve()
+        finally:
+            eig._bisect = bisect
+        return pair, len(widths) - 1
+
+    grid = rtmhd.Grid1D(CRITICAL_LZ0, VERTICAL_N)
+    vertical_profile = rtmhd.build_profile(neg, grid)
+    counts = {"solves": 0, "iterations": 0, "largest_n": 0}
+
+    def vertical():
+        return dispersion.critical_freq_vertical(
+            vertical_profile, grid, M_HALF_CRITICAL, g=1.0
+        )
+
+    dispersion.max_generalized_eig = counted_max
+    try:
+        xi_vc, passes = second_passes(vertical)
+    finally:
+        dispersion.max_generalized_eig = solve
+    cases[f"|xi|_vc n={VERTICAL_N}"] = {
+        "ms": 1e3 * _timed(vertical, 11),
+        **counts,
+        "second_passes": passes,
+        "value": xi_vc,
+    }
+
+    rng = np.random.default_rng(SMALL_SEED)
+    a = rng.standard_normal((SMALL_P + 1, SMALL_N)) * SMALL_SCALE
+    b = rng.standard_normal((SMALL_P + 1, SMALL_N)) * 0.3
+    b[0] = np.abs(b[0]) + SMALL_P + 1.5  # diagonally dominant -> SPD
+    small, passes = second_passes(lambda: min_generalized_eig(a, b))
+    cases[f"cold A*{SMALL_SCALE:g} n={SMALL_N}"] = {
+        "ms": 1e3 * _timed(lambda: min_generalized_eig(a, b), 21),
+        "iterations": small.iterations,
+        "second_passes": passes,
+        "value": small.value,
+    }
     return cases
 
 
@@ -171,6 +228,11 @@ def main():
             "s_cold": f"{S_COLD} * rate cap",
             "s_warm": f"{S_WARM} * rate cap, started from the cold vector",
             "critical": f"JUMP_NEG_SPEC, n0 = {CRITICAL_N0}, Lz0 = {CRITICAL_LZ0}",
+            "vertical": f"JUMP_NEG_SPEC, vertical field M = {M_HALF_CRITICAL!r}",
+            "small_spectrum": (
+                f"seed {SMALL_SEED}, n = {SMALL_N}, p = {SMALL_P}, "
+                f"A scaled by {SMALL_SCALE:g}"
+            ),
             "rounds": max(1, args.rounds),
             "statistic": "median",
         },

@@ -136,13 +136,11 @@ def _truncations(
     the two folded edges change.  So the previous eigenvector, unchanged,
     starts the next solve, and max_generalized_eig certifies the result: a
     start that lands on a lower eigenvalue costs a cold solve, not a wrong
-    value.  A trace with a positive total jump, which diverges, solves cold
-    throughout.
+    value.
     """
     pair = None
     for grid in grids:
-        warm = pair is not None and profile.total_jump <= 0
-        pair = _critical_pair(profile, grid, g, pair.vec if warm else None)
+        pair = _critical_pair(profile, grid, g, None if pair is None else pair.vec)
         yield grid.half_length, float(np.sqrt(pair.value))
 
 
@@ -217,11 +215,10 @@ def critical_number_auto(
     decision is cross-checked against the sign of the total density jump,
     and the last truncation raises if still undecided.  Each truncation
     solves a pencil on the support's nodes alone (``_critical_pair``), so
-    its cost does not depend on Lz.  Unless the jump is positive, each
-    eigen-solve starts from the previous eigenvector, unchanged, and is
-    certified like a cold solve: on a settling trace a truncation after the
-    first takes 2-3 iterations (``EigenPair.iterations``) in place of a
-    40-step bisection.
+    its cost does not depend on Lz.  Each eigen-solve after the first starts
+    from the previous eigenvector, unchanged, and is certified like a cold
+    solve: a truncation after the first takes 2-4 iterations
+    (``EigenPair.iterations``) in place of a cold solve's 15-20.
     """
     grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3 + max_doublings)
     trace: list[tuple[float, float]] = []

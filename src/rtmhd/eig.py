@@ -5,8 +5,9 @@ sigma lies below every pencil eigenvalue, and one banded Cholesky (LAPACK
 dpbtrf, info != 0 means not positive definite) answers that: ``definite``.
 
 The smallest eigenvalue is found by Rayleigh-quotient iteration, warm from
-a given vector or cold from a coarse definiteness bisection, and certified
-by one such test just below the result (``min_generalized_eig``).
+a given vector or cold after a definiteness bisection, and certified by one
+such test just below the result or by a bisection bracket of relative width
+TOL (``min_generalized_eig``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "max_generalized_eig",
 ]
 
-_INVERSE_STEPS = 5
+TOL = 1e-10  # relative accuracy of every eigenvalue
 _RQI_STEPS = 6
 _RESIDUAL_TOL = 1e-8
 _COARSE_WIDTH = 1e-3  # relative bracket width where the cold route starts RQI
@@ -121,43 +122,48 @@ def _solve_shifted(
     return x
 
 
-def _inverse_iteration(
-    a: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    shift: float,
-    tol: float,
+def _inverse_steps(
+    a: np.ndarray, b: np.ndarray, shift: float, x: np.ndarray, bx: np.ndarray,
     steps: int,
-    rounds: int,
-) -> tuple[EigenPair, float]:
-    """Inverse iteration from x in rounds of `steps` solves.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Up to `steps` B-normalized inverse-iteration solves (A - shift*B) y = B x,
+    carrying B y from the solve; stops at a singular shift or y^T B y <= 0.
+    Returns the last vector, its B-product and the number of steps made."""
+    for done in range(steps):
+        try:
+            y = _solve_shifted(a, b, shift, bx)
+        except np.linalg.LinAlgError:
+            return x, bx, done
+        by = band_matvec(b, y)
+        s = float(y @ by)
+        if not np.isfinite(s) or s <= 0.0:
+            return x, bx, done
+        root = np.sqrt(s)
+        x, bx = y / root, by / root
+    return x, bx, steps
 
-    After each round the shift moves to the Rayleigh quotient, so steps=1 is
-    Rayleigh-quotient iteration.  Returns the pair (B-normalized vector, its
-    Rayleigh quotient and residual |Ax - theta Bx| / |Bx|, iterations = the
-    solves) and the residual floor.  The acceptable floor scales with the
-    matvec roundoff eps*|A|*|x|/|Bx|, which dominates 1e-8 once the forms
-    carry 1/h^3-sized fourth-order entries.
+
+def _rqi(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[EigenPair, float]:
+    """Rayleigh-quotient iteration (RQI) from x, at most _RQI_STEPS solves.
+
+    Returns the pair (B-normalized vector, its Rayleigh quotient and
+    residual |Ax - theta Bx| / |Bx|, iterations = the solves) and the
+    residual floor.  The acceptable floor scales with the matvec roundoff
+    eps*|A|*|x|/|Bx|, which dominates 1e-8 once the forms carry 1/h^3-sized
+    fourth-order entries.
     """
+    bx = band_matvec(b, x)
+    shift = float(x @ band_matvec(a, x)) / float(x @ bx)
     iters = 0
     residual = np.inf
     value = shift
     floor = _RESIDUAL_TOL
-    bx = band_matvec(b, x)
-    for _ in range(rounds):
-        try:
-            for _ in range(steps):
-                y = _solve_shifted(a, b, shift, bx)
-                iters += 1
-                by = band_matvec(b, y)
-                s = float(y @ by)
-                if not np.isfinite(s) or s <= 0.0:
-                    raise np.linalg.LinAlgError("inverse iteration lost positivity")
-                root = np.sqrt(s)
-                x, bx = y / root, by / root
-        except np.linalg.LinAlgError:
-            shift -= max(tol, abs(shift) * 1e-12)
+    for _ in range(_RQI_STEPS):
+        x, bx, done = _inverse_steps(a, b, shift, x, bx, 1)
+        if not done:  # a failed step: move the shift down and retry
+            shift -= max(TOL, abs(shift) * 1e-12)
             continue
+        iters += 1
         ax = band_matvec(a, x)
         value = float(x @ ax) / float(x @ bx)
         norm_bx = float(np.linalg.norm(bx))
@@ -172,7 +178,7 @@ def _inverse_iteration(
         )
         if residual <= floor:
             break
-        shift = value  # Rayleigh-shift retry
+        shift = value
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:
         x = -x
@@ -180,88 +186,63 @@ def _inverse_iteration(
     return EigenPair(value, x, residual, iters, value_tol), floor
 
 
-def _certified_rqi(
-    a: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float, slack: bool
-) -> tuple[EigenPair, bool]:
-    """Rayleigh-quotient iteration from x, then one definiteness test.
-
-    The pair is certified when it reaches its residual floor and
-    A - (value - delta) B is positive definite, delta = tol*max(1, |value|),
-    plus 2*value_tol with slack.  The test counts as an iteration.
-    """
-    shift = float(x @ band_matvec(a, x)) / float(x @ band_matvec(b, x))
-    pair, floor = _inverse_iteration(a, b, x, shift, tol, steps=1, rounds=_RQI_STEPS)
-    if pair.residual > floor:
-        return pair, False
-    pair.iterations += 1
-    delta = tol * max(1.0, abs(pair.value))
-    if slack:
-        delta += 2.0 * pair.value_tol
-    return pair, definite(a, b, pair.value - delta)
-
-
 def min_generalized_eig(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    start: np.ndarray | None = None,
+    a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
 ) -> EigenPair:
     """Smallest alpha with A psi = alpha B psi; psi normalized to psi^T B psi = 1.
 
     A Rayleigh quotient is never below the smallest eigenvalue alpha_min, so
-    a result for which A - (value - delta) B is positive definite has
-    value - alpha_min <= delta.  Warm, Rayleigh-quotient iteration (RQI)
-    runs from the start vector, and delta = tol*max(1, |value|) + 2*value_tol
-    allows for the residual's first-order error.  Otherwise, or if that test
-    fails, the cold route bisects a bracket grown from |A| / min diag(B) to a
-    relative width of 1e-3, takes two inverse steps at its lower end (where
-    A - lo*B is positive definite, so they move toward alpha_min) and hands
-    the vector to RQI.  Its delta = tol*max(1, |value|) has no slack, which
-    proves the accuracy of a bisection to tol.  If RQI misses its residual
-    floor or the test fails, the bisection goes on to tol and inverse
-    iteration from the bracket midpoint polishes the result.
+    a result for which A - (value - delta) B is positive definite (one test,
+    counted as an iteration) has value - alpha_min <= delta.  Warm,
+    Rayleigh-quotient iteration (RQI) runs from the start vector, with
+    delta = TOL*max(1, |value|) + 2*value_tol.  Otherwise, or if RQI misses
+    its residual floor or the test, the cold route grows a bracket from
+    |A| / min diag(B).  Each of at most two passes bisects it (to a relative
+    width of 1e-3, then TOL), takes two inverse steps at its lower end (where
+    A - lo*B is positive definite, so they move toward alpha_min) and runs
+    RQI.  Pass one's delta = TOL*max(1, |value|) has no slack, which proves
+    the accuracy of a bisection to TOL.  Pass two has that bisection, and
+    its bracket is the proof: value <= hi + delta + 2*value_tol, or it
+    raises FactorizationBreakdown.
     """
     iters = 0
     if start is not None:
-        pair, certified = _certified_rqi(a, b, start, tol, slack=True)
-        if certified:
-            return pair
+        pair, floor = _rqi(a, b, start)
         iters = pair.iterations
+        if pair.residual <= floor:
+            iters += 1
+            delta = TOL * max(1.0, abs(pair.value)) + 2.0 * pair.value_tol
+            if definite(a, b, pair.value - delta):
+                pair.iterations = iters
+                return pair
 
     n = a.shape[1]
     ones = np.ones(n) / np.sqrt(n)
+    b_ones = band_matvec(b, ones)
     guess = max(1.0, _band_scale(a) / max(np.min(b[0]), 1e-300))
     lo, hi, k = _expand_bracket(a, b, -guess, guess)
     iters += k
-    lo, hi, k = _bisect(a, b, lo, hi, _COARSE_WIDTH)
-    iters += k
-
-    prefix, _ = _inverse_iteration(a, b, ones, lo, tol, _COLD_INVERSE_STEPS, rounds=1)
-    pair, certified = _certified_rqi(a, b, prefix.vec, tol, slack=False)
-    iters += prefix.iterations + pair.iterations
-    if certified:
-        pair.iterations = iters
-        return pair
-
-    lo, hi, k = _bisect(a, b, lo, hi, tol)
-    # the shift is within tol of the eigenvalue, so a handful of steps
-    # reaches the residual floor
-    pair, floor = _inverse_iteration(
-        a, b, ones, 0.5 * (lo + hi), tol, steps=_INVERSE_STEPS, rounds=3
-    )
-    pair.iterations += iters + k
-    if pair.residual > floor:
-        raise FactorizationBreakdown(
-            f"inverse iteration stalled at residual {pair.residual:.3g}"
-        )
-    return pair
+    for width in (_COARSE_WIDTH, TOL):
+        lo, hi, k = _bisect(a, b, lo, hi, width)
+        x, _, done = _inverse_steps(a, b, lo, ones, b_ones, _COLD_INVERSE_STEPS)
+        pair, floor = _rqi(a, b, x)
+        iters += k + done + pair.iterations
+        if pair.residual > floor:
+            continue
+        delta = TOL * max(1.0, abs(pair.value))
+        if width == TOL:
+            certified = pair.value <= hi + delta + 2.0 * pair.value_tol
+        else:
+            iters += 1
+            certified = definite(a, b, pair.value - delta)
+        if certified:
+            pair.iterations = iters
+            return pair
+    raise FactorizationBreakdown(f"cold solve uncertified, |r| = {pair.residual:.3g}")
 
 
 def max_generalized_eig(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    start: np.ndarray | None = None,
+    a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
 ) -> EigenPair:
     """Largest pencil eigenvalue, via the smallest eigenvalue of (-A, B).
 
@@ -270,6 +251,6 @@ def max_generalized_eig(
     so a start that converges to a lower eigenvalue falls back to the cold
     route.
     """
-    pair = min_generalized_eig(band_combine([(-1.0, a)]), b, tol=tol, start=start)
+    pair = min_generalized_eig(band_combine([(-1.0, a)]), b, start=start)
     pair.value = -pair.value
     return pair

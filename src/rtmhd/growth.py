@@ -24,7 +24,6 @@ from .profiles import Frequency
 
 __all__ = ["GrowthResult", "alpha", "growth_rate"]
 
-_EIG_TOL = 1e-10
 _MAX_STEPS = 100
 
 
@@ -50,7 +49,7 @@ def alpha(
     """
     if s < 0:
         raise ValueError("the viscosity parameter s must be >= 0")
-    pair = min_generalized_eig(forms.energy(s), forms.j, tol=_EIG_TOL, start=start)
+    pair = min_generalized_eig(forms.energy(s), forms.j, start=start)
     return pair.value, pair
 
 

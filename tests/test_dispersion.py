@@ -153,31 +153,32 @@ def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
         assert value == pytest.approx(np.sqrt(cold.value), rel=1e-11)
 
 
-def test_critical_trace_continues_only_without_positive_jump(
+def test_critical_trace_continues_after_the_first_truncation_on_both_jump_signs(
     canon_profile, jumpneg_profile, monkeypatch
 ):
-    # a positive jump makes the trace diverge, and the padded eigenvector
-    # lands below the doubled top eigenvalue: every truncation solves cold
+    # on the condensed pencil the previous eigenvector also certifies the top
+    # eigenvalue of a diverging trace (positive jump), so every truncation
+    # after the first starts from it and costs a few solves, not a cold one
     solve = rtmhd.dispersion.max_generalized_eig
-    starts = []
+    calls = []
 
     def recording(*args, **kwargs):
-        starts.append(kwargs.get("start"))
-        return solve(*args, **kwargs)
+        pair = solve(*args, **kwargs)
+        calls.append((kwargs.get("start"), pair.iterations))
+        return pair
 
     monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", recording)
-    assert canon_profile.total_jump > 0
-    result = critical_number_auto(canon_profile, lz0=8.0, n0=129, g=9.8)
-    assert result.is_infinite
-    assert len(starts) == len(result.trace) >= 3
-    assert all(start is None for start in starts)
-
-    starts.clear()
-    assert jumpneg_profile.total_jump < 0
-    result = critical_number_auto(jumpneg_profile, lz0=8.0, n0=17, g=1.0)
-    assert len(starts) == len(result.trace) >= 4
-    assert starts[0] is None
-    assert all(start is not None for start in starts[1:])
+    for profile, n0, g, infinite in (
+        (canon_profile, 129, 9.8, True),
+        (jumpneg_profile, 17, 1.0, False),
+    ):
+        calls.clear()
+        result = critical_number_auto(profile, lz0=8.0, n0=n0, g=g)
+        assert result.is_infinite == infinite == (profile.total_jump > 0)
+        assert len(calls) == len(result.trace) >= 3
+        assert calls[0][0] is None
+        assert all(start is not None for start, _ in calls[1:])
+        assert max(iterations for _, iterations in calls[1:]) <= 8
 
 
 def _full_grid_pair(profile, grid, g):

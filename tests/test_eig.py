@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 import rtmhd
+import rtmhd.eig
 from rtmhd.eig import (
+    TOL,
     _solve_shifted,
     definite,
     max_generalized_eig,
     min_generalized_eig,
 )
+from rtmhd.errors import FactorizationBreakdown
 from rtmhd.forms import assemble_forms
-from rtmhd.operators import band_to_dense, band_zeros
+from rtmhd.operators import band_matvec, band_to_dense, band_zeros
 
 from .conftest import CANON_PARAMS, CANON_SPEC
 from .oracles import dense_count_below, dense_smallest, inertia_count
@@ -176,7 +179,7 @@ def test_property_smallest_below_all_rayleigh_quotients(seed):
 def test_cold_route_falls_back_on_a_near_double_eigenvalue(gap):
     # RQI from the coarse bracket stops between 1 and 1 + gap; with the warm
     # slack 2*value_tol (about 1e-8 here) the certificate would pass a value
-    # gap/2 too high, and without it the cold route must bisect on to tol
+    # gap/2 too high, and without it the cold route must bisect on to TOL
     rng = np.random.default_rng(41)
     n = 20
     a = band_zeros(0, n)
@@ -239,3 +242,43 @@ def test_cold_solve_work_count_on_the_canonical_energy_pencil():
     assert pair.iterations <= 20
     truth = dense_smallest(a, forms.j)
     assert abs(pair.value - truth) <= 1e-8 * max(1.0, abs(truth))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(8, 60),
+    p=st.sampled_from([1, 2, 3]),
+    u=st.floats(-3.0, 0.0),
+)
+def test_property_small_spectrum_value_matches_dense_smallest(seed, n, p, u):
+    # with A ~ 1e-3 the whole spectrum is narrower than the coarse width, so
+    # pass one's RQI often lands on another eigenvalue and pass two runs
+    a, b = _random_pencil(np.random.default_rng(seed), n=n, p=p)
+    a *= 10.0**u
+    w0 = dense_smallest(a, b)
+    pair = min_generalized_eig(a, b)
+    assert abs(pair.value - w0) <= 1e-10 * max(1.0, abs(w0))
+
+
+def test_second_pass_on_the_second_eigenvector_raises(monkeypatch):
+    # every inverse step returns the dense second eigenvector, so RQI
+    # converges to w[1] on both passes; pass two's bracket, within TOL of
+    # w[0], must refuse it
+    rng = np.random.default_rng(7)
+    a, b = _random_pencil(rng, n=30, p=2)
+    w, v = eigh(band_to_dense(a), band_to_dense(b))
+    second = v[:, 1]
+    shifts = []
+
+    def onto_second(a, b, shift, x, bx, steps):
+        shifts.append((shift, steps))
+        return second, band_matvec(b, second), steps
+
+    monkeypatch.setattr(rtmhd.eig, "_inverse_steps", onto_second)
+    with pytest.raises(FactorizationBreakdown):
+        min_generalized_eig(a, b)
+    prefixes = [shift for shift, steps in shifts if steps > 1]
+    assert len(prefixes) == 2  # one prefix per pass, both at the bracket's lo
+    assert 0.0 <= w[0] - prefixes[1] <= TOL * max(1.0, abs(w[0]))
+    assert w[1] - w[0] > 1e-3
