@@ -15,6 +15,7 @@ a NaN or infinite value raises ValueError on construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -268,14 +269,45 @@ def _bump_cdf(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Evaluators for rho, drho plus cached scalar metrics of the profile."""
+    """Evaluators for rho, drho plus scalar metrics of the profile.
+
+    ``total_jump`` and ``support`` are set on construction.  ``inf_rho``,
+    ``sup_rho`` and ``sup_ratio`` are computed on first read and then
+    cached: rho is evaluated once, on the check grid plus 10x its density
+    across every bump support, and ``sup_ratio`` zooms in from those
+    samples.  Equality and hashing see only the spec, the jump, the
+    support and the check grid, never the cached metrics.
+    """
 
     spec: ProfileSpec
     total_jump: float
-    sup_ratio: float
-    inf_rho: float
-    sup_rho: float
     support: tuple[float, float]
+    check_grid: Grid1D
+
+    @functools.cached_property
+    def _sampled(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sample points, the check grid plus 10x its density across
+        every bump support, and rho at them."""
+        per_bump = max(101, 10 * self.check_grid.n // max(1, len(self.spec.bumps)))
+        samples = np.concatenate(
+            [self.check_grid.points(), _dense_support_samples(self.spec, per_bump)]
+        )
+        return samples, self.rho(samples)
+
+    @functools.cached_property
+    def inf_rho(self) -> float:
+        base = self.spec.base_density
+        return float(min(self._sampled[1].min(), base, base + self.total_jump))
+
+    @functools.cached_property
+    def sup_rho(self) -> float:
+        base = self.spec.base_density
+        return float(max(self._sampled[1].max(), base, base + self.total_jump))
+
+    @functools.cached_property
+    def sup_ratio(self) -> float:
+        samples, rho_s = self._sampled
+        return _polished_sup_ratio(self, samples, self.drho(samples) / rho_s)
 
     def drho(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -303,18 +335,44 @@ def _support_interval(spec: ProfileSpec) -> tuple[float, float]:
 
 
 def _dense_support_samples(spec: ProfileSpec, per_bump: int) -> np.ndarray:
+    """The sorted distinct points of per_bump even samples across each support.
+
+    Sorting and dropping repeats by hand does what ``np.unique`` does, without
+    the ``numpy.ma`` import that ``np.unique`` pulls in.
+    """
     pieces = [
         np.linspace(b.center - b.half_width, b.center + b.half_width, per_bump)
         for b in spec.bumps
     ]
-    return np.unique(np.concatenate(pieces))
+    x = np.sort(np.concatenate(pieces))
+    fresh = np.empty(x.shape, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(x[1:], x[:-1], out=fresh[1:])
+    return x[fresh]
+
+
+def _positivity_floor(spec: ProfileSpec) -> tuple[float, float]:
+    """A lower bound on rho, and the rounding margin it must clear.
+
+    Each bump adds a * w * cdf with cdf in [0, BUMP_INTEGRAL], so rho is at
+    least base + BUMP_INTEGRAL * sum(min(a, 0) * w) everywhere.
+    """
+    floor = spec.base_density + BUMP_INTEGRAL * sum(
+        min(b.amplitude, 0.0) * b.half_width for b in spec.bumps
+    )
+    scale = spec.base_density + BUMP_INTEGRAL * sum(
+        abs(b.amplitude) * b.half_width for b in spec.bumps
+    )
+    return floor, 1e-9 * scale
 
 
 def build_profile(spec: ProfileSpec, check_grid: Grid1D) -> DensityProfile:
-    """Validate a profile spec on the given grid and cache its metrics.
+    """Validate a profile spec on the given grid; its metrics wait for a read.
 
     Raises NoUnstableRegion if no bump has positive amplitude and
-    NonPositiveDensity if rho dips to zero or below anywhere sampled.
+    NonPositiveDensity if rho dips to zero or below anywhere sampled.  When
+    the positivity floor clears its rounding margin, rho is positive
+    everywhere and nothing is sampled; otherwise ``inf_rho`` decides.
     """
     if not any(b.amplitude > 0 for b in spec.bumps):
         raise NoUnstableRegion("profile needs a bump with positive amplitude")
@@ -327,38 +385,13 @@ def build_profile(spec: ProfileSpec, check_grid: Grid1D) -> DensityProfile:
             f"inside [-Lz/2, Lz/2] = [{-half:g}, {half:g}] so a decay region exists"
         )
     total_jump = BUMP_INTEGRAL * sum(b.amplitude * b.half_width for b in spec.bumps)
-
-    # 10x the check-grid density across every bump support, plus the grid
-    # itself and the two asymptotic values.
-    per_bump = max(101, 10 * check_grid.n // max(1, len(spec.bumps)))
-    samples = np.concatenate(
-        [check_grid.points(), _dense_support_samples(spec, per_bump)]
+    profile = DensityProfile(
+        spec=spec, total_jump=total_jump, support=support, check_grid=check_grid
     )
-
-    probe = DensityProfile(
-        spec=spec,
-        total_jump=total_jump,
-        sup_ratio=0.0,
-        inf_rho=0.0,
-        sup_rho=0.0,
-        support=support,
-    )
-    rho_s = probe.rho(samples)
-    tails = np.array([spec.base_density, spec.base_density + total_jump])
-    inf_rho = float(min(rho_s.min(), tails.min()))
-    sup_rho = float(max(rho_s.max(), tails.max()))
-    if inf_rho <= 0:
-        raise NonPositiveDensity(f"min rho = {inf_rho:.6g} <= 0")
-
-    sup_ratio = _polished_sup_ratio(probe, samples, probe.drho(samples) / rho_s)
-    return DensityProfile(
-        spec=spec,
-        total_jump=total_jump,
-        sup_ratio=sup_ratio,
-        inf_rho=inf_rho,
-        sup_rho=sup_rho,
-        support=support,
-    )
+    floor, margin = _positivity_floor(spec)
+    if floor <= margin and profile.inf_rho <= 0:
+        raise NonPositiveDensity(f"min rho = {profile.inf_rho:.6g} <= 0")
+    return profile
 
 
 _ZOOM_POINTS = 65  # ratio evaluations per zoom round

@@ -12,7 +12,9 @@ field orientation.  ``bump_cdf_unblocked``, the bump quadrature evaluated
 for all points at once, must match the blocked evaluation bitwise.  Last,
 ``run_rate`` marches one stepped column alone through ``march_norms``,
 against which the ``verify`` command's march, with the column joined to the
-sharpness runs, is checked.
+sharpness runs, is checked.  And ``eager_profile_metrics`` recomputes the
+profile metrics as ``build_profile`` once did on construction, which the
+metrics read later must match bitwise.
 """
 
 import numpy as np
@@ -22,9 +24,11 @@ from scipy.linalg import eig_banded, eigh, eigvalsh
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
+from rtmhd.errors import NonPositiveDensity, NoUnstableRegion
 from rtmhd.operators import band_combine, band_to_dense
 from rtmhd.verify import march_norms, measured_rate
 from rtmhd.profiles import (
+    BUMP_INTEGRAL,
     _GL_NODES,
     _GL_WEIGHTS,
     _N_PANELS,
@@ -127,6 +131,53 @@ def brent_sup_ratio(profile, grid) -> tuple[float, float]:
     if -res.fun >= r[k]:
         return float(-res.fun), float(res.x)
     return float(r[k]), float(samples[k])
+
+
+def eager_profile_metrics(spec, grid) -> dict[str, float]:
+    """inf_rho, sup_rho and sup_ratio as ``build_profile`` once computed them
+    on construction, raising where it raised (the bump supports must sit
+    inside [-Lz/2, Lz/2]; that check is left to ``build_profile``).
+
+    rho is sampled on the grid plus 10x its density across every bump
+    support (deduplicated by ``np.unique``), through ``profile_unblocked``;
+    a sampled rho <= 0 raises NonPositiveDensity.  The ratio's sample
+    argmax is then zoomed: 65 even points across its bracket, shrunk to the
+    two neighbours of their argmax, until it is at most 1e-13 wide or stops
+    shrinking; the sup is the largest ratio evaluated.
+    """
+    if not any(b.amplitude > 0 for b in spec.bumps):
+        raise NoUnstableRegion("profile needs a bump with positive amplitude")
+    total_jump = BUMP_INTEGRAL * sum(b.amplitude * b.half_width for b in spec.bumps)
+    per_bump = max(101, 10 * grid.n // len(spec.bumps))
+    supports = [
+        np.linspace(b.center - b.half_width, b.center + b.half_width, per_bump)
+        for b in spec.bumps
+    ]
+    samples = np.concatenate([grid.points(), np.unique(np.concatenate(supports))])
+    rho, drho = profile_unblocked(spec, samples)
+    tails = np.array([spec.base_density, spec.base_density + total_jump])
+    inf_rho = float(min(rho.min(), tails.min()))
+    sup_rho = float(max(rho.max(), tails.max()))
+    if inf_rho <= 0:
+        raise NonPositiveDensity(f"min rho = {inf_rho:.6g} <= 0")
+
+    r = drho / rho
+    k = int(np.argmax(r))
+    best = float(r[k])
+    if best <= 0.0:
+        return {"inf_rho": inf_rho, "sup_rho": sup_rho, "sup_ratio": max(best, 0.0)}
+    lo, hi = samples[max(0, k - 1)], samples[min(len(samples) - 1, k + 1)]
+    while hi - lo > 1e-13:
+        x = np.linspace(lo, hi, 65)
+        rho, drho = profile_unblocked(spec, x)
+        r = drho / rho
+        k = int(np.argmax(r))
+        best = max(best, float(r[k]))
+        lo_next, hi_next = x[max(0, k - 1)], x[min(64, k + 1)]
+        if hi_next - lo_next >= hi - lo:
+            break
+        lo, hi = lo_next, hi_next
+    return {"inf_rho": inf_rho, "sup_rho": sup_rho, "sup_ratio": best}
 
 
 def cone_infimum_dense(a_band: np.ndarray, b_band: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -729,6 +730,88 @@ def test_cli_builds_profile_once(tmp_path, monkeypatch):
     path = _write_config(tmp_path / "c.json")
     assert main(["profile", path, "--n", "257", "--M", "0.7"]) == 0
     assert len(calls) == 1
+
+
+JUMP_NEG_PROFILE = {
+    "base_density": 5.0,
+    "bumps": [
+        {"amp": 0.6, "center": 1.0, "half_width": 0.5},
+        {"amp": -1.8, "center": -1.0, "half_width": 0.5},
+    ],
+}
+CANONICAL_PROFILE = {
+    "base_density": 1.0,
+    "bumps": [{"amp": 0.5, "center": 0.0, "half_width": 1.0}],
+}
+CANONICAL_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "canonical.json"
+
+
+def _count_rho_points(monkeypatch) -> list[int]:
+    """Sizes of every rho evaluation from here on."""
+    points = []
+    rho = rtmhd.DensityProfile.rho
+
+    def counting(self, x):
+        points.append(np.size(x))
+        return rho(self, x)
+
+    monkeypatch.setattr(rtmhd.DensityProfile, "rho", counting)
+    return points
+
+
+@pytest.mark.parametrize("n, samples", [(17, 219), (201, 2211)])
+def test_load_config_evaluates_no_rho_on_a_positive_floor(tmp_path, monkeypatch, n, samples):
+    # the positivity floor base + I sum(min(a, 0) w) certifies both profiles,
+    # so loading samples nothing; the metrics wait for their first read
+    paths = [
+        str(CANONICAL_CONFIG),
+        _write_config(
+            tmp_path / "neg.json",
+            profile=JUMP_NEG_PROFILE,
+            mag={"orientation": "vertical", "magnitude": 0.3},
+            grid={"half_length": 8.0, "n": n},
+        ),
+    ]
+    points = _count_rho_points(monkeypatch)
+    cfgs = [load_config(path) for path in paths]
+    assert points == []
+    # the first read samples rho once: the grid plus 10x its density across
+    # every bump support (801 + 8010 points for the shipped config)
+    for cfg in cfgs:
+        assert cfg.profile.sup_rho >= cfg.profile.inf_rho > 0
+    assert points == [8811, samples]
+    # the ratio zoom reuses those samples and adds only its own points
+    assert all(cfg.profile.sup_ratio > 0 for cfg in cfgs)
+    assert set(points[2:]) == {rtmhd.profiles._ZOOM_POINTS}
+
+
+@pytest.mark.parametrize(
+    "command, profile, orientation, n, zooms",
+    [
+        ("critical", JUMP_NEG_PROFILE, "vertical", 17, 0),
+        ("freq-thresholds", JUMP_NEG_PROFILE, "vertical", 201, 0),
+        ("freq-thresholds", JUMP_NEG_PROFILE, "horizontal", 201, 0),
+        ("sweep", CANONICAL_PROFILE, "horizontal", 201, 1),
+    ],
+)
+def test_only_commands_that_read_sup_ratio_zoom_it(
+    tmp_path, monkeypatch, command, profile, orientation, n, zooms
+):
+    calls = []
+    real = rtmhd.profiles._polished_sup_ratio
+    monkeypatch.setattr(
+        rtmhd.profiles,
+        "_polished_sup_ratio",
+        lambda *args: calls.append(1) or real(*args),
+    )
+    path = _write_config(
+        tmp_path / "c.json",
+        profile=profile,
+        mag={"orientation": orientation, "magnitude": 0.3},
+        grid={"half_length": 8.0, "n": n},
+    )
+    assert main([command, path]) == 0
+    assert len(calls) == zooms
 
 
 def test_cli_verify_refuses_another_configs_sweep(tmp_path, capsys):

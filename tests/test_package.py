@@ -72,6 +72,19 @@ def test_cli_start_loads_no_heavy_scipy_subpackage():
     assert _child(code) == "['scipy.linalg._flapack']"
 
 
+def test_profile_metrics_load_no_numpy_ma():
+    # np.unique imports numpy.ma; the profile's sample set is deduplicated
+    # without it, so a fresh command does not pay for that import
+    code = (
+        "import sys\n"
+        "from rtmhd.config import load_config\n"
+        "profile = load_config('configs/canonical.json').profile\n"
+        "profile.inf_rho, profile.sup_rho, profile.sup_ratio\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _child(code) == "False"
+
+
 # One definiteness test and one eigen-solve of each LAPACK route (dgbsv on
 # the canonical energy pencil, dgtsv on stiffness against mass), printed
 # bit for bit, with _lapack on the route the arguments name.

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import rtmhd
 from rtmhd.errors import NonPositiveDensity, NoUnstableRegion
-from rtmhd.profiles import _CDF_BLOCK, BUMP_INTEGRAL, _bump_cdf
+from rtmhd.profiles import _CDF_BLOCK, BUMP_INTEGRAL, _bump_cdf, _positivity_floor
 
 from .conftest import CANON_SPEC, JUMP_NEG_SPEC
 from .oracles import (
     adaptive_bump_integral,
     brent_sup_ratio,
     bump_cdf_unblocked,
+    eager_profile_metrics,
     profile_unblocked,
 )
 
@@ -234,3 +235,71 @@ def test_profile_invariants_hold_for_random_specs(base, amp, center, width):
     assert prof.sup_ratio > 0
     lo, hi = prof.support
     assert lo == pytest.approx(center - width) and hi == pytest.approx(center + width)
+
+
+def _seeded_spec(seed: int) -> rtmhd.ProfileSpec:
+    """1-3 bumps of either sign inside [-3.5, 3.5] on a base in [0.05, 5]."""
+    rng = np.random.default_rng(seed)
+    bumps = tuple(
+        rtmhd.Bump(rng.uniform(-2.0, 1.5), rng.uniform(-2.5, 2.5), rng.uniform(0.2, 1.0))
+        for _ in range(rng.integers(1, 4))
+    )
+    return rtmhd.ProfileSpec(float(np.exp(rng.uniform(np.log(0.05), np.log(5.0)))), bumps)
+
+
+I = BUMP_INTEGRAL
+EDGE_SPECS = [
+    # floor 0.1 - I/4 < 0, yet rho never drops below the base: the samples
+    # accept it
+    rtmhd.ProfileSpec(0.1, (rtmhd.Bump(1.0, -1.0, 0.5), rtmhd.Bump(-0.5, 1.0, 0.5))),
+    # the same bumps in the other order dip rho below 0: rejected
+    rtmhd.ProfileSpec(0.1, (rtmhd.Bump(-0.5, -1.0, 0.5), rtmhd.Bump(1.0, 1.0, 0.5))),
+    # floor 0 to rounding, rho at least 0.15 I
+    rtmhd.ProfileSpec(0.5 * I, (rtmhd.Bump(0.3, -1.5, 0.5), rtmhd.Bump(-0.5, 1.0, 1.0))),
+    # floor 1e-6, above its margin: certified without a sample
+    rtmhd.ProfileSpec(0.5 * I + 1e-6, (rtmhd.Bump(0.3, 1.5, 0.5), rtmhd.Bump(-0.5, -1.0, 1.0))),
+    # floor 0, which rho reaches where the negative bump ends: rejected
+    rtmhd.ProfileSpec(0.5 * I, (rtmhd.Bump(-0.5, -1.0, 1.0), rtmhd.Bump(0.3, 1.5, 0.5))),
+    CANON_SPEC,
+    JUMP_NEG_SPEC,
+]
+
+
+def _outcome(metrics):
+    """The metrics as hex strings, or the error a build raised."""
+    try:
+        return {k: float(v).hex() for k, v in metrics().items()}
+    except (NonPositiveDensity, NoUnstableRegion) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n", [17, 201])
+@pytest.mark.parametrize(
+    "name", [f"edge{k}" for k in range(len(EDGE_SPECS))] + [f"seed{k}" for k in range(30)]
+)
+def test_lazy_metrics_match_the_eager_build(name, n, monkeypatch):
+    kind, k = name[:4], int(name[4:])
+    spec = EDGE_SPECS[k] if kind == "edge" else _seeded_spec(k)
+    grid = rtmhd.Grid1D(8.0, n)
+    expected = _outcome(lambda: eager_profile_metrics(spec, grid))
+
+    points = []
+    rho = rtmhd.DensityProfile.rho
+    monkeypatch.setattr(
+        rtmhd.DensityProfile, "rho", lambda self, x: points.append(1) or rho(self, x)
+    )
+
+    def lazy():
+        prof = rtmhd.build_profile(spec, grid)
+        return {k: getattr(prof, k) for k in ("inf_rho", "sup_rho", "sup_ratio")}
+
+    # rho is sampled at the build only when the positivity floor fails to
+    # clear its margin (and never before a positive bump is found)
+    floor, margin = _positivity_floor(spec)
+    try:
+        rtmhd.build_profile(spec, grid)
+    except (NonPositiveDensity, NoUnstableRegion):
+        pass
+    sampled = any(b.amplitude > 0 for b in spec.bumps) and floor <= margin
+    assert bool(points) == sampled
+    assert _outcome(lazy) == expected
