@@ -51,14 +51,14 @@ def main():
 
     forms = assemble_forms(profile, GRID, xi1, MAG, PARAMS)
     result = growth_rate(forms)
-    mode = build_mode(result, MAG, PARAMS, profile, GRID, mode_tol=1e-3)
-    export_mode(mode, profile, PARAMS, os.path.join(out, "mode"))
-    snap = assemble_real_solution(mode, 0.0, PARAMS, profile)
+    mode = build_mode(result, mode_tol=1e-3)
+    export_mode(mode, os.path.join(out, "mode"))
+    snap = assemble_real_solution(mode, 0.0)
     export_snapshot(snap, os.path.join(out, "snapshot_t0.csv"))
 
     lam = result.lam
     T = 3.0 / lam
-    init = eigenmode_column(mode, profile)
+    init = eigenmode_column(mode)
     run = (xi1, default_schedule(lam, T), T, init[:, None])
     [(times, norms)] = march_norms(profile, MAG, PARAMS, GRID, [run])
     est = measured_rate(list(zip(times, norms[:, 1, 0])))

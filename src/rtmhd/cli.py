@@ -207,16 +207,14 @@ def _build_mode_at(
     result = growth_rate(forms)
     if result is None:
         raise RtmhdError(f"xi = ({xi.xi1:g}, {xi.xi2:g}) admits no growing mode")
-    return modes.build_mode(
-        result, cfg.mag, cfg.params, cfg.profile, cfg.grid, mode_tol=mode_tol
-    )
+    return modes.build_mode(result, mode_tol=mode_tol)
 
 
 def cmd_mode(cfg: RunConfig, args) -> int:
     xi = _target_xi(args)
     mode = _build_mode_at(cfg, xi)
     stem = os.path.join(cfg.output_dir, "mode")
-    modes.export_mode(mode, cfg.profile, cfg.params, stem)
+    modes.export_mode(mode, stem)
     print(f"lambda={_fmt(mode.lam)}")
     for name in ("eq1", "eq2", "eq3", "div"):
         print(f"residual_{name}={mode.residuals[name]:.3e}")
@@ -255,7 +253,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         top = dispersion.sup_rate(table)
         xi1 = top.xi_pair[0]
         lam_cap = top.lam_max
-        members = {Frequency(e.xi1, e.xi2): e.lam for e in table.entries if e.member}
+        members = {
+            Frequency(e.xi1, e.xi2): e.lam
+            for e in table.entries
+            if e.member and e.lam is not None
+        }
 
     # loose residual gate: the time integration is the actual check here
     mode = _build_mode_at(cfg, xi1, mode_tol=1e-2)
@@ -282,7 +284,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     seeds = list(cfg.seeds)
     runs, checks = verify.sharpness_runs(cfg.mag, cfg.grid, seeds, dict(ranked))
     # the eigenmode run joins the sharpness run of its stepped problem, if any
-    init = verify.eigenmode_column(mode, cfg.profile)
+    init = verify.eigenmode_column(mode)
     (times, norms), *series = verify.march_norms(
         cfg.profile, cfg.mag, cfg.params, cfg.grid, [(xi1, dt, T, init[:, None]), *runs]
     )

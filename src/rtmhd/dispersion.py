@@ -202,7 +202,8 @@ def critical_number_auto(
     profile: DensityProfile,
     lz0: float | None = None,
     n0: int = 129,
-    g: float = 1.0,
+    *,
+    g: float,
     max_doublings: int = 14,
 ) -> CriticalNumber:
     """Classify the critical field strength from a doubling-Lz truncation trace.
@@ -259,7 +260,7 @@ def _horizontal_pair(
 
 
 def critical_freq_horizontal(
-    profile: DensityProfile, grid: Grid1D, xi: Frequency, M: float, g: float = 1.0
+    profile: DensityProfile, grid: Grid1D, xi: Frequency, M: float, g: float
 ) -> float:
     """Threshold S(xi) for a horizontal field; instability requires |xi| < S."""
     if M * xi.xi1 == 0.0:
@@ -279,7 +280,7 @@ def threshold_rows(
     M: float,
     radius: float,
     L: float,
-    g: float = 1.0,
+    g: float,
 ) -> list[tuple[Frequency, float | None]]:
     """S(xi) on the lattice points with xi1 > 0, xi2 >= 0 and |xi| <= radius.
 
@@ -312,7 +313,7 @@ def threshold_rows(
 
 
 def critical_freq_vertical(
-    profile: DensityProfile, grid: Grid1D, M: float, g: float = 1.0
+    profile: DensityProfile, grid: Grid1D, M: float, g: float
 ) -> float:
     """Threshold |xi|_vc for a vertical field; instability requires |xi| > it.
 
@@ -397,23 +398,25 @@ def lattice_sweep(
 
     The forms read xi only through ``forms.form_key``, so the forms of each
     distinct key are assembled once, and membership and rate are decided on
-    them once; every point with that key takes the result.  The lattice is
+    them once; every point with that key takes the result.  Membership is
+    ``in_growing_domain``; a member whose rate is not resolved (``growth_rate``
+    returns None) stays a member, with lam None.  The lattice is
     walked backwards, so each key is solved at a point with xi1, xi2 >= 0.
     A point whose solve fails raises; no point is left out of the table.
     """
     if radius <= 0:
         raise ValueError("sweep radius must be positive")
-    lam_of: dict[tuple[float, float], float | None] = {}
+    solved: dict[tuple[float, float], tuple[bool, float | None]] = {}
     entries = []
     for i, j in reversed(_lattice(radius, params.L)):
         xi = Frequency.lattice(i, j, params.L)
         key = form_key(xi, mag)
-        if key not in lam_of:
+        if key not in solved:
             forms = assemble_forms(profile, grid, xi, mag, params)
-            res = growth_rate(forms) if in_growing_domain(forms) else None
-            lam_of[key] = None if res is None else res.lam
-        lam = lam_of[key]
-        entries.append(DispersionEntry(xi.xi1, xi.xi2, lam is not None, lam))
+            member = in_growing_domain(forms)
+            res = growth_rate(forms) if member else None
+            solved[key] = (member, None if res is None else res.lam)
+        entries.append(DispersionEntry(xi.xi1, xi.xi2, *solved[key]))
     return DispersionTable(
         entries=tuple(reversed(entries)), lattice_radius=radius, params=params, mag=mag
     )

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import ZeroFrequency
 from .operators import (
     band_combine,
-    composite_stencil,
     d1_stencil,
     d2_stencil,
+    diagonal_stencil,
     grad_stiffness_band,
     mass_band,
 )
@@ -39,7 +39,8 @@ __all__ = ["FormSet", "assemble_forms", "form_key"]
 
 @dataclass(frozen=True)
 class FormSet:
-    """Assembled forms plus the context they were built from."""
+    """Assembled forms plus the setup they were built from; a growth result
+    and its normal mode carry this record as their setup."""
 
     e0: np.ndarray
     e1: np.ndarray
@@ -143,6 +144,8 @@ def assemble_forms(
     rest = _rest_bands(profile, grid)
     xi2, m2bxi = form_key(xi, mag)
     w = np.full(grid.n, grid.h)
+    # |xi|^2 I + D2, the sum-of-squares core of the viscous form
+    composite = d2_stencil(grid) + diagonal_stencil(np.full(grid.n, xi2))
 
     m2b3 = mag.magnitude**2 * b3**2
     terms = []
@@ -155,7 +158,7 @@ def assemble_forms(
     e1 = band_combine(
         [
             (4.0 * params.mu * xi2, rest.d1_gram),
-            (params.mu, composite_stencil(grid, xi2).gram(w)),
+            (params.mu, composite.gram(w)),
         ]
     )
 

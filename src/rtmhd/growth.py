@@ -20,7 +20,6 @@ from .eig import EigenPair, min_generalized_eig
 from .errors import BracketFailure
 from .forms import FormSet
 from .operators import band_matvec
-from .profiles import Frequency
 
 __all__ = ["GrowthResult", "alpha", "growth_rate"]
 
@@ -29,9 +28,9 @@ _MAX_STEPS = 100
 
 @dataclass
 class GrowthResult:
-    """Fixed-point solution at one frequency."""
+    """Fixed-point solution at one frequency, with the forms it was solved on."""
 
-    xi: Frequency
+    forms: FormSet
     lam: float
     s_star: float
     alpha_at_s: float
@@ -151,7 +150,7 @@ def growth_rate(
     if lam <= tol:
         return None
     return GrowthResult(
-        xi=forms.xi,
+        forms=forms,
         lam=lam,
         s_star=s_star,
         alpha_at_s=a_star,

@@ -1,6 +1,10 @@
 """Companion components of a growing mode, the magnetic coupling, and the one
 map from a mode to its perturbation fields.
 
+A mode keeps the ``FormSet`` its rate was solved on (``GrowthResult.forms``),
+so every function here reads the profile, grid, xi, field and parameters
+from the mode or result it is given, never from a second setup.
+
 Given the vertical-velocity profile psi and rate lambda of one frequency, the
 remaining components follow by one route for every field and every xi.
 Across xi no pressure, buoyancy or divergence acts, and the swirl row
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResidualTooLarge
+from .forms import FormSet, assemble_forms
 from .growth import GrowthResult
 from .operators import (
     Blocks,
@@ -48,7 +53,6 @@ from .operators import (
     diagonal_stencil,
 )
 from .profiles import (
-    DensityProfile,
     Frequency,
     Grid1D,
     MagneticConfig,
@@ -80,16 +84,16 @@ _FIELD_ORDER = ("rho", "u1", "u2", "u3", "N1", "N2", "N3", "q")
 
 @dataclass(frozen=True)
 class NormalMode:
-    """One growing normal mode: profiles on the interior grid."""
+    """One growing normal mode: profiles on the interior grid, and the forms
+    its rate was solved on, which hold its profile, grid, xi, field and
+    parameters."""
 
-    xi: Frequency
+    forms: FormSet
     lam: float
     psi: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
     pi: np.ndarray
-    mag: MagneticConfig
-    grid: Grid1D
     residuals: dict
 
 
@@ -140,26 +144,22 @@ def _l2(v: np.ndarray, h: float) -> float:
 _STENCIL_TRIM = 3  # rows per side where composed stencils touch ghost values
 
 
-def _pressure_free_terms(
-    lam: float,
-    xi: Frequency,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-    profile: DensityProfile,
-    grid: Grid1D,
-) -> tuple[list, list]:
+def _pressure_free_terms(lam: float, forms: FormSet) -> tuple[list, list]:
     """The terms of the momentum rows but the pressure gradient, as maps of
     the velocity profile v = u / lambda = (-i phi, -i theta, psi), shape (3, n):
 
       lambda^2 rho v - g rho0' v3 e3 + lambda mu (|xi|^2 - D2) v - F T v
       = -lambda grad pi,
 
-    T and F being M times those of the unit field.  Returns the terms with
-    variable coefficients (inertia, buoyancy) and those with constant
-    coefficients (viscosity, Lorentz force) as two lists.
+    T and F being M times those of the unit field, on the setup of
+    ``forms``.  Returns the terms with variable coefficients (inertia,
+    buoyancy) and those with constant coefficients (viscosity, Lorentz force)
+    as two lists.
     """
+    xi, mag, params, grid = forms.xi, forms.mag, forms.params, forms.grid
     x = grid.points()
-    rho, buoyant = profile.rho(x), np.outer((0.0, 0.0, -params.g), profile.drho(x))
+    rho, drho = forms.profile.rho(x), forms.profile.drho(x)
+    buoyant = np.outer((0.0, 0.0, -params.g), drho)
     d2 = d2_stencil(grid)
     t_op, f_op = magnetic_coupling(mag.direction(), xi, grid)
     return [lambda v: lam**2 * rho * v, lambda v: buoyant * v], [
@@ -179,23 +179,20 @@ def mode_residuals(
     theta: np.ndarray,
     pi: np.ndarray,
     lam: float,
-    xi: Frequency,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-    profile: DensityProfile,
-    grid: Grid1D,
+    forms: FormSet,
 ) -> dict:
-    """Relative residuals of the four mode equations and the divergence.
+    """Relative residuals of the four mode equations and the divergence, on
+    the profile, grid, xi, field and parameters of ``forms``.
 
     Residuals are measured on stencil-interior rows: the outermost rows of
     the truncated grid realize the clamped boundary conditions rather than
     the differential equations, and composed difference stencils are only
     consistent where they do not reach past the boundary.
     """
-    h = grid.h
-    d1 = d1_stencil(grid)
+    xi, h = forms.xi, forms.grid.h
+    d1 = d1_stencil(forms.grid)
     v = _velocity(phi, theta, psi)
-    variable, constant = _pressure_free_terms(lam, xi, mag, params, profile, grid)
+    variable, constant = _pressure_free_terms(lam, forms)
     grad_pi = np.stack([1j * xi.xi1 * pi, 1j * xi.xi2 * pi, d1.apply(pi)])
     terms = [f(v) for f in variable + constant] + [lam * grad_pi]
     div_terms = [xi.xi1 * phi, xi.xi2 * theta, d1.apply(psi)]
@@ -212,22 +209,17 @@ def mode_residuals(
     return out
 
 
-def build_mode(
-    growth: GrowthResult,
-    mag: MagneticConfig,
-    params: PhysicalParams,
-    profile: DensityProfile,
-    grid: Grid1D,
-    mode_tol: float = DEFAULT_MODE_TOL,
-) -> NormalMode:
-    """Reconstruct (phi, theta, pi) from the minimizing psi and validate."""
+def build_mode(growth: GrowthResult, mode_tol: float = DEFAULT_MODE_TOL) -> NormalMode:
+    """Reconstruct (phi, theta, pi) from the minimizing psi and validate, on
+    the forms the rate was solved on."""
     if growth.lam <= 0:
         raise ValueError("mode construction needs a positive growth rate")
-    xi = growth.xi
+    forms = growth.forms
+    xi = forms.xi
     lam = growth.lam
     xi2 = xi.norm2
     psi = np.array(growth.psi.vec, dtype=float)
-    d1 = d1_stencil(grid)
+    d1 = d1_stencil(forms.grid)
     psi1 = d1.apply(psi)
     # no swirl: the velocity along xi closes the divergence identity
     phi = -xi.xi1 * psi1 / xi2
@@ -237,7 +229,7 @@ def build_mode(
     # constant-coefficient terms: D1 psi is not zero at the ends, and a
     # stencil applied to it would read zero ghost values
     along = np.array([xi.xi1, xi.xi2, 0.0])
-    variable, constant = _pressure_free_terms(lam, xi, mag, params, profile, grid)
+    variable, constant = _pressure_free_terms(lam, forms)
     v = _velocity(phi, theta, psi)
     slots = np.eye(3)[:, :, None] * v[2]  # psi in each velocity component
     r1, r2, r3 = (along @ sum(f(s) for f in constant) for s in slots)
@@ -245,9 +237,7 @@ def build_mode(
     row += 1j * d1.apply(xi.xi1 * r1 + xi.xi2 * r2) / xi2
     pi = (1j * row / (lam * xi2)).real
 
-    residuals = mode_residuals(
-        psi, phi, theta, pi, lam, xi, mag, params, profile, grid
-    )
+    residuals = mode_residuals(psi, phi, theta, pi, lam, forms)
     worst = max(residuals.values())
     if worst > mode_tol:
         raise ResidualTooLarge(
@@ -255,35 +245,28 @@ def build_mode(
             "increase the grid resolution"
         )
     return NormalMode(
-        xi=xi,
-        lam=lam,
-        psi=psi,
-        phi=phi,
-        theta=theta,
-        pi=pi,
-        mag=mag,
-        grid=grid,
-        residuals=residuals,
+        forms=forms, lam=lam, psi=psi, phi=phi, theta=theta, pi=pi, residuals=residuals
     )
 
 
 # --- the fields of a mode and the real-valued growing solution ----------------
 
 
-def mode_fields(mode: NormalMode, profile: DensityProfile) -> dict[str, np.ndarray]:
+def mode_fields(mode: NormalMode) -> dict[str, np.ndarray]:
     """Complex profiles of every perturbation field at +xi and t = 0.
 
     The velocity is u = lambda v, v = (-i phi, -i theta, psi), the density
     is advected from the steady profile, rho = -rho0' psi, the pressure is
     lambda pi, and the induction equation lambda N = T u gives N = T v.
     """
+    forms = mode.forms
     v = _velocity(mode.phi, mode.theta, mode.psi)
-    t_op, _ = magnetic_coupling(mode.mag.direction(), mode.xi, mode.grid)
+    t_op, _ = magnetic_coupling(forms.mag.direction(), forms.xi, forms.grid)
     return {
-        "rho": -(profile.drho(mode.grid.points()) * mode.psi).astype(complex),
+        "rho": -(forms.profile.drho(forms.grid.points()) * mode.psi).astype(complex),
         **dict(zip(("u1", "u2", "u3"), mode.lam * v)),
         "q": mode.lam * mode.pi.astype(complex),
-        **dict(zip(("N1", "N2", "N3"), mode.mag.magnitude * block_apply(t_op, v))),
+        **dict(zip(("N1", "N2", "N3"), forms.mag.magnitude * block_apply(t_op, v))),
     }
 
 
@@ -298,26 +281,25 @@ def relative_divergence(v: np.ndarray, xi: Frequency, grid: Grid1D) -> float:
     return float(num / scale)
 
 
-def assemble_real_solution(
-    mode: NormalMode, t: float, params: PhysicalParams, profile: DensityProfile
-) -> FieldSnapshot:
+def assemble_real_solution(mode: NormalMode, t: float) -> FieldSnapshot:
     """Real fields at time t, the sum of the +-xi pair: (2 e^{lambda t} Re f,
     -2 e^{lambda t} Im f) for the ``mode_fields`` profile f of each field."""
+    forms = mode.forms
     amp = 2.0 * float(np.exp(mode.lam * t))
     # + 0.0 clears the signed zeros that the complex products leave
     fields = {
         name: (amp * f.real + 0.0, -amp * f.imag + 0.0)
-        for name, f in mode_fields(mode, profile).items()
+        for name, f in mode_fields(mode).items()
     }
-    two_pi_l = 2.0 * np.pi * params.L
-    h = mode.grid.h
+    two_pi_l = 2.0 * np.pi * forms.params.L
+    h = forms.grid.h
     norms = {
         name: two_pi_l
         * float(np.sqrt(0.5 * h * (np.sum(c**2) + np.sum(s**2))))
         for name, (c, s) in fields.items()
     }
     return FieldSnapshot(
-        t=t, xi=mode.xi, grid=mode.grid, L=params.L, fields=fields, norms=norms
+        t=t, xi=forms.xi, grid=forms.grid, L=forms.params.L, fields=fields, norms=norms
     )
 
 
@@ -335,30 +317,25 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def export_mode(
-    mode: NormalMode,
-    profile: DensityProfile,
-    params: PhysicalParams,
-    stem: str,
-) -> tuple[str, str]:
+def export_mode(mode: NormalMode, stem: str) -> tuple[str, str]:
     """Write <stem>.json (full metadata + profiles) and <stem>.csv.
 
-    The JSON file carries everything needed to rebuild the residuals; the CSV
-    adds the boundary rows with their identically zero values.
+    The JSON file carries the mode's setup, everything needed to rebuild its
+    forms and residuals; the CSV adds the boundary rows with their
+    identically zero values.
     """
     if not stem:
         raise OSError("empty export path")
+    forms = mode.forms
+    xi, mag, params, grid = forms.xi, forms.mag, forms.params, forms.grid
     payload = {
         "kind": "normal_mode",
-        "xi": [mode.xi.xi1, mode.xi.xi2],
+        "xi": [xi.xi1, xi.xi2],
         "lambda": mode.lam,
-        "mag": {
-            "orientation": mode.mag.orientation.value,
-            "magnitude": mode.mag.magnitude,
-        },
+        "mag": {"orientation": mag.orientation.value, "magnitude": mag.magnitude},
         "params": {"mu": params.mu, "g": params.g, "L": params.L},
-        "grid": {"half_length": mode.grid.half_length, "n": mode.grid.n},
-        "profile": profile.spec.to_dict(),
+        "grid": {"half_length": grid.half_length, "n": grid.n},
+        "profile": forms.profile.spec.to_dict(),
         "residuals": mode.residuals,
         "psi": mode.psi.tolist(),
         "phi": mode.phi.tolist(),
@@ -371,12 +348,10 @@ def export_mode(
         json.dump(payload, f, indent=1, sort_keys=True)
         f.write("\n")
 
-    lz = mode.grid.half_length
+    lz = grid.half_length
     rows = ["x3,psi,phi,theta,pi"]
     rows.append(f"{_fmt(-lz)},0,0,0,0")
-    for x, a, b, c, d in zip(
-        mode.grid.points(), mode.psi, mode.phi, mode.theta, mode.pi
-    ):
+    for x, a, b, c, d in zip(grid.points(), mode.psi, mode.phi, mode.theta, mode.pi):
         rows.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(c)},{_fmt(d)}")
     rows.append(f"{_fmt(lz)},0,0,0,0")
     with open(csv_path, "w") as f:
@@ -384,8 +359,9 @@ def export_mode(
     return json_path, csv_path
 
 
-def load_mode(json_path: str):
-    """Rebuild (mode, profile, params) from an exported JSON file."""
+def load_mode(json_path: str) -> NormalMode:
+    """Rebuild a mode from an exported JSON file, its forms reassembled from
+    the setup the file records."""
     with open(json_path) as f:
         payload = json.load(f)
     if payload.get("kind") != "normal_mode":
@@ -397,18 +373,15 @@ def load_mode(json_path: str):
     mag = MagneticConfig(
         Orientation(payload["mag"]["orientation"]), payload["mag"]["magnitude"]
     )
-    mode = NormalMode(
-        xi=Frequency(*payload["xi"]),
+    return NormalMode(
+        forms=assemble_forms(profile, grid, Frequency(*payload["xi"]), mag, params),
         lam=payload["lambda"],
         psi=np.array(payload["psi"]),
         phi=np.array(payload["phi"]),
         theta=np.array(payload["theta"]),
         pi=np.array(payload["pi"]),
-        mag=mag,
-        grid=grid,
         residuals=payload["residuals"],
     )
-    return mode, profile, params
 
 
 def export_snapshot(snap: FieldSnapshot, path: str) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "d1_stencil",
     "d1_free_stencil",
     "d2_stencil",
-    "composite_stencil",
 ]
 
 
@@ -280,12 +279,6 @@ def d2_stencil(grid: Grid1D) -> Stencil:
     """Second-order central second derivative (zero boundary values)."""
     c = 1.0 / (grid.h * grid.h)
     return _uniform(grid.n, grid.n, {-1: c, 0: -2.0 * c, 1: c})
-
-
-def composite_stencil(grid: Grid1D, xi2: float) -> Stencil:
-    """|xi|^2 I + D2 as one stencil (sum-of-squares core of the viscous form)."""
-    c = 1.0 / (grid.h * grid.h)
-    return _uniform(grid.n, grid.n, {-1: c, 0: xi2 - 2.0 * c, 1: c})
 
 
 def mass_band(grid: Grid1D, q: np.ndarray | float = 1.0) -> np.ndarray:

@@ -245,7 +245,10 @@ def _bump_cdf(t: np.ndarray) -> np.ndarray:
 
     The points are evaluated in blocks of ``_CDF_BLOCK``, so the
     (points x nodes) temporaries of the quadrature stay a few MB for any
-    number of points; each value is the same as one unblocked evaluation.
+    number of points.  A value inside a block of many points is bitwise the
+    one-pass value; a point evaluated alone, or alone in a ragged last
+    block, is a one-row product that sums in another order and can differ
+    by up to 2 ulps.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()

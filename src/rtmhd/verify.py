@@ -132,14 +132,14 @@ def _stepped(grid: Grid1D, k: float, rho, u3, omega, N) -> np.ndarray:
     return np.concatenate([rho, u3, omega, chi, N])
 
 
-def eigenmode_column(mode: NormalMode, profile: DensityProfile) -> np.ndarray:
+def eigenmode_column(mode: NormalMode) -> np.ndarray:
     """The stepped state (7n,) of the growing mode at t = 0, in the frame of
     its xi; its velocity along xi is set from u3 by the divergence row."""
-    f = mode_fields(mode, profile)
-    k, unit = _unit(mode.xi)
+    f = mode_fields(mode)
+    k, unit = _unit(mode.forms.xi)
     _, omega, u3 = _rotate(unit, (f["u1"], f["u2"], f["u3"]))
     N = _rotate(unit, (f["N1"], f["N2"], f["N3"]))
-    return _stepped(mode.grid, k, f["rho"], u3, omega, np.concatenate(N))
+    return _stepped(mode.forms.grid, k, f["rho"], u3, omega, np.concatenate(N))
 
 
 class LinearEvolver:

@@ -58,7 +58,7 @@ def _mode_case(spec, xi, orient, M, n):
     mag = rtmhd.MagneticConfig(orient, M)
     forms = assemble_forms(prof, grid, rtmhd.Frequency(*xi), mag, MODE_PARAMS)
     res = growth_rate(forms)
-    mode = build_mode(res, mag, MODE_PARAMS, prof, grid, mode_tol=1e-4)
+    mode = build_mode(res, mode_tol=1e-4)
     return mode, prof, res
 
 
@@ -244,10 +244,10 @@ def test_criterion_7_mode_residuals():
 
 def test_criterion_8_growing_solution_norms(fine_modes):
     t0 = time.monotonic()
-    (hmode, hprof, _), (vmode, vprof, _) = fine_modes
-    for mode, prof in ((hmode, hprof), (vmode, vprof)):
-        s0 = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
-        s1 = assemble_real_solution(mode, 0.83, MODE_PARAMS, prof)
+    (hmode, _, _), (vmode, _, _) = fine_modes
+    for mode in (hmode, vmode):
+        s0 = assemble_real_solution(mode, 0.0)
+        s1 = assemble_real_solution(mode, 0.83)
         factor = np.exp(mode.lam * 0.83)
         for name, n0 in s0.norms.items():
             if n0 > 0:
@@ -255,7 +255,7 @@ def test_criterion_8_growing_solution_norms(fine_modes):
         assert snapshot_divergence(s0, ("u1", "u2", "u3")) <= 1e-8
         assert snapshot_divergence(s0, ("N1", "N2", "N3")) <= 1e-8
         assert s0.norm_group(("u1", "u2")) * s0.norms["u3"] > 0
-    v0 = assemble_real_solution(vmode, 0.0, MODE_PARAMS, vprof)
+    v0 = assemble_real_solution(vmode, 0.0)
     assert v0.norms["N3"] > 0
     _report(8, time.monotonic() - t0, 5.0, "exact exponential scaling")
 
@@ -273,9 +273,9 @@ def test_criterion_9_end_to_end_rates():
         t0 = time.monotonic()
         forms = assemble_forms(prof, grid, xi, mag, CANON_PARAMS)
         res = growth_rate(forms)
-        mode = build_mode(res, mag, CANON_PARAMS, prof, grid, mode_tol=1e-3)
+        mode = build_mode(res, mode_tol=1e-3)
         lam = res.lam
-        z = eigenmode_column(mode, prof)
+        z = eigenmode_column(mode)
         est, _, _ = run_rate(
             prof, mag, CANON_PARAMS, grid, xi, z, dt=0.01 / lam, T=3.0 / lam
         )

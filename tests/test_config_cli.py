@@ -10,10 +10,12 @@ import pytest
 import rtmhd
 from rtmhd.cli import _build_mode_at, main
 from rtmhd.config import load_config
+from rtmhd.dispersion import critical_freq_vertical
 from rtmhd.errors import ConfigError
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 
+from .conftest import JUMP_NEG_SPEC
 from .oracles import run_rate
 
 
@@ -416,9 +418,10 @@ def _check_series_is_the_column_alone(cfg, report, series):
     """The verify command's rate and norm series are those of the eigenmode
     column marched alone."""
     mode = _build_mode_at(cfg, rtmhd.Frequency(*report["xi"]), mode_tol=1e-2)
-    z = rtmhd.verify.eigenmode_column(mode, cfg.profile)
+    z = rtmhd.verify.eigenmode_column(mode)
     est, times, norms = run_rate(
-        cfg.profile, cfg.mag, cfg.params, cfg.grid, mode.xi, z, report["dt"], report["T"]
+        cfg.profile, cfg.mag, cfg.params, cfg.grid, mode.forms.xi, z,
+        report["dt"], report["T"],
     )
     assert abs(report["lambda_meas"] - est.rate) <= 1e-12 * abs(est.rate)
     assert np.array_equal(series[:, 0], times)
@@ -835,6 +838,37 @@ def test_cli_verify_refuses_another_configs_sweep(tmp_path, capsys):
         json.dump(summary, f)
     capsys.readouterr()
     assert main(["verify", path]) == 2
+
+
+def test_cli_verify_skips_members_without_a_rate_with_or_without_a_sweep(
+    tmp_path, capsys
+):
+    # just above |xi|_vc the smallest lattice |xi| is a member whose rate is
+    # unresolved; verify leaves it out of its table whether it sweeps in
+    # process or reads a sweep's dispersion.csv, and both runs agree
+    grid = rtmhd.Grid1D(8.0, 801)
+    prof = rtmhd.build_profile(JUMP_NEG_SPEC, grid)
+    L = 1.0 / (critical_freq_vertical(prof, grid, 0.3, g=1.0) * (1.0 + 1e-9))
+    runs = {}
+    for label in ("in_process", "from_sweep"):
+        out = tmp_path / label
+        path = _write_config(
+            tmp_path / f"{label}.json",
+            profile=JUMP_NEG_SPEC.to_dict(),
+            params={"mu": 1.0, "g": 1.0, "L": L},
+            mag={"orientation": "vertical", "magnitude": 0.3},
+            grid={"half_length": 8.0, "n": 801},
+            sweep={"radius": 2.0 / L},
+            output_dir=str(out),
+        )
+        if label == "from_sweep":
+            assert main(["sweep", path]) == 0
+            rows = (out / "dispersion.csv").read_text().splitlines()[1:]
+            assert sum(row.endswith(",1,") for row in rows) == 4
+        capsys.readouterr()
+        code = main(["verify", path])
+        runs[label] = code, capsys.readouterr().out, (out / "timeseries.csv").read_text()
+    assert runs["in_process"] == runs["from_sweep"]
 
 
 def test_cli_verify_covers_distinct_sign_orbits(tmp_path):

@@ -516,6 +516,28 @@ def test_sweep_all_members_for_field_free(canon_sweep):
     assert len(canon_sweep.entries) == 48  # lattice points with 0 < |xi| <= 4
 
 
+def test_sweep_membership_is_the_membership_test_without_a_rate():
+    # one spacing 1e-9 relative above |xi|_vc, E0 is indefinite but the rate
+    # is below growth_rate's tolerance: the points stay members, without a rate
+    grid = rtmhd.Grid1D(8.0, 801)
+    prof = rtmhd.build_profile(JUMP_NEG_SPEC, grid)
+    mag = rtmhd.MagneticConfig(V, 0.3)
+    xi_vc = critical_freq_vertical(prof, grid, 0.3, g=1.0)
+    L = 1.0 / (xi_vc * (1.0 + 1e-9))
+    params = rtmhd.PhysicalParams(mu=1.0, g=1.0, L=L)
+    table = lattice_sweep(prof, grid, mag, params, radius=1.0 / L)
+    assert len(table.entries) == 4
+    for entry in table.entries:
+        xi = rtmhd.Frequency(entry.xi1, entry.xi2)
+        forms = assemble_forms(prof, grid, xi, mag, params)
+        assert entry.member == in_growing_domain(forms)
+        assert entry.member and entry.lam is None and growth_rate(forms) is None
+    rows = table_to_csv(table).splitlines()[1:]
+    assert all(row.endswith(",1,") for row in rows)
+    with pytest.raises(EmptyDomain):
+        sup_rate(table)
+
+
 def test_sup_rate_argmax_matches_refined_oracle(canon_sweep):
     top = sup_rate(canon_sweep)
     assert (top.xi_pair[0].xi1, top.xi_pair[0].xi2) == ARGMAX_ORACLE

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -41,7 +43,7 @@ def _mode(spec, xi, orient, M, n=2001, mode_tol=1e-6):
     forms = assemble_forms(prof, grid, rtmhd.Frequency(*xi), mag, MODE_PARAMS)
     res = growth_rate(forms)
     assert res is not None
-    mode = build_mode(res, mag, MODE_PARAMS, prof, grid, mode_tol=mode_tol)
+    mode = build_mode(res, mode_tol=mode_tol)
     return mode, prof, res
 
 
@@ -69,15 +71,15 @@ def test_residuals_below_default_tolerance(horizontal_mode, vertical_mode):
 def test_axis_case_phi_vanishes_theta_closes_divergence():
     mode, _, _ = _mode(MODE_SPEC_A, (0.0, K), H, 0.3)
     assert np.all(mode.phi == 0.0)
-    psi1 = d1_stencil(mode.grid).apply(mode.psi)
+    psi1 = d1_stencil(mode.forms.grid).apply(mode.psi)
     assert np.allclose(mode.theta, -psi1 / K, rtol=0, atol=1e-14 * np.abs(psi1).max())
 
 
 def test_vertical_ansatz_divergence_exact(vertical_mode, oblique_mode):
     # the swirl-free velocity closes the divergence for every field and xi
     for mode, _, _ in (vertical_mode, oblique_mode):
-        psi1 = d1_stencil(mode.grid).apply(mode.psi)
-        div = mode.xi.xi1 * mode.phi + mode.xi.xi2 * mode.theta + psi1
+        psi1 = d1_stencil(mode.forms.grid).apply(mode.psi)
+        div = mode.forms.xi.xi1 * mode.phi + mode.forms.xi.xi2 * mode.theta + psi1
         assert np.abs(div).max() <= 1e-14 * np.abs(psi1).max()
 
 
@@ -87,9 +89,8 @@ def test_divergence_identity_all_cases(horizontal_mode):
 
 
 def test_psi_normalized_and_nonzero(horizontal_mode):
-    mode, prof, res = horizontal_mode
-    grid = mode.grid
-    fs = assemble_forms(prof, grid, mode.xi, mode.mag, MODE_PARAMS)
+    mode, _, _ = horizontal_mode
+    fs = mode.forms
     assert mode.psi @ band_matvec(fs.j, mode.psi) == pytest.approx(1.0, rel=1e-8)
     assert np.linalg.norm(mode.psi) > 0
 
@@ -113,10 +114,10 @@ def test_uniform_boundedness_over_frequency_sample():
     ceiling = 50.0
     for xi in ((K, 0.0), (K, K), (0.0, 2 * K), (2 * K, K)):
         mode, _, _ = _mode(MODE_SPEC_A, xi, H, 0.3, n=601, mode_tol=1.0)
-        h = mode.grid.h
+        h = mode.forms.grid.h
         for arr in (mode.psi, mode.phi, mode.theta, mode.pi):
             l2 = np.sqrt(h * np.sum(arr**2))
-            h1 = np.sqrt(h * np.sum(d1_stencil(mode.grid).apply(arr) ** 2))
+            h1 = np.sqrt(h * np.sum(d1_stencil(mode.forms.grid).apply(arr) ** 2))
             assert np.isfinite(l2) and np.isfinite(h1)
             assert l2 <= ceiling and h1 <= ceiling
 
@@ -138,11 +139,11 @@ def test_oblique_horizontal_mode_closes_first_two_equations(oblique_mode):
 def test_one_route_holds_the_mode_invariants(orient, M, xi):
     # every field and xi: eq1, eq2 and div close by construction, the data
     # carries no swirl into the Crank-Nicolson step, and pi has no end spike
-    mode, prof, _ = _mode(MODE_SPEC_A, xi, orient, M, n=401, mode_tol=1.0)
+    mode, _, _ = _mode(MODE_SPEC_A, xi, orient, M, n=401, mode_tol=1.0)
     assert max(mode.residuals["eq1"], mode.residuals["eq2"]) <= 1e-10
     assert mode.residuals["div"] <= 1e-14
-    z = eigenmode_column(mode, prof)
-    n = mode.grid.n
+    z = eigenmode_column(mode)
+    n = mode.forms.grid.n
     assert np.all(z[2 * n : 3 * n] == 0.0)
     assert np.abs(mode.pi).max() <= 2.0 * np.abs(mode.pi[3 : n - 3]).max()
 
@@ -168,53 +169,67 @@ def test_magnetic_coupling_matches_lab_frame_oracle(orient, M, xi):
         assert not t_op and not f_op
 
 
+def test_a_rate_off_its_forms_fails_the_mode_gate(horizontal_mode):
+    # a result inconsistent with its forms is made by replacing its rate, not
+    # by passing a second setup: a rate 1e-3 off leaves eq3 near 6e-4
+    mode, _, res = horizontal_mode
+    off = dataclasses.replace(res, lam=res.lam * (1.0 + 1e-3))
+    with pytest.raises(ResidualTooLarge):
+        build_mode(off)
+    wrong = build_mode(off, mode_tol=1.0)
+    assert wrong.forms is res.forms is mode.forms
+    assert wrong.residuals["eq3"] >= 100.0 * mode.residuals["eq3"]
+
+
 def test_residual_too_large_on_coarse_grid():
     with pytest.raises(ResidualTooLarge):
         _mode(MODE_SPEC_A, (K, 0.0), H, 0.3, n=201, mode_tol=1e-6)
 
 
 def test_export_roundtrip_bit_exact(tmp_path, horizontal_mode):
-    mode, prof, _ = horizontal_mode
+    mode, _, _ = horizontal_mode
     stem = str(tmp_path / "mode")
-    json_path, csv_path = export_mode(mode, prof, MODE_PARAMS, stem)
-    back, back_prof, back_params = load_mode(json_path)
+    json_path, csv_path = export_mode(mode, stem)
+    back = load_mode(json_path)
     assert np.array_equal(back.psi, mode.psi)
     assert np.array_equal(back.phi, mode.phi)
     assert np.array_equal(back.theta, mode.theta)
     assert np.array_equal(back.pi, mode.pi)
     assert back.lam == mode.lam
-    assert back_params == MODE_PARAMS
+    assert back.forms.params == MODE_PARAMS
+    # the forms are reassembled from the setup the file records
+    assert (back.forms.xi, back.forms.mag) == (mode.forms.xi, mode.forms.mag)
+    assert back.forms.grid == mode.forms.grid
+    for band in ("e0", "e1", "j", "mass"):
+        assert np.array_equal(getattr(back.forms, band), getattr(mode.forms, band))
     header = open(csv_path).readline().strip()
     assert header == "x3,psi,phi,theta,pi"
 
 
 def test_residuals_recomputed_from_file(tmp_path, horizontal_mode):
-    mode, prof, _ = horizontal_mode
+    mode, _, _ = horizontal_mode
     stem = str(tmp_path / "mode")
-    json_path, _ = export_mode(mode, prof, MODE_PARAMS, stem)
-    back, back_prof, back_params = load_mode(json_path)
-    again = mode_residuals(
-        back.psi, back.phi, back.theta, back.pi, back.lam, back.xi,
-        back.mag, back_params, back_prof, back.grid,
-    )
+    json_path, _ = export_mode(mode, stem)
+    back = load_mode(json_path)
+    again = mode_residuals(back.psi, back.phi, back.theta, back.pi, back.lam, back.forms)
     for key, value in mode.residuals.items():
         assert again[key] == pytest.approx(value, abs=1e-12)
 
 
 def test_empty_export_path_raises(horizontal_mode):
-    mode, prof, _ = horizontal_mode
+    mode, _, _ = horizontal_mode
     with pytest.raises(OSError):
-        export_mode(mode, prof, MODE_PARAMS, "")
+        export_mode(mode, "")
 
 
 # --- real-valued growing solution ------------------------------------------
 
 
 def test_snapshot_norms_scale_exactly(horizontal_mode):
-    mode, prof, _ = horizontal_mode
-    s0 = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
+    mode, _, _ = horizontal_mode
+    s0 = assemble_real_solution(mode, 0.0)
     tau = 0.37
-    s1 = assemble_real_solution(mode, tau, MODE_PARAMS, prof)
+    s1 = assemble_real_solution(mode, tau)
     factor = np.exp(mode.lam * tau)
     for name in s0.norms:
         if s0.norms[name] == 0.0:
@@ -224,8 +239,8 @@ def test_snapshot_norms_scale_exactly(horizontal_mode):
 
 
 def test_snapshot_divergences(horizontal_mode, vertical_mode):
-    for mode, prof, _ in (horizontal_mode, vertical_mode):
-        snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
+    for mode, _, _ in (horizontal_mode, vertical_mode):
+        snap = assemble_real_solution(mode, 0.0)
         assert snapshot_divergence(snap, ("u1", "u2", "u3")) <= 1e-8
         assert snapshot_divergence(snap, ("N1", "N2", "N3")) <= 1e-8
 
@@ -237,9 +252,9 @@ def test_snapshot_is_the_pair_sum_of_the_eigenmode_state(
     # mode fields f, and both divergence checks read the same complex profiles
     unmagnetized = _mode(MODE_SPEC_A, (0.6 * K, 0.8 * K), H, 0.0, mode_tol=1e-2)
     t = 0.37
-    for mode, prof, _ in (unmagnetized, horizontal_mode, vertical_mode):
-        profiles = mode_fields(mode, prof)
-        snap = assemble_real_solution(mode, t, MODE_PARAMS, prof)
+    for mode, _, _ in (unmagnetized, horizontal_mode, vertical_mode):
+        profiles = mode_fields(mode)
+        snap = assemble_real_solution(mode, t)
         amp = 2.0 * np.exp(mode.lam * t)
         assert set(profiles) == set(snap.fields)
         for name, f in profiles.items():
@@ -247,31 +262,32 @@ def test_snapshot_is_the_pair_sum_of_the_eigenmode_state(
             np.testing.assert_allclose(c, amp * f.real, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(s, -amp * f.imag, rtol=1e-14, atol=0.0)
         for names in (("u1", "u2", "u3"), ("N1", "N2", "N3")):
-            direct = relative_divergence([profiles[k] for k in names], mode.xi, mode.grid)
+            v = [profiles[k] for k in names]
+            direct = relative_divergence(v, mode.forms.xi, mode.forms.grid)
             assert snapshot_divergence(snap, names) == pytest.approx(direct, abs=1e-14)
 
 
 def test_snapshot_velocity_norm_products(horizontal_mode):
-    mode, prof, _ = horizontal_mode
-    snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
+    mode, _, _ = horizontal_mode
+    snap = assemble_real_solution(mode, 0.0)
     horizontal = snap.norm_group(("u1", "u2"))
     assert horizontal * snap.norms["u3"] > 0
 
 
 def test_snapshot_vertical_field_component_positive(vertical_mode):
-    mode, prof, _ = vertical_mode
-    snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
+    mode, _, _ = vertical_mode
+    snap = assemble_real_solution(mode, 0.0)
     assert snap.norms["N3"] > 0
-    h = mode.grid.h
-    n3 = 2 * mode.mag.magnitude * d1_stencil(mode.grid).apply(mode.psi)
+    h = mode.forms.grid.h
+    n3 = 2 * mode.forms.mag.magnitude * d1_stencil(mode.forms.grid).apply(mode.psi)
     expected = 2.0 * np.pi * MODE_PARAMS.L * np.sqrt(0.5 * h * np.sum(n3**2))
     assert snap.norms["N3"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_snapshot_initial_norms_finite(horizontal_mode):
-    mode, prof, _ = horizontal_mode
-    snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
-    d1 = d1_stencil(mode.grid)
+    mode, _, _ = horizontal_mode
+    snap = assemble_real_solution(mode, 0.0)
+    d1 = d1_stencil(mode.forms.grid)
     for name, (c, s) in snap.fields.items():
         assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
         # H^k proxies up to second differences stay finite
@@ -281,8 +297,8 @@ def test_snapshot_initial_norms_finite(horizontal_mode):
 
 
 def test_snapshot_csv_export(tmp_path, horizontal_mode):
-    mode, prof, _ = horizontal_mode
-    snap = assemble_real_solution(mode, 0.0, MODE_PARAMS, prof)
+    mode, _, _ = horizontal_mode
+    snap = assemble_real_solution(mode, 0.0)
     path = str(tmp_path / "snapshot.csv")
     export_snapshot(snap, path)
     header = open(path).readline().strip().split(",")

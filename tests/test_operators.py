@@ -6,8 +6,8 @@ from rtmhd.operators import (
     band_matvec,
     band_to_dense,
     band_to_lu,
+    Stencil,
     block_sparse,
-    composite_stencil,
     d1_free_stencil,
     d1_stencil,
     d2_stencil,
@@ -18,6 +18,11 @@ from rtmhd.operators import (
 )
 
 from .oracles import eoc
+
+
+def _composite(grid, xi2):
+    """|xi|^2 I + D2, as ``assemble_forms`` builds the core of the viscous form."""
+    return d2_stencil(grid) + diagonal_stencil(np.full(grid.n, xi2))
 
 
 def _smooth(x):
@@ -80,7 +85,7 @@ def test_gram_products_match_dense_einsum():
         lambda g: grad_stiffness_band(g),
         lambda g: d1_stencil(g).gram(np.full(g.n, g.h)),
         lambda g: d2_stencil(g).gram(np.full(g.n, g.h)),
-        lambda g: composite_stencil(g, 1.7).gram(np.full(g.n, g.h)),
+        lambda g: _composite(g, 1.7).gram(np.full(g.n, g.h)),
         lambda g: mass_band(g, 2.2),
     ],
 )
@@ -100,7 +105,7 @@ def test_gram_forms_are_psd_and_symmetric(builder):
         d1_free_stencil,
         d2_stencil,
         gradient_stencil,
-        lambda g: composite_stencil(g, 1.7),
+        lambda g: _composite(g, 1.7),
     ],
     ids=["d1", "d1_free", "d2", "gradient", "composite"],
 )
@@ -119,6 +124,22 @@ def test_stencil_views_agree(builder):
     expected = dense.T @ np.diag(w) @ dense
     err = np.abs(band_to_dense(st.gram(w)) - expected).max()
     assert err <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [17, 201, 801])
+def test_composite_sum_is_the_one_stencil_closed_form(n):
+    # the sum D2 + |xi|^2 I has the coefficients (c, |xi|^2 - 2c, c) of one
+    # stencil bit for bit, so the viscous form E1 is the same either way
+    grid = rtmhd.Grid1D(8.0, n)
+    c = 1.0 / (grid.h * grid.h)
+    w = np.full(n, grid.h)
+    for xi2 in (1e-6, 0.3, 1.0, 1.7, 16.0, 123.456):
+        st = _composite(grid, xi2)
+        rows = (np.full(n, c), np.full(n, xi2 - 2.0 * c), np.full(n, c))
+        closed = Stencil((-1, 0, 1), rows, n)
+        assert st.offsets == closed.offsets
+        assert all(np.array_equal(a, b) for a, b in zip(st.coeffs, closed.coeffs))
+        assert np.array_equal(st.gram(w), closed.gram(w))
 
 
 def test_stencil_algebra_matches_sparse_matrices():

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,25 @@ def test_script_help_runs_nothing(script, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rate_verification_script_runs_the_whole_chain(tmp_path):
+    # sweep -> rate -> mode -> export -> snapshot -> march, into tmp_path
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "rate_verification.py"), str(out)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("mode.json", "mode.csv", "snapshot_t0.csv", "timeseries.csv"):
+        assert (out / name).is_file(), name
+    rel = re.search(r"relative error ([^)]+)\)", proc.stdout).group(1)
+    assert float(rel) <= rtmhd.verify.RATE_RTOL
 
 
 def _child(code: str, *args: str) -> str:

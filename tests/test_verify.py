@@ -37,7 +37,7 @@ def setup_horizontal():
     xi = rtmhd.Frequency(1.0, 0.0)
     forms = assemble_forms(prof, GRID, xi, mag, CANON_PARAMS)
     res = growth_rate(forms)
-    mode = build_mode(res, mag, CANON_PARAMS, prof, GRID, mode_tol=1e-3)
+    mode = build_mode(res, mode_tol=1e-3)
     return prof, mag, mode, res
 
 
@@ -48,7 +48,7 @@ def setup_vertical():
     xi = rtmhd.Frequency(1.0, 0.0)
     forms = assemble_forms(prof, GRID, xi, mag, CANON_PARAMS)
     res = growth_rate(forms)
-    mode = build_mode(res, mag, CANON_PARAMS, prof, GRID, mode_tol=1e-3)
+    mode = build_mode(res, mode_tol=1e-3)
     return prof, mag, mode, res
 
 
@@ -75,7 +75,7 @@ def _with_field(z, donor):
 def test_zero_initial_state_stays_zero(setup_horizontal):
     prof, mag, mode, _ = setup_horizontal
     zero = np.zeros((7 * GRID.n, 1), complex)
-    run = (mode.xi, 0.05, 1.0, zero)
+    run = (mode.forms.xi, 0.05, 1.0, zero)
     [(_, norms)] = march_norms(prof, mag, CANON_PARAMS, GRID, [run])
     assert np.all(norms == 0.0)
 
@@ -84,9 +84,9 @@ def test_zero_initial_state_stays_zero(setup_horizontal):
 def test_eigenmode_growth_rate_reproduced(which, setup_horizontal, setup_vertical):
     prof, mag, mode, res = setup_horizontal if which == "horizontal" else setup_vertical
     lam = res.lam
-    z = eigenmode_column(mode, prof)
+    z = eigenmode_column(mode)
     est, times, norms = run_rate(
-        prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=0.01 / lam, T=3.0 / lam
+        prof, mag, CANON_PARAMS, GRID, mode.forms.xi, z, dt=0.01 / lam, T=3.0 / lam
     )
     assert abs(est.rate - lam) / lam <= 0.02
     assert est.fit_residual <= 1e-3
@@ -96,12 +96,12 @@ def test_eigenmode_growth_rate_reproduced(which, setup_horizontal, setup_vertica
 
 def test_incompressibility_preserved_each_step(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
-    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.xi, 0.05 / res.lam)
-    z = eigenmode_column(mode, prof)
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.forms.xi, 0.05 / res.lam)
+    z = eigenmode_column(mode)
     for _ in range(21):  # the column and its first 20 steps
         _, u, N = stepper.unpack(z)
-        assert relative_divergence(u, mode.xi, GRID) <= 1e-10
-        assert relative_divergence(N, mode.xi, GRID) <= 1e-10
+        assert relative_divergence(u, mode.forms.xi, GRID) <= 1e-10
+        assert relative_divergence(N, mode.forms.xi, GRID) <= 1e-10
         z = stepper.step(z)
 
 
@@ -112,8 +112,8 @@ def test_single_step_rescale_consistency(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
     dt = 0.1 / lam
-    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.xi, dt)
-    z = eigenmode_column(mode, prof)
+    stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.forms.xi, dt)
+    z = eigenmode_column(mode)
     u0 = stepper.unpack(z)[1]
     u1 = stepper.unpack(stepper.step(z))[1] * np.exp(-lam * dt)
     defect = np.linalg.norm(u1 - u0) / np.linalg.norm(u0)
@@ -126,11 +126,11 @@ def test_fixed_horizon_richardson_order(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
     T = 1.0 / lam
-    z0 = eigenmode_column(mode, prof)
+    z0 = eigenmode_column(mode)
     ends = []
     for fac in (0.2, 0.1, 0.05, 0.025):
         n_steps = int(round(T / (fac / lam)))
-        stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.xi, T / n_steps)
+        stepper = LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.forms.xi, T / n_steps)
         z = z0
         for _ in range(n_steps):
             z = stepper.step(z)
@@ -145,11 +145,11 @@ def test_fixed_horizon_richardson_order(setup_horizontal):
 def test_timestep_convergence_order(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    z = eigenmode_column(mode, prof)
+    z = eigenmode_column(mode)
     errs = []
     for fac in (0.2, 0.1, 0.05):
         est, _, _ = run_rate(
-            prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=fac / lam, T=2.0 / lam
+            prof, mag, CANON_PARAMS, GRID, mode.forms.xi, z, dt=fac / lam, T=2.0 / lam
         )
         errs.append(abs(est.rate - lam) / lam)
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -217,9 +217,9 @@ def test_viscous_decay_without_sources(setup_horizontal):
 def test_generic_data_approaches_dominant_rate(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    z = _seed_column(GRID, mode.xi, seed=7)
+    z = _seed_column(GRID, mode.forms.xi, seed=7)
     est, _, _ = run_rate(
-        prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=0.01 / lam, T=4.0 / lam
+        prof, mag, CANON_PARAMS, GRID, mode.forms.xi, z, dt=0.01 / lam, T=4.0 / lam
     )
     assert est.rate <= lam * 1.02
     assert est.rate >= 0.9 * lam
@@ -229,11 +229,11 @@ def test_generic_rate_monotone_in_horizon(setup_horizontal):
     # last-window fits approach the dominant rate from below as T grows
     prof, mag, mode, res = setup_horizontal
     lam = res.lam
-    z = _seed_column(GRID, mode.xi, seed=11)
+    z = _seed_column(GRID, mode.forms.xi, seed=11)
     fits = []
     for horizon in (1.5, 3.0, 5.0):
         est, _, _ = run_rate(
-            prof, mag, CANON_PARAMS, GRID, mode.xi, z, dt=0.02 / lam, T=horizon / lam
+            prof, mag, CANON_PARAMS, GRID, mode.forms.xi, z, dt=0.02 / lam, T=horizon / lam
         )
         assert est.rate <= lam * 1.02
         fits.append(est.rate)
@@ -242,7 +242,7 @@ def test_generic_rate_monotone_in_horizon(setup_horizontal):
 
 def test_sharpness_violation_detected(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
-    wrong = {mode.xi: 0.25 * res.lam}  # deliberately too small a bound
+    wrong = {mode.forms.xi: 0.25 * res.lam}  # deliberately too small a bound
     with pytest.raises(SharpnessViolation):
         sharpness_test(
             prof, mag, CANON_PARAMS, GRID, 0.25 * res.lam, seeds=[0], xi_rates=wrong
@@ -251,7 +251,7 @@ def test_sharpness_violation_detected(setup_horizontal):
 
 def test_series_csv(setup_horizontal):
     prof, mag, mode, res = setup_horizontal
-    run = (mode.xi, 0.1 / res.lam, 0.5 / res.lam, eigenmode_column(mode, prof)[:, None])
+    run = (mode.forms.xi, 0.1 / res.lam, 0.5 / res.lam, eigenmode_column(mode)[:, None])
     [(times, norms)] = rtmhd.verify.march_norms(prof, mag, CANON_PARAMS, GRID, [run])
     text = series_csv(times, norms[:, :, 0])
     lines = text.strip().split("\n")
