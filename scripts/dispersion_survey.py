@@ -10,7 +10,7 @@ import argparse
 import os
 
 import rtmhd
-from rtmhd.dispersion import lattice_sweep, sup_rate, table_to_csv
+from rtmhd.dispersion import lattice_sweep, sup_rate, write_table
 
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
 PARAMS = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
@@ -36,8 +36,7 @@ def main():
             mag = rtmhd.MagneticConfig(orientation, M)
             table = lattice_sweep(profile, GRID, mag, PARAMS, radius=4.0)
             name = f"dispersion_{orientation.value}_M{M:g}.csv"
-            with open(os.path.join(out, name), "w") as f:
-                f.write(table_to_csv(table))
+            write_table(os.path.join(out, name), table)
             top = sup_rate(table)
             rows.append(
                 f"{orientation.value},{M:g},{top.lam_max:.17g},"

@@ -20,7 +20,7 @@ from rtmhd.verify import (
     eigenmode_column,
     march_norms,
     measured_rate,
-    series_csv,
+    write_series,
 )
 
 SPEC = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
@@ -62,8 +62,7 @@ def main():
     run = (xi1, default_schedule(lam, T), T, init[:, None])
     [(times, norms)] = march_norms(profile, MAG, PARAMS, GRID, [run])
     est = measured_rate(list(zip(times, norms[:, 1, 0])))
-    with open(os.path.join(out, "timeseries.csv"), "w") as f:
-        f.write(series_csv(times, norms[:, :, 0]))
+    write_series(os.path.join(out, "timeseries.csv"), times, norms[:, :, 0])
     rel = abs(est.rate - lam) / lam
     print(f"predicted rate  {lam:.8f}")
     print(f"measured rate   {est.rate:.8f}   (relative error {rel:.2e})")

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import dispersion, modes, verify
+from .artifacts import fmt, write_csv, write_json
 from .config import RunConfig, config_from_dict, read_config
 from .errors import ConfigError, RateMismatch, RtmhdError
 from .forms import assemble_forms
@@ -26,16 +27,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_IO = 4
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
 
 
 def _parse_xi(text: str) -> Frequency:
@@ -83,17 +74,13 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     xs = np.concatenate(([-grid.half_length], grid.points(), [grid.half_length]))
     rho = cfg.profile.rho(xs)
     drho = cfg.profile.drho(xs)
-    lines = ["x3,rho,drho"]
-    for x, r, d in zip(xs, rho, drho):
-        lines.append(f"{_fmt(x)},{_fmt(r)},{_fmt(d)}")
-    path = os.path.join(cfg.output_dir, "profile.csv")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    _write_json(
+    rows = zip(xs.tolist(), rho.tolist(), drho.tolist())
+    write_csv(os.path.join(cfg.output_dir, "profile.csv"), ("x3", "rho", "drho"), rows)
+    write_json(
         os.path.join(cfg.output_dir, "profile_metrics.json"),
         profile_metrics(cfg.profile),
     )
-    print(f"total_jump={_fmt(cfg.profile.total_jump)}")
+    print(f"total_jump={fmt(cfg.profile.total_jump)}")
     return EXIT_OK
 
 
@@ -101,16 +88,16 @@ def cmd_critical(cfg: RunConfig, args) -> int:
     result = dispersion.critical_number_auto(
         cfg.profile, lz0=cfg.grid.half_length, n0=cfg.grid.n, g=cfg.params.g
     )
-    with open(os.path.join(cfg.output_dir, "critical_trace.csv"), "w") as f:
-        f.write(dispersion.trace_to_csv(result))
+    trace_path = os.path.join(cfg.output_dir, "critical_trace.csv")
+    write_csv(trace_path, ("Lz", "value"), result.trace)
     payload = {
         "kind": "infinite" if result.is_infinite else "finite",
         "value": result.value,
     }
-    _write_json(os.path.join(cfg.output_dir, "critical.json"), payload)
-    print("M_c=INF" if result.is_infinite else f"M_c={_fmt(result.value)}")
+    write_json(os.path.join(cfg.output_dir, "critical.json"), payload)
+    print("M_c=INF" if result.is_infinite else f"M_c={fmt(result.value)}")
     for lz, v in result.trace:
-        print(f"  Lz={_fmt(lz)} value={_fmt(v)}")
+        print(f"  Lz={fmt(lz)} value={fmt(v)}")
     return EXIT_OK
 
 
@@ -124,23 +111,16 @@ def cmd_freq_thresholds(cfg: RunConfig, args) -> int:
             cfg.params.L,
             g=cfg.params.g,
         )
-        lines = ["xi1,xi2,S"]
-        for xi, s_val in rows:
-            s_text = "" if s_val is None else _fmt(s_val)
-            lines.append(f"{_fmt(xi.xi1)},{_fmt(xi.xi2)},{s_text}")
         path = os.path.join(cfg.output_dir, "thresholds.csv")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_csv(path, ("xi1", "xi2", "S"), ((xi.xi1, xi.xi2, s) for xi, s in rows))
         print(f"wrote {path}")
     else:
         xi_vc = dispersion.critical_freq_vertical(
             cfg.profile, cfg.grid, cfg.mag.magnitude, g=cfg.params.g
         )
-        _write_json(
-            os.path.join(cfg.output_dir, "thresholds.json"),
-            {"xi_vc": xi_vc, "M": cfg.mag.magnitude},
-        )
-        print(f"xi_vc={_fmt(xi_vc)}")
+        payload = {"xi_vc": xi_vc, "M": cfg.mag.magnitude}
+        write_json(os.path.join(cfg.output_dir, "thresholds.json"), payload)
+        print(f"xi_vc={fmt(xi_vc)}")
     return EXIT_OK
 
 
@@ -148,24 +128,17 @@ def cmd_growth(cfg: RunConfig, args) -> int:
     xi = _target_xi(args)
     forms = assemble_forms(cfg.profile, cfg.grid, xi, cfg.mag, cfg.params)
     result = growth_rate(forms)
-    if result is None:
-        _write_json(
-            os.path.join(cfg.output_dir, "growth.json"),
-            {"xi": [xi.xi1, xi.xi2], "growing": False},
-        )
-        print("no growing mode")
-        return EXIT_OK
-    payload = {
-        "xi": [xi.xi1, xi.xi2],
-        "growing": True,
-        "lambda": result.lam,
-        "s_star": result.s_star,
-        "alpha": result.alpha_at_s,
-        "bracket_width": result.bracket_width,
-        "s_frontier": result.s_frontier,
-    }
-    _write_json(os.path.join(cfg.output_dir, "growth.json"), payload)
-    print(f"lambda={_fmt(result.lam)}")
+    payload = {"xi": [xi.xi1, xi.xi2], "growing": result is not None}
+    if result is not None:
+        payload |= {
+            "lambda": result.lam,
+            "s_star": result.s_star,
+            "alpha": result.alpha_at_s,
+            "bracket_width": result.bracket_width,
+            "s_frontier": result.s_frontier,
+        }
+    write_json(os.path.join(cfg.output_dir, "growth.json"), payload)
+    print("no growing mode" if result is None else f"lambda={fmt(result.lam)}")
     return EXIT_OK
 
 
@@ -182,8 +155,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         cfg.profile, cfg.grid, cfg.mag, cfg.params, cfg.radius
     )
     top = dispersion.sup_rate(table)
-    with open(os.path.join(cfg.output_dir, "dispersion.csv"), "w") as f:
-        f.write(dispersion.table_to_csv(table))
+    dispersion.write_table(os.path.join(cfg.output_dir, "dispersion.csv"), table)
     payload = {
         "Lambda": top.lam_max,
         "Lambda_star": top.lam_star,
@@ -192,11 +164,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         "radius": cfg.radius,
         "config": _sweep_stamp(cfg),
     }
-    _write_json(os.path.join(cfg.output_dir, "sweep_summary.json"), payload)
+    write_json(os.path.join(cfg.output_dir, "sweep_summary.json"), payload)
     if top.on_boundary:
         print("warning: maximum sits on the sweep boundary; increase the radius")
-    print(f"Lambda={_fmt(top.lam_max)}")
-    print(f"xi1={_fmt(top.xi_pair[0].xi1)},{_fmt(top.xi_pair[0].xi2)}")
+    print(f"Lambda={fmt(top.lam_max)}")
+    print(f"xi1={fmt(top.xi_pair[0].xi1)},{fmt(top.xi_pair[0].xi2)}")
     return EXIT_OK
 
 
@@ -215,49 +187,37 @@ def cmd_mode(cfg: RunConfig, args) -> int:
     mode = _build_mode_at(cfg, xi)
     stem = os.path.join(cfg.output_dir, "mode")
     modes.export_mode(mode, stem)
-    print(f"lambda={_fmt(mode.lam)}")
+    print(f"lambda={fmt(mode.lam)}")
     for name in ("eq1", "eq2", "eq3", "div"):
         print(f"residual_{name}={mode.residuals[name]:.3e}")
     return EXIT_OK
-
-
-def _read_members_csv(path: str) -> dict[Frequency, float]:
-    members: dict[Frequency, float] = {}
-    with open(path) as f:
-        next(f)
-        for line in f:
-            x1, x2, member, lam = line.strip().split(",")
-            if member == "1" and lam:
-                members[Frequency(float(x1), float(x2))] = float(lam)
-    return members
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     summary_path = os.path.join(cfg.output_dir, "sweep_summary.json")
     table_path = os.path.join(cfg.output_dir, "dispersion.csv")
     if os.path.exists(summary_path) and os.path.exists(table_path):
-        with open(summary_path) as f:
-            summary = json.load(f)
-        if summary.get("config") != _sweep_stamp(cfg):
+        # the summary is read for its stamp alone; the table is read back
+        try:
+            with open(summary_path) as f:
+                summary = json.load(f)
+            stamp = summary.get("config") if isinstance(summary, dict) else None
+            if stamp != _sweep_stamp(cfg):
+                raise ValueError("the summary carries no stamp of this config")
+            table = dispersion.read_table(table_path, cfg.radius, cfg.params)
+        except ValueError as exc:
             raise ConfigError(
-                f"{summary_path} was not written by a sweep of this config; "
-                "rerun sweep with it or choose another output directory"
-            )
-        xi1 = Frequency(*summary["xi1"])
-        lam_cap = float(summary["Lambda"])
-        members = _read_members_csv(table_path)
+                f"{summary_path} and {table_path} are not a sweep of this config "
+                f"({exc}); rerun sweep with it or choose another output directory"
+            ) from exc
     else:
         table = dispersion.lattice_sweep(
             cfg.profile, cfg.grid, cfg.mag, cfg.params, cfg.radius
         )
-        top = dispersion.sup_rate(table)
-        xi1 = top.xi_pair[0]
-        lam_cap = top.lam_max
-        members = {
-            Frequency(e.xi1, e.xi2): e.lam
-            for e in table.entries
-            if e.member and e.lam is not None
-        }
+    top = dispersion.sup_rate(table)
+    xi1, lam_cap = top.xi_pair[0], top.lam_max
+    rated = [e for e in table.entries if e.member and e.lam is not None]
+    members = {Frequency(e.xi1, e.xi2): e.lam for e in rated}
 
     # loose residual gate: the time integration is the actual check here
     mode = _build_mode_at(cfg, xi1, mode_tol=1e-2)
@@ -290,9 +250,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     )
     est = verify.measured_rate(list(zip(times, norms[:, 1, 0])))
     rel_err = abs(est.rate - lam) / lam
-    with open(os.path.join(cfg.output_dir, "timeseries.csv"), "w") as f:
-        f.write(verify.series_csv(times, norms[:, :, 0]))
-    _write_json(
+    series_path = os.path.join(cfg.output_dir, "timeseries.csv")
+    verify.write_series(series_path, times, norms[:, :, 0])
+    write_json(
         os.path.join(cfg.output_dir, "verify.json"),
         {
             "xi": [xi1.xi1, xi1.xi2],
@@ -307,8 +267,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             "cn_rate_err": (lam * dt) ** 2 / 12.0,
         },
     )
-    print(f"lambda_pred={_fmt(lam)}")
-    print(f"lambda_meas={_fmt(est.rate)}")
+    print(f"lambda_pred={fmt(lam)}")
+    print(f"lambda_meas={fmt(est.rate)}")
     print(f"rel_err={rel_err:.3e}")
     if not rel_err <= verify.RATE_RTOL:
         raise RateMismatch(
@@ -318,7 +278,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
 
     worst = verify.sharpness_verdict(lam_cap, seeds, checks, series)
-    _write_json(
+    write_json(
         os.path.join(cfg.output_dir, "sharpness.json"),
         {
             "Lambda": lam_cap,
@@ -328,7 +288,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             "frequencies": [[x.xi1, x.xi2] for x, _ in ranked],
         },
     )
-    print(f"sharpness_max={_fmt(worst)}")
+    print(f"sharpness_max={fmt(worst)}")
     return EXIT_OK
 
 
@@ -365,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        _write_json(
+        write_json(
             os.path.join(cfg.output_dir, "effective_config.json"), cfg.to_dict()
         )
         return _COMMANDS[args.command](cfg, args)

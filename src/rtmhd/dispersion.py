@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .eig import EigenPair, definite, max_generalized_eig
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange
 from .forms import FormSet, _e0_bands, assemble_forms, form_key
@@ -49,8 +50,8 @@ __all__ = [
     "lattice_sweep",
     "sup_rate",
     "default_sweep_radius",
-    "table_to_csv",
-    "trace_to_csv",
+    "write_table",
+    "read_table",
 ]
 
 _MEMBERSHIP_FLOOR = 1e-12
@@ -358,7 +359,6 @@ class DispersionTable:
     entries: tuple[DispersionEntry, ...]
     lattice_radius: float
     params: PhysicalParams
-    mag: MagneticConfig
 
 
 @dataclass(frozen=True)
@@ -418,7 +418,7 @@ def lattice_sweep(
             solved[key] = (member, None if res is None else res.lam)
         entries.append(DispersionEntry(xi.xi1, xi.xi2, *solved[key]))
     return DispersionTable(
-        entries=tuple(reversed(entries)), lattice_radius=radius, params=params, mag=mag
+        entries=tuple(reversed(entries)), lattice_radius=radius, params=params
     )
 
 
@@ -446,19 +446,37 @@ def sup_rate(table: DispersionTable) -> SupRate:
     )
 
 
-# --- exports -----------------------------------------------------------------
+# --- the dispersion.csv file ----------------------------------------------------
+
+_TABLE_HEADER = ("xi1", "xi2", "member", "lambda")
 
 
-def table_to_csv(table: DispersionTable) -> str:
-    lines = ["xi1,xi2,member,lambda"]
-    for e in table.entries:
-        lam = f"{e.lam:.17g}" if (e.member and e.lam is not None) else ""
-        lines.append(f"{e.xi1:.17g},{e.xi2:.17g},{int(e.member)},{lam}")
-    return "\n".join(lines) + "\n"
+def write_table(path: str, table: DispersionTable) -> None:
+    """dispersion.csv: per lattice point xi1, xi2, member 0/1 and the rate,
+    empty where there is none."""
+    rows = ((e.xi1, e.xi2, int(e.member), e.lam) for e in table.entries)
+    write_csv(path, _TABLE_HEADER, rows)
 
 
-def trace_to_csv(critical: CriticalNumber) -> str:
-    lines = ["Lz,value"]
-    for lz, value in critical.trace:
-        lines.append(f"{lz:.17g},{value:.17g}")
-    return "\n".join(lines) + "\n"
+def read_table(path: str, radius: float, params: PhysicalParams) -> DispersionTable:
+    """The table ``write_table`` wrote for the sweep of this radius and L,
+    bitwise.  Raises ValueError unless the header is the writer's, every
+    member flag is 0 or 1 and the rows are the sweep's lattice points, each
+    once and in order, so no point of the sweep goes missing."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if lines[:1] != [",".join(_TABLE_HEADER)]:
+        raise ValueError(f"{path} does not start with the header {_TABLE_HEADER}")
+    points = _lattice(radius, params.L)
+    if len(lines) - 1 != len(points):
+        raise ValueError(f"{path} has {len(lines) - 1} rows for {len(points)} points")
+    entries = []
+    for (i, j), line in zip(points, lines[1:]):
+        xi = Frequency.lattice(i, j, params.L)
+        x1, x2, member, lam = line.split(",")
+        if (float(x1), float(x2)) != (xi.xi1, xi.xi2) or member not in ("0", "1"):
+            raise ValueError(f"{path}: row {line!r} is not ({i}, {j}) with a 0/1 flag")
+        entries.append(
+            DispersionEntry(xi.xi1, xi.xi2, member == "1", float(lam) if lam else None)
+        )
+    return DispersionTable(tuple(entries), radius, params)

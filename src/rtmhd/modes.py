@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .errors import ResidualTooLarge
 from .forms import FormSet, assemble_forms
 from .growth import GrowthResult
@@ -313,10 +314,6 @@ def snapshot_divergence(snap: FieldSnapshot, names: tuple[str, str, str]) -> flo
 # --- file formats --------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def export_mode(mode: NormalMode, stem: str) -> tuple[str, str]:
     """Write <stem>.json (full metadata + profiles) and <stem>.csv.
 
@@ -344,18 +341,11 @@ def export_mode(mode: NormalMode, stem: str) -> tuple[str, str]:
     }
     json_path = stem + ".json"
     csv_path = stem + ".csv"
-    with open(json_path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
-
+    write_json(json_path, payload)
     lz = grid.half_length
-    rows = ["x3,psi,phi,theta,pi"]
-    rows.append(f"{_fmt(-lz)},0,0,0,0")
-    for x, a, b, c, d in zip(grid.points(), mode.psi, mode.phi, mode.theta, mode.pi):
-        rows.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(c)},{_fmt(d)}")
-    rows.append(f"{_fmt(lz)},0,0,0,0")
-    with open(csv_path, "w") as f:
-        f.write("\n".join(rows) + "\n")
+    columns = (grid.points(), mode.psi, mode.phi, mode.theta, mode.pi)
+    rows = [(-lz, 0, 0, 0, 0), *np.column_stack(columns).tolist(), (lz, 0, 0, 0, 0)]
+    write_csv(csv_path, ("x3", "psi", "phi", "theta", "pi"), rows)
     return json_path, csv_path
 
 
@@ -391,17 +381,11 @@ def export_snapshot(snap: FieldSnapshot, path: str) -> str:
     header = ["x3"]
     for name in _FIELD_ORDER:
         header += [f"{name}_cos", f"{name}_sin"]
-    rows = [",".join(header)]
-    xs = snap.grid.points()
-    for i, x in enumerate(xs):
-        row = [_fmt(x)]
-        for name in _FIELD_ORDER:
-            c, s = snap.fields[name]
-            row += [_fmt(c[i]), _fmt(s[i])]
-        rows.append(",".join(row))
+    columns = [snap.grid.points()]
+    for name in _FIELD_ORDER:
+        columns += snap.fields[name]
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as f:
-        f.write("\n".join(rows) + "\n")
+    write_csv(path, header, np.column_stack(columns).tolist())
     return path

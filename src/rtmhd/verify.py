@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import (
     DegenerateSeries,
     SharpnessViolation,
@@ -81,7 +82,7 @@ __all__ = [
     "sharpness_runs",
     "sharpness_verdict",
     "sharpness_test",
-    "series_csv",
+    "write_series",
 ]
 
 RATE_SLACK = 0.02  # admissible relative overshoot of a measured rate
@@ -479,10 +480,8 @@ def sharpness_test(
     return sharpness_verdict(lam_cap, seeds, checks, series)
 
 
-def series_csv(times: np.ndarray, norms: np.ndarray) -> str:
+def write_series(path: str, times: np.ndarray, norms: np.ndarray) -> None:
     """A norm series as CSV: times (samples,), norms (samples, 3) in the
     order (rho, u, N)."""
-    lines = ["t,norm_rho,norm_u,norm_N"]
-    for t, (r, u, N) in zip(times, norms):
-        lines.append(f"{t:.17g},{r:.17g},{u:.17g},{N:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([times, norms]).tolist()
+    write_csv(path, ("t", "norm_rho", "norm_u", "norm_N"), rows)

@@ -840,6 +840,48 @@ def test_cli_verify_refuses_another_configs_sweep(tmp_path, capsys):
     assert main(["verify", path]) == 2
 
 
+def _drop_fourth_line(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:3] + lines[4:])
+
+
+# file of the sweep's output directory -> its malformed text
+MALFORMED_SWEEPS = {
+    "truncated-summary": ("sweep_summary.json", lambda text: '{"config": '),
+    "list-summary": ("sweep_summary.json", lambda text: "[1,2]"),
+    "garbage-row": ("dispersion.csv", lambda text: text + "garbage\n"),
+    "deleted-row": ("dispersion.csv", _drop_fourth_line),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SWEEPS))
+def test_cli_verify_refuses_a_malformed_sweep(tmp_path, capsys, case):
+    path = _write_config(tmp_path / "c.json", grid={"half_length": 8.0, "n": 201})
+    out = Path(load_config(path).output_dir)
+    assert main(["sweep", path]) == 0
+    name, malform = MALFORMED_SWEEPS[case]
+    (out / name).write_text(malform((out / name).read_text()))
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    err = json.loads(line)
+    assert set(err) == {"error", "message"} and err["error"] == "config"
+    assert not (out / "verify.json").exists()
+
+
+def test_cli_verify_singular_step_system_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(rtmhd.verify, "splu", singular)
+    path = _write_config(tmp_path / "c.json", grid={"half_length": 8.0, "n": 201})
+    assert main(["verify", path]) == 3
+    [line] = capsys.readouterr().out.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "SolverSingular" and "exactly singular" in err["message"]
+    assert not os.path.exists(os.path.join(load_config(path).output_dir, "verify.json"))
+
+
 def test_cli_verify_skips_members_without_a_rate_with_or_without_a_sweep(
     tmp_path, capsys
 ):

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import rtmhd
+from rtmhd.artifacts import write_csv
+from rtmhd.cli import main
 from rtmhd.dispersion import (
     critical_freq_horizontal,
     critical_freq_vertical,
@@ -9,14 +13,15 @@ from rtmhd.dispersion import (
     default_truncation_grids,
     in_growing_domain,
     lattice_sweep,
+    read_table,
     sup_rate,
-    table_to_csv,
     threshold_rows,
-    trace_to_csv,
+    write_table,
+    _classify_trace,
     _truncations,
 )
 from rtmhd.eig import max_generalized_eig
-from rtmhd.errors import EmptyDomain, OutOfRange, ZeroFrequency
+from rtmhd.errors import EmptyDomain, InconsistentDecision, OutOfRange, ZeroFrequency
 from rtmhd.forms import assemble_forms, form_key
 from rtmhd.growth import growth_rate
 from rtmhd.operators import band_combine, d2_stencil, grad_stiffness_band, mass_band
@@ -102,6 +107,28 @@ def test_critical_number_finite_converged(jumpneg_profile):
 # 1/Lz-model extrapolation of the Lz = {8, 16, 32} trace (n0 = 129, g = 1);
 # frozen before the converged value was computed
 FINITE_EXTRAPOLATION_ORACLE = 0.58784866265140634
+
+
+@pytest.mark.parametrize(
+    "values, total_jump, strict",
+    [
+        pytest.param((1.0, 1.5, 2.25), -1.0, False, id="diverging-nonpositive-jump"),
+        pytest.param((1.0, 1.0, 1.0), 1.0, False, id="settled-positive-jump"),
+        pytest.param((1.0, 1.1, 1.2), 1.0, True, id="undecided-strict"),
+    ],
+)
+def test_classify_trace_raises_inconsistent_decision(values, total_jump, strict):
+    # (v_k / v_(k-1))^2 = 2.25 twice diverges; equal values settle; ratios of
+    # 1.1 and 1.09 (squared 1.21 and 1.19) do neither
+    trace = [(8.0 * 2**k, v) for k, v in enumerate(values)]
+    if not strict:
+        # with the jump of the other sign the same trace is decided
+        decided = _classify_trace(trace, -total_jump, strict=False)
+        assert decided.is_infinite == (total_jump < 0)
+    else:
+        assert _classify_trace(trace, total_jump, strict=False) is None
+    with pytest.raises(InconsistentDecision):
+        _classify_trace(trace, total_jump, strict)
 
 
 def test_critical_number_finite_matches_extrapolation_oracle(jumpneg_profile):
@@ -516,26 +543,51 @@ def test_sweep_all_members_for_field_free(canon_sweep):
     assert len(canon_sweep.entries) == 48  # lattice points with 0 < |xi| <= 4
 
 
-def test_sweep_membership_is_the_membership_test_without_a_rate():
-    # one spacing 1e-9 relative above |xi|_vc, E0 is indefinite but the rate
-    # is below growth_rate's tolerance: the points stay members, without a rate
+@pytest.fixture(scope="module")
+def unrated_sweep():
+    """One spacing 1e-9 relative above |xi|_vc, E0 is indefinite but the rate
+    is below growth_rate's tolerance: (profile, grid, field, params, table)."""
     grid = rtmhd.Grid1D(8.0, 801)
     prof = rtmhd.build_profile(JUMP_NEG_SPEC, grid)
     mag = rtmhd.MagneticConfig(V, 0.3)
     xi_vc = critical_freq_vertical(prof, grid, 0.3, g=1.0)
     L = 1.0 / (xi_vc * (1.0 + 1e-9))
     params = rtmhd.PhysicalParams(mu=1.0, g=1.0, L=L)
-    table = lattice_sweep(prof, grid, mag, params, radius=1.0 / L)
+    return prof, grid, mag, params, lattice_sweep(prof, grid, mag, params, radius=1.0 / L)
+
+
+def test_sweep_membership_is_the_membership_test_without_a_rate(unrated_sweep, tmp_path):
+    # the points stay members, without a rate
+    prof, grid, mag, params, table = unrated_sweep
     assert len(table.entries) == 4
     for entry in table.entries:
         xi = rtmhd.Frequency(entry.xi1, entry.xi2)
         forms = assemble_forms(prof, grid, xi, mag, params)
         assert entry.member == in_growing_domain(forms)
         assert entry.member and entry.lam is None and growth_rate(forms) is None
-    rows = table_to_csv(table).splitlines()[1:]
+    write_table(str(tmp_path / "dispersion.csv"), table)
+    rows = (tmp_path / "dispersion.csv").read_text().splitlines()[1:]
     assert all(row.endswith(",1,") for row in rows)
     with pytest.raises(EmptyDomain):
         sup_rate(table)
+
+
+def test_read_table_reads_back_write_table_bitwise(canon_sweep, unrated_sweep, tmp_path):
+    path = str(tmp_path / "dispersion.csv")
+    for table in (canon_sweep, unrated_sweep[-1]):
+        write_table(path, table)
+        back = read_table(path, table.lattice_radius, table.params)
+        # the entries hold Python floats, whose repr differs for any two
+        # bit patterns, the sign of zero included
+        assert repr(back) == repr(table)
+
+
+def test_write_csv_fields(tmp_path):
+    # None is an empty field, an int is written as an int and a float with
+    # 17 significant digits
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ("a", "b", "c"), [(None, 3, 0.1), (-7, None, 1.0)])
+    assert path.read_text() == "a,b,c\n,3,0.10000000000000001\n-7,,1\n"
 
 
 def test_sup_rate_argmax_matches_refined_oracle(canon_sweep):
@@ -554,9 +606,7 @@ def test_sup_rate_bound(canon_sweep, canon_profile):
 def test_sup_rate_single_member():
     entry = rtmhd.dispersion.DispersionEntry(1.0, 0.0, True, 0.25)
     mirror = rtmhd.dispersion.DispersionEntry(-1.0, 0.0, True, 0.25)
-    table = rtmhd.dispersion.DispersionTable(
-        (entry, mirror), 1.5, CANON_PARAMS, rtmhd.MagneticConfig(H, 0.0)
-    )
+    table = rtmhd.dispersion.DispersionTable((entry, mirror), 1.5, CANON_PARAMS)
     top = sup_rate(table)
     assert top.lam_max == 0.25 and top.lam_star == 0.25
 
@@ -587,13 +637,22 @@ def test_vertical_member_count_matches_threshold(jumpneg_profile, canon_grid):
     assert got == expected
 
 
-def test_csv_exports(canon_sweep, jumpneg_profile):
-    text = table_to_csv(canon_sweep)
-    lines = text.strip().split("\n")
+def test_csv_exports(canon_sweep, jumpneg_profile, tmp_path):
+    write_table(str(tmp_path / "dispersion.csv"), canon_sweep)
+    lines = (tmp_path / "dispersion.csv").read_text().splitlines()
     assert lines[0] == "xi1,xi2,member,lambda"
     assert len(lines) == len(canon_sweep.entries) + 1
     cn = critical_number_auto(jumpneg_profile, lz0=8.0, n0=129, g=1.0, max_doublings=16)
-    trace = trace_to_csv(cn).strip().split("\n")
+    # the trace file is the one ``rtmhd critical`` writes at Lz = 8, n = 129
+    config = {
+        "profile": JUMP_NEG_SPEC.to_dict(),
+        "params": {"mu": 1.0, "g": 1.0, "L": 1.0},
+        "mag": {"orientation": "horizontal", "magnitude": 0.0},
+        "grid": {"half_length": 8.0, "n": 129},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["critical", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
+    trace = (tmp_path / "critical_trace.csv").read_text().splitlines()
     assert trace[0] == "Lz,value"
     assert len(trace) == len(cn.trace) + 1
 

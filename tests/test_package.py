@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -61,6 +62,31 @@ def test_rate_verification_script_runs_the_whole_chain(tmp_path):
         assert (out / name).is_file(), name
     rel = re.search(r"relative error ([^)]+)\)", proc.stdout).group(1)
     assert float(rel) <= rtmhd.verify.RATE_RTOL
+
+
+def test_dispersion_survey_tables_read_back_as_a_fresh_sweep(tmp_path):
+    out = tmp_path / "out"
+    script = ROOT / "scripts" / "dispersion_survey.py"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(out)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the script's own setup, read from the file without running it
+    spec = importlib.util.spec_from_file_location("dispersion_survey", script)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    mag = rtmhd.MagneticConfig(rtmhd.Orientation.VERTICAL, 0.3)
+    profile = rtmhd.build_profile(survey.SPEC, survey.GRID)
+    table = rtmhd.lattice_sweep(profile, survey.GRID, mag, survey.PARAMS, radius=4.0)
+    path = str(out / "dispersion_vertical_M0.3.csv")
+    back = rtmhd.dispersion.read_table(path, 4.0, survey.PARAMS)
+    assert repr(back) == repr(table)  # bitwise: repr tells any two floats apart
 
 
 def _child(code: str, *args: str) -> str:

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtmhd
-from rtmhd.errors import DegenerateSeries, SharpnessViolation, ZeroFrequency
+from rtmhd.errors import (
+    DegenerateSeries,
+    SharpnessViolation,
+    SolverSingular,
+    ZeroFrequency,
+)
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 from rtmhd.modes import build_mode, relative_divergence
@@ -18,8 +23,8 @@ from rtmhd.verify import (
     eigenmode_column,
     march_norms,
     measured_rate,
-    series_csv,
     sharpness_test,
+    write_series,
 )
 
 from .conftest import CANON_PARAMS, CANON_SPEC
@@ -249,17 +254,29 @@ def test_sharpness_violation_detected(setup_horizontal):
         )
 
 
-def test_series_csv(setup_horizontal):
+def test_series_csv(setup_horizontal, tmp_path):
     prof, mag, mode, res = setup_horizontal
     run = (mode.forms.xi, 0.1 / res.lam, 0.5 / res.lam, eigenmode_column(mode)[:, None])
     [(times, norms)] = rtmhd.verify.march_norms(prof, mag, CANON_PARAMS, GRID, [run])
-    text = series_csv(times, norms[:, :, 0])
-    lines = text.strip().split("\n")
+    path = tmp_path / "timeseries.csv"
+    write_series(str(path), times, norms[:, :, 0])
+    lines = path.read_text().splitlines()
     assert lines[0] == "t,norm_rho,norm_u,norm_N"
     assert len(lines) == len(times) + 1 == 7
     # every number round-trips
-    assert np.array_equal(np.loadtxt(text.splitlines()[1:], delimiter=","),
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1),
                           np.column_stack([times, norms[:, :, 0]]))
+
+
+def test_singular_step_system_raises_solver_singular(setup_horizontal, monkeypatch):
+    prof, mag, mode, res = setup_horizontal
+
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(rtmhd.verify, "splu", singular)
+    with pytest.raises(SolverSingular, match="exactly singular"):
+        LinearEvolver(prof, mag, CANON_PARAMS, GRID, mode.forms.xi, 0.1 / res.lam)
 
 
 FIELDS = {"h-M0": (H, 0.0), "h-M0.3": (H, 0.3), "v-M0.3": (V, 0.3)}
