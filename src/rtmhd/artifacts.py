@@ -1,4 +1,5 @@
-"""The one writer of rtmhd's artifact files, and the one number format.
+"""The one writer of rtmhd's artifact files, the one JSON reader, and the one
+number format.
 
 A CSV file is a header line and one line per row, each ending in a
 newline.  A float is written with 17 significant digits (``fmt``), which
@@ -34,3 +35,12 @@ def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
         f.write("\n")
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in ``path``; ValueError unless the file holds one."""
+    with open(path) as f:
+        payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return payload

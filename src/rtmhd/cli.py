@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import dispersion, modes, verify
-from .artifacts import fmt, write_csv, write_json
-from .config import RunConfig, config_from_dict, read_config
+from .artifacts import fmt, read_json, write_csv, write_json
+from .config import RunConfig, config_from_dict, read_config, setup_dict
 from .errors import ConfigError, RateMismatch, RtmhdError
 from .forms import assemble_forms
 from .growth import growth_rate
@@ -62,10 +62,11 @@ def _target_xi(args) -> Frequency:
     if args.xi is None:
         raise ConfigError("this command requires --xi a,b")
     xi = _parse_xi(args.xi)
-    if not np.all(np.isfinite([xi.xi1, xi.xi2])):
-        raise ConfigError(f"--xi components must be finite, got {args.xi!r}")
+    # |xi|^2 overflows or is NaN unless both components are finite
+    if not np.isfinite(xi.norm2):
+        raise ConfigError(f"--xi must have a finite |xi|^2, got {args.xi!r}")
     if xi.is_zero():
-        raise ConfigError("--xi must be nonzero")
+        raise ConfigError(f"--xi must have a nonzero |xi|^2, got {args.xi!r}")
     return xi
 
 
@@ -143,11 +144,11 @@ def cmd_growth(cfg: RunConfig, args) -> int:
 
 
 def _sweep_stamp(cfg: RunConfig) -> dict:
-    """The effective config a sweep's results depend on, as JSON reads it back."""
-    full = cfg.to_dict()
-    stamp = {key: full[key] for key in ("profile", "params", "mag", "grid")}
-    stamp["radius"] = cfg.radius
-    return json.loads(json.dumps(stamp))
+    """The effective config a sweep's results depend on."""
+    return {
+        **setup_dict(cfg.profile_spec, cfg.params, cfg.mag, cfg.grid),
+        "radius": cfg.radius,
+    }
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -199,12 +200,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if os.path.exists(summary_path) and os.path.exists(table_path):
         # the summary is read for its stamp alone; the table is read back
         try:
-            with open(summary_path) as f:
-                summary = json.load(f)
-            stamp = summary.get("config") if isinstance(summary, dict) else None
-            if stamp != _sweep_stamp(cfg):
+            if read_json(summary_path).get("config") != _sweep_stamp(cfg):
                 raise ValueError("the summary carries no stamp of this config")
-            table = dispersion.read_table(table_path, cfg.radius, cfg.params)
+            table = dispersion.read_table(table_path, cfg.radius, cfg.params, cfg.profile)
         except ValueError as exc:
             raise ConfigError(
                 f"{summary_path} and {table_path} are not a sweep of this config "

@@ -2,24 +2,28 @@
 
 Every invariant of the referenced modules is validated at load time, before
 any computation starts; an invalid file raises ConfigError.
+
+The run setup (the ``profile``, ``params``, ``mag`` and ``grid`` sections)
+has one JSON format, written by ``setup_dict`` and read by ``read_setup``:
+the config, the stamp of a sweep and an exported mode all carry it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from .artifacts import read_json
 from .dispersion import default_sweep_radius
 from .errors import ConfigError, RtmhdError
 from .profiles import (
+    Bump,
     DensityProfile,
     Grid1D,
     MagneticConfig,
     Orientation,
     PhysicalParams,
     ProfileSpec,
-    _known_keys,
     build_profile,
 )
 
@@ -30,6 +34,8 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "read_config",
+    "read_setup",
+    "setup_dict",
 ]
 
 # Fixed bounds on the work one config may ask for, checked before any
@@ -53,8 +59,6 @@ class RunConfig:
     profile: DensityProfile = field(init=False)
 
     def __post_init__(self):
-        if self.grid.n > MAX_GRID_N:
-            raise ConfigError(f"grid n = {self.grid.n} exceeds the cap {MAX_GRID_N}")
         try:
             self.profile = build_profile(self.profile_spec, self.grid)
         except (RtmhdError, ValueError) as exc:
@@ -86,35 +90,50 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "profile": self.profile_spec.to_dict(),
-            "params": {"mu": self.params.mu, "g": self.params.g, "L": self.params.L},
-            "mag": {
-                "orientation": self.mag.orientation.value,
-                "magnitude": self.mag.magnitude,
-            },
-            "grid": {"half_length": self.grid.half_length, "n": self.grid.n},
+            **setup_dict(self.profile_spec, self.params, self.mag, self.grid),
             "sweep": {"radius": self.sweep_radius},
             "verify": {"dt": self.verify_dt, "T": self.verify_T, "seeds": list(self.seeds)},
             "output_dir": self.output_dir,
         }
 
 
-_TOP_KEYS = ("profile", "params", "mag", "grid", "sweep", "verify", "output_dir")
-
-
-def _section(
-    raw: dict, key: str, keys: tuple[str, ...] | None, required: bool = True
+def setup_dict(
+    spec: ProfileSpec, params: PhysicalParams, mag: MagneticConfig, grid: Grid1D
 ) -> dict:
-    """The config section ``key``, a JSON object with no key outside keys
-    (None: its reader checks them)."""
+    """The ``profile``, ``params``, ``mag`` and ``grid`` sections of a setup,
+    which ``read_setup`` reads back bitwise."""
+    bumps = [
+        {"amp": b.amplitude, "center": b.center, "half_width": b.half_width}
+        for b in spec.bumps
+    ]
+    return {
+        "profile": {"base_density": spec.base_density, "bumps": bumps},
+        "params": {"mu": params.mu, "g": params.g, "L": params.L},
+        "mag": {"orientation": mag.orientation.value, "magnitude": mag.magnitude},
+        "grid": {"half_length": grid.half_length, "n": grid.n},
+    }
+
+
+_TOP_KEYS = ("profile", "params", "mag", "grid", "sweep", "verify", "output_dir")
+_BUMP_KEYS = ("amp", "center", "half_width")
+
+
+def _known_keys(obj, keys: tuple[str, ...], where: str) -> dict:
+    """obj, which must be a JSON object with no key outside keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return obj
+
+
+def _section(raw: dict, key: str, keys: tuple[str, ...], required: bool = True) -> dict:
+    """The config section ``key``, a JSON object with no key outside keys."""
     if key not in raw:
         if required:
             raise ConfigError(f"missing key '{key}' in config")
         return {}
-    if not isinstance(raw[key], dict):
-        raise ConfigError(f"config section '{key}' must be a JSON object")
-    if keys is None:
-        return raw[key]
     return _known_keys(raw[key], keys, f"config section '{key}'")
 
 
@@ -144,14 +163,26 @@ def _optional_number(section: dict, key: str, what: str) -> float | None:
     return None if value is None else _number(value, what)
 
 
-def config_from_dict(raw: dict) -> RunConfig:
+# a malformed value that the checks above let through fails in a constructor
+# or a lookup; OverflowError: an integer too large for float
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def read_setup(raw: dict) -> tuple[ProfileSpec, PhysicalParams, MagneticConfig, Grid1D]:
+    """The records of the setup sections of ``raw``, the format ``setup_dict``
+    writes.  ConfigError unless each section and each bump is a JSON object
+    of known keys, every value a finite JSON number the record accepts,
+    ``grid.n`` an integer of at most ``MAX_GRID_N``, and the orientation
+    one of the field's."""
     try:
-        _known_keys(raw, _TOP_KEYS, "config")
-        spec = ProfileSpec.from_dict(_section(raw, "profile", None))
-        p = _section(raw, "params", ("mu", "g", "L"))
-        params = PhysicalParams(
-            _number(p["mu"], "mu"), _number(p["g"], "g"), _number(p["L"], "L")
-        )
+        p = _section(raw, "profile", ("base_density", "bumps"))
+        bumps = []
+        for k, b in enumerate(p["bumps"]):
+            _known_keys(b, _BUMP_KEYS, f"bump {k}")
+            bumps.append(Bump(*(_number(b[key], f"bump {k} {key}") for key in _BUMP_KEYS)))
+        spec = ProfileSpec(_number(p["base_density"], "base_density"), tuple(bumps))
+        q = _section(raw, "params", ("mu", "g", "L"))
+        params = PhysicalParams(*(_number(q[key], key) for key in ("mu", "g", "L")))
         m = _section(raw, "mag", ("orientation", "magnitude"))
         mag = MagneticConfig(
             Orientation(m["orientation"]), _number(m["magnitude"], "magnitude")
@@ -160,21 +191,28 @@ def config_from_dict(raw: dict) -> RunConfig:
         grid = Grid1D(
             _number(g["half_length"], "half_length"), _integer(g["n"], "grid n")
         )
+    except _MALFORMED as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    if grid.n > MAX_GRID_N:
+        raise ConfigError(f"grid n = {grid.n} exceeds the cap {MAX_GRID_N}")
+    return spec, params, mag, grid
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    _known_keys(raw, _TOP_KEYS, "config")
+    spec, params, mag, grid = read_setup(raw)
+    try:
         sweep = _section(raw, "sweep", ("radius",), required=False)
         radius = _optional_number(sweep, "radius", "sweep radius")
         verify = _section(raw, "verify", ("dt", "T", "seeds"), required=False)
         dt = _optional_number(verify, "dt", "verify dt")
         T = _optional_number(verify, "T", "verify T")
-        seeds = verify.get("seeds", [0, 1, 2, 3, 4])
-        seeds = tuple(_integer(s, "seed") for s in seeds)
-        output_dir = raw.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer too large for float
+        seeds = tuple(_integer(s, "seed") for s in verify.get("seeds", [0, 1, 2, 3, 4]))
+    except _MALFORMED as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     return RunConfig(
         profile_spec=spec,
         params=params,
@@ -191,15 +229,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 def read_config(path: str) -> dict:
     """The raw JSON object of a config file, before any validation."""
     try:
-        with open(path) as f:
-            raw = json.load(f)
+        return read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return raw
+    except ValueError as exc:
+        raise ConfigError(f"config {path} is not a JSON object: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:

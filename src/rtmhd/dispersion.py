@@ -458,11 +458,15 @@ def write_table(path: str, table: DispersionTable) -> None:
     write_csv(path, _TABLE_HEADER, rows)
 
 
-def read_table(path: str, radius: float, params: PhysicalParams) -> DispersionTable:
-    """The table ``write_table`` wrote for the sweep of this radius and L,
-    bitwise.  Raises ValueError unless the header is the writer's, every
-    member flag is 0 or 1 and the rows are the sweep's lattice points, each
-    once and in order, so no point of the sweep goes missing."""
+def read_table(
+    path: str, radius: float, params: PhysicalParams, profile: DensityProfile
+) -> DispersionTable:
+    """The table ``write_table`` wrote for the sweep of this radius and L on
+    this profile, bitwise.  Raises ValueError unless the header is the
+    writer's, every member flag is 0 or 1, the rows are the sweep's lattice
+    points, each once and in order, so no point of the sweep goes missing,
+    and every rate is one ``growth_rate`` returns: a member's, positive and
+    at most sqrt(g sup drho/rho) (1 + 1e-6)."""
     with open(path) as f:
         lines = f.read().splitlines()
     if lines[:1] != [",".join(_TABLE_HEADER)]:
@@ -470,13 +474,16 @@ def read_table(path: str, radius: float, params: PhysicalParams) -> DispersionTa
     points = _lattice(radius, params.L)
     if len(lines) - 1 != len(points):
         raise ValueError(f"{path} has {len(lines) - 1} rows for {len(points)} points")
+    cap = math.sqrt(params.g * profile.sup_ratio) * (1.0 + 1e-6)
     entries = []
     for (i, j), line in zip(points, lines[1:]):
         xi = Frequency.lattice(i, j, params.L)
         x1, x2, member, lam = line.split(",")
         if (float(x1), float(x2)) != (xi.xi1, xi.xi2) or member not in ("0", "1"):
             raise ValueError(f"{path}: row {line!r} is not ({i}, {j}) with a 0/1 flag")
-        entries.append(
-            DispersionEntry(xi.xi1, xi.xi2, member == "1", float(lam) if lam else None)
-        )
+        rate = float(lam) if lam else None
+        # the comparison is False for NaN, and an infinite rate exceeds the cap
+        if rate is not None and not (member == "1" and 0.0 < rate <= cap):
+            raise ValueError(f"{path}: row {line!r} has a rate no sweep writes")
+        entries.append(DispersionEntry(xi.xi1, xi.xi2, member == "1", rate))
     return DispersionTable(tuple(entries), radius, params)

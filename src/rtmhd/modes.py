@@ -34,14 +34,14 @@ divergence check of a complex vector profile.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
-from .errors import ResidualTooLarge
+from .artifacts import read_json, write_csv, write_json
+from .config import read_setup, setup_dict
+from .errors import ConfigError, ResidualTooLarge
 from .forms import FormSet, assemble_forms
 from .growth import GrowthResult
 from .operators import (
@@ -53,15 +53,7 @@ from .operators import (
     d2_stencil,
     diagonal_stencil,
 )
-from .profiles import (
-    Frequency,
-    Grid1D,
-    MagneticConfig,
-    Orientation,
-    PhysicalParams,
-    ProfileSpec,
-    build_profile,
-)
+from .profiles import Frequency, Grid1D, build_profile
 
 __all__ = [
     "NormalMode",
@@ -329,10 +321,7 @@ def export_mode(mode: NormalMode, stem: str) -> tuple[str, str]:
         "kind": "normal_mode",
         "xi": [xi.xi1, xi.xi2],
         "lambda": mode.lam,
-        "mag": {"orientation": mag.orientation.value, "magnitude": mag.magnitude},
-        "params": {"mu": params.mu, "g": params.g, "L": params.L},
-        "grid": {"half_length": grid.half_length, "n": grid.n},
-        "profile": forms.profile.spec.to_dict(),
+        **setup_dict(forms.profile.spec, params, mag, grid),
         "residuals": mode.residuals,
         "psi": mode.psi.tolist(),
         "phi": mode.phi.tolist(),
@@ -351,18 +340,14 @@ def export_mode(mode: NormalMode, stem: str) -> tuple[str, str]:
 
 def load_mode(json_path: str) -> NormalMode:
     """Rebuild a mode from an exported JSON file, its forms reassembled from
-    the setup the file records."""
-    with open(json_path) as f:
-        payload = json.load(f)
+    the setup the file records.  ValueError unless the file holds a JSON
+    object; ConfigError unless it is a mode export whose setup a run config
+    accepts."""
+    payload = read_json(json_path)
     if payload.get("kind") != "normal_mode":
-        raise OSError(f"{json_path} is not a normal-mode export")
-    params = PhysicalParams(**payload["params"])
-    grid = Grid1D(**payload["grid"])
-    spec = ProfileSpec.from_dict(payload["profile"])
+        raise ConfigError(f"{json_path} is not a normal-mode export")
+    spec, params, mag, grid = read_setup(payload)
     profile = build_profile(spec, grid)
-    mag = MagneticConfig(
-        Orientation(payload["mag"]["orientation"]), payload["mag"]["magnitude"]
-    )
     return NormalMode(
         forms=assemble_forms(profile, grid, Frequency(*payload["xi"]), mag, params),
         lam=payload["lambda"],

@@ -93,14 +93,6 @@ class Bump:
             raise ValueError("bump half_width must be positive and finite")
 
 
-def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> dict:
-    """obj, which must hold no key outside keys (ValueError names the first)."""
-    for key in obj:
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r} in {where}")
-    return obj
-
-
 @dataclass(frozen=True)
 class ProfileSpec:
     """Base density below the transition region plus a list of bumps."""
@@ -114,35 +106,6 @@ class ProfileSpec:
         if not self.bumps:
             raise ValueError("at least one bump is required")
         object.__setattr__(self, "bumps", tuple(self.bumps))
-
-    def to_dict(self) -> dict:
-        return {
-            "base_density": self.base_density,
-            "bumps": [
-                {"amp": b.amplitude, "center": b.center, "half_width": b.half_width}
-                for b in self.bumps
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProfileSpec":
-        """The spec of ``to_dict``; a string or a boolean where a number
-        belongs raises TypeError rather than being coerced, and a key that
-        ``to_dict`` does not write raises ValueError."""
-
-        def number(value) -> float:
-            if isinstance(value, (str, bool)):
-                raise TypeError(f"profile value must be a number, got {value!r}")
-            return float(value)
-
-        _known_keys(d, ("base_density", "bumps"), "profile")
-        bumps = []
-        for b in d["bumps"]:
-            _known_keys(b, ("amp", "center", "half_width"), "bump")
-            bumps.append(
-                Bump(number(b["amp"]), number(b["center"]), number(b["half_width"]))
-            )
-        return cls(base_density=number(d["base_density"]), bumps=tuple(bumps))
 
 
 @dataclass(frozen=True)
@@ -192,7 +155,8 @@ class Frequency:
         return float(np.hypot(self.xi1, self.xi2))
 
     def is_zero(self) -> bool:
-        return self.xi1 == 0.0 and self.xi2 == 0.0
+        """|xi|^2 is 0, as it is for a nonzero xi whose square underflows."""
+        return self.norm2 == 0.0
 
     @classmethod
     def lattice(cls, i: int, j: int, L: float) -> "Frequency":

@@ -1,21 +1,26 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rtmhd
 from rtmhd.cli import _build_mode_at, main
-from rtmhd.config import load_config
+from rtmhd.config import load_config, setup_dict
 from rtmhd.dispersion import critical_freq_vertical
 from rtmhd.errors import ConfigError
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 
-from .conftest import JUMP_NEG_SPEC
+from .conftest import CANON_SPEC, JUMP_NEG_SPEC
 from .oracles import run_rate
 
 
@@ -103,6 +108,26 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["profile", str(path)]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
+@pytest.mark.parametrize("command", ["growth", "mode"])
+@pytest.mark.parametrize("xi", ["1e-200,0", "0,-1e-200", "1e160,0", "1e160,1e160"])
+def test_cli_rejects_a_xi_whose_square_is_zero_or_infinite(tmp_path, capsys, command, xi):
+    # finite components whose |xi|^2 underflows to 0 or overflows
+    path = _write_config(tmp_path / "c.json", grid={"half_length": 8.0, "n": 33})
+    assert main([command, path, f"--xi={xi}"]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    err = json.loads(line)
+    assert err == {"error": "config", "message": err["message"]}
+    assert "|xi|^2" in err["message"]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -845,12 +870,29 @@ def _drop_fourth_line(text):
     return "".join(lines[:3] + lines[4:])
 
 
+def _third_row(edit):
+    """The table with the fields x1, x2, member, lambda of its third row
+    replaced by edit(fields)."""
+
+    def malform(text):
+        lines = text.splitlines(keepends=True)
+        lines[3] = ",".join(edit(lines[3].strip().split(","))) + "\n"
+        return "".join(lines)
+
+    return malform
+
+
 # file of the sweep's output directory -> its malformed text
 MALFORMED_SWEEPS = {
     "truncated-summary": ("sweep_summary.json", lambda text: '{"config": '),
     "list-summary": ("sweep_summary.json", lambda text: "[1,2]"),
     "garbage-row": ("dispersion.csv", lambda text: text + "garbage\n"),
     "deleted-row": ("dispersion.csv", _drop_fourth_line),
+    "infinite-rate": ("dispersion.csv", _third_row(lambda f: f[:3] + ["inf"])),
+    "nan-rate": ("dispersion.csv", _third_row(lambda f: f[:3] + ["nan"])),
+    "negative-rate": ("dispersion.csv", _third_row(lambda f: f[:3] + ["-0.5"])),
+    "rate-above-the-cap": ("dispersion.csv", _third_row(lambda f: f[:3] + ["1e300"])),
+    "rate-of-a-non-member": ("dispersion.csv", _third_row(lambda f: f[:2] + ["0", f[3]])),
 }
 
 
@@ -896,10 +938,12 @@ def test_cli_verify_skips_members_without_a_rate_with_or_without_a_sweep(
         out = tmp_path / label
         path = _write_config(
             tmp_path / f"{label}.json",
-            profile=JUMP_NEG_SPEC.to_dict(),
-            params={"mu": 1.0, "g": 1.0, "L": L},
-            mag={"orientation": "vertical", "magnitude": 0.3},
-            grid={"half_length": 8.0, "n": 801},
+            **setup_dict(
+                JUMP_NEG_SPEC,
+                rtmhd.PhysicalParams(mu=1.0, g=1.0, L=L),
+                rtmhd.MagneticConfig(rtmhd.Orientation.VERTICAL, 0.3),
+                grid,
+            ),
             sweep={"radius": 2.0 / L},
             output_dir=str(out),
         )
@@ -932,3 +976,93 @@ def test_cli_verify_covers_distinct_sign_orbits(tmp_path):
     assert len(orbits) == min(8, len(member_orbits))
     assert set(orbits) <= member_orbits
     assert tuple(abs(v) for v in summary["xi1"]) in orbits
+
+
+# what a hand-edited config may hold where a value belongs
+_ODD_VALUES = [
+    0, -1, 0.5, 17.0, 17.5, 1e-300, 1e300, 10**400, math.nan, math.inf,
+    True, "1.0", "vertical", None, [], {},
+]
+_XI_TEXTS = st.one_of(
+    st.sampled_from(["1,0", "0,0", "1e-200,0", "1e160,0", "nan,1", "1", "a,b", "1,2,3", ""]),
+    st.builds("{!r},{!r}".format, st.floats(), st.floats()),
+)
+
+
+def _small_config(spec, g, orientation, M, n, radius):
+    return {
+        **setup_dict(
+            spec,
+            rtmhd.PhysicalParams(mu=1.0, g=g, L=1.0),
+            rtmhd.MagneticConfig(rtmhd.Orientation(orientation), M),
+            rtmhd.Grid1D(8.0, n),
+        ),
+        "sweep": {"radius": radius},
+        "verify": {"dt": None, "T": None, "seeds": [0, 1]},
+    }
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON tree, each before its children."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*path, key))
+
+
+@st.composite
+def _mutated_small_configs(draw):
+    """A valid config with n = 17-33 and radius <= 2, then at most one value
+    set to an odd one, deleted or given an unknown sibling key."""
+    raw = _small_config(
+        draw(st.sampled_from([CANON_SPEC, JUMP_NEG_SPEC])),
+        draw(st.sampled_from([1.0, 9.8])),
+        draw(st.sampled_from(["horizontal", "vertical"])),
+        draw(st.sampled_from([0.0, 0.3, 1.2])),
+        draw(st.integers(17, 33)),
+        draw(st.sampled_from([0.5, 1.0, 2.0])),
+    )
+    *parent, key = draw(st.sampled_from(list(_paths(raw))))
+    node = raw
+    for step in parent:
+        node = node[step]
+    action = draw(st.sampled_from(["keep", "set", "delete", "add"]))
+    if action == "set":
+        node[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif action == "delete":
+        del node[key]
+    elif action == "add" and isinstance(node, dict):
+        node["extra"] = 1.0
+    return raw
+
+
+_SMALL = _small_config(CANON_SPEC, 9.8, "horizontal", 0.3, 33, 2.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    raw=_mutated_small_configs(),
+    command=st.sampled_from(
+        ["critical", "freq-thresholds", "growth", "mode", "profile", "sweep", "verify"]
+    ),
+    xi=st.one_of(st.none(), _XI_TEXTS),
+)
+@example(raw=_SMALL, command="growth", xi="1e-200,0")
+@example(raw=_SMALL, command="mode", xi="1e160,0")
+def test_cli_input_surface_exits_with_a_code_and_one_error_line(raw, command, xi):
+    # every input ends in a documented exit code, a failure prints exactly
+    # one JSON error object, and no exception escapes main.  At n <= 33 the
+    # mode's residual gate stops verify before any time step, so its dt, T
+    # and seeds are parsed and checked here but never stepped with
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(raw))
+        argv = [command, str(path), "--out", str(Path(tmp) / "out")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv if xi is None else [*argv, f"--xi={xi}"])
+    assert code in (0, 2, 3, 4)
+    errors = [line for line in out.getvalue().splitlines() if line.startswith("{")]
+    assert len(errors) == (code != 0)
+    if errors:
+        assert set(json.loads(errors[0])) == {"error", "message"}

@@ -6,6 +6,7 @@ import pytest
 import rtmhd
 from rtmhd.artifacts import write_csv
 from rtmhd.cli import main
+from rtmhd.config import setup_dict
 from rtmhd.dispersion import (
     critical_freq_horizontal,
     critical_freq_vertical,
@@ -572,11 +573,14 @@ def test_sweep_membership_is_the_membership_test_without_a_rate(unrated_sweep, t
         sup_rate(table)
 
 
-def test_read_table_reads_back_write_table_bitwise(canon_sweep, unrated_sweep, tmp_path):
+def test_read_table_reads_back_write_table_bitwise(
+    canon_sweep, canon_profile, unrated_sweep, tmp_path
+):
     path = str(tmp_path / "dispersion.csv")
-    for table in (canon_sweep, unrated_sweep[-1]):
+    unrated_prof, *_, unrated_table = unrated_sweep
+    for table, prof in ((canon_sweep, canon_profile), (unrated_table, unrated_prof)):
         write_table(path, table)
-        back = read_table(path, table.lattice_radius, table.params)
+        back = read_table(path, table.lattice_radius, table.params, prof)
         # the entries hold Python floats, whose repr differs for any two
         # bit patterns, the sign of zero included
         assert repr(back) == repr(table)
@@ -644,12 +648,12 @@ def test_csv_exports(canon_sweep, jumpneg_profile, tmp_path):
     assert len(lines) == len(canon_sweep.entries) + 1
     cn = critical_number_auto(jumpneg_profile, lz0=8.0, n0=129, g=1.0, max_doublings=16)
     # the trace file is the one ``rtmhd critical`` writes at Lz = 8, n = 129
-    config = {
-        "profile": JUMP_NEG_SPEC.to_dict(),
-        "params": {"mu": 1.0, "g": 1.0, "L": 1.0},
-        "mag": {"orientation": "horizontal", "magnitude": 0.0},
-        "grid": {"half_length": 8.0, "n": 129},
-    }
+    config = setup_dict(
+        JUMP_NEG_SPEC,
+        rtmhd.PhysicalParams(mu=1.0, g=1.0, L=1.0),
+        rtmhd.MagneticConfig(H, 0.0),
+        rtmhd.Grid1D(8.0, 129),
+    )
     (tmp_path / "c.json").write_text(json.dumps(config))
     assert main(["critical", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
     trace = (tmp_path / "critical_trace.csv").read_text().splitlines()

@@ -26,6 +26,13 @@ def test_zero_frequency_rejected(canon_profile, canon_grid):
         _forms(canon_profile, canon_grid, xi=(0.0, 0.0))
 
 
+def test_frequency_whose_square_underflows_rejected(canon_profile, canon_grid):
+    # xi is nonzero, but |xi|^2 = 1e-400 rounds to 0
+    assert rtmhd.Frequency(1e-200, 0.0).is_zero()
+    with pytest.raises(ZeroFrequency):
+        _forms(canon_profile, canon_grid, xi=(1e-200, 0.0))
+
+
 @pytest.mark.parametrize("orient", [H, V], ids=["horizontal", "vertical"])
 @pytest.mark.parametrize("xi", [(1.0, 0.0), (1.0, 2.0), (3.0, 1.0)])
 def test_forms_match_dense_oracle(orient, xi):

@@ -1,11 +1,13 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import rtmhd
-from rtmhd.errors import ResidualTooLarge
+from rtmhd.errors import ConfigError, ResidualTooLarge
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import growth_rate
 from rtmhd.modes import (
@@ -214,6 +216,40 @@ def test_residuals_recomputed_from_file(tmp_path, horizontal_mode):
     again = mode_residuals(back.psi, back.phi, back.theta, back.pi, back.lam, back.forms)
     for key, value in mode.residuals.items():
         assert again[key] == pytest.approx(value, abs=1e-12)
+
+
+# edits of an exported mode file, each to a setup a run config refuses
+MALFORMED_MODE_FILES = {
+    "boolean-g": lambda p: p["params"].update(g=True),
+    "string-mu": lambda p: p["params"].update(mu="1.0"),
+    "fractional-n": lambda p: p["grid"].update(n=2001.5),
+    "unknown-params-key": lambda p: p["params"].update(rho=1.0),
+    "missing-params": lambda p: p.pop("params"),
+    "bump-not-an-object": lambda p: p["profile"]["bumps"].append(0.5),
+    "unknown-orientation": lambda p: p["mag"].update(orientation="diagonal"),
+    "another-kind": lambda p: p.update(kind="growth"),
+}
+
+
+def _edited_export(tmp_path, mode, edit) -> str:
+    json_path, _ = export_mode(mode, str(tmp_path / "mode"))
+    payload = json.loads(Path(json_path).read_text())
+    edit(payload)
+    Path(json_path).write_text(json.dumps(payload))
+    return json_path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODE_FILES))
+def test_load_mode_applies_the_config_checks(tmp_path, horizontal_mode, case):
+    mode, _, _ = horizontal_mode
+    with pytest.raises(ConfigError):
+        load_mode(_edited_export(tmp_path, mode, MALFORMED_MODE_FILES[case]))
+
+
+def test_load_mode_reads_an_integral_float_n_as_the_config_does(tmp_path, horizontal_mode):
+    mode, _, _ = horizontal_mode
+    back = load_mode(_edited_export(tmp_path, mode, lambda p: p["grid"].update(n=2001.0)))
+    assert back.forms.grid == mode.forms.grid and type(back.forms.grid.n) is int
 
 
 def test_empty_export_path_raises(horizontal_mode):

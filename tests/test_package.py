@@ -85,7 +85,7 @@ def test_dispersion_survey_tables_read_back_as_a_fresh_sweep(tmp_path):
     profile = rtmhd.build_profile(survey.SPEC, survey.GRID)
     table = rtmhd.lattice_sweep(profile, survey.GRID, mag, survey.PARAMS, radius=4.0)
     path = str(out / "dispersion_vertical_M0.3.csv")
-    back = rtmhd.dispersion.read_table(path, 4.0, survey.PARAMS)
+    back = rtmhd.dispersion.read_table(path, 4.0, survey.PARAMS, profile)
     assert repr(back) == repr(table)  # bitwise: repr tells any two floats apart
 
 
