@@ -40,7 +40,9 @@ from .profiles import (
     profile_metrics,
 )
 from .verify import (
+    CrossCheck,
     RateEstimate,
+    cross_check,
     eigenmode_column,
     march_norms,
     measured_rate,

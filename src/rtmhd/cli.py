@@ -18,9 +18,9 @@ import numpy as np
 from . import dispersion, modes, verify
 from .artifacts import fmt, read_json, write_csv, write_json
 from .config import RunConfig, config_from_dict, read_config, setup_dict
-from .errors import ConfigError, RateMismatch, RtmhdError
+from .errors import ConfigError, RtmhdError
 from .forms import assemble_forms
-from .growth import growth_rate
+from .growth import GrowthResult, growth_rate
 from .profiles import Frequency, Grid1D, MagneticConfig, Orientation, profile_metrics
 
 EXIT_OK = 0
@@ -173,19 +173,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _build_mode_at(
-    cfg: RunConfig, xi: Frequency, mode_tol: float = modes.DEFAULT_MODE_TOL
-) -> modes.NormalMode:
-    forms = assemble_forms(cfg.profile, cfg.grid, xi, cfg.mag, cfg.params)
-    result = growth_rate(forms)
+def _growth_at(cfg: RunConfig, xi: Frequency) -> GrowthResult:
+    result = growth_rate(assemble_forms(cfg.profile, cfg.grid, xi, cfg.mag, cfg.params))
     if result is None:
         raise RtmhdError(f"xi = ({xi.xi1:g}, {xi.xi2:g}) admits no growing mode")
-    return modes.build_mode(result, mode_tol=mode_tol)
+    return result
 
 
 def cmd_mode(cfg: RunConfig, args) -> int:
-    xi = _target_xi(args)
-    mode = _build_mode_at(cfg, xi)
+    mode = modes.build_mode(_growth_at(cfg, _target_xi(args)))
     stem = os.path.join(cfg.output_dir, "mode")
     modes.export_mode(mode, stem)
     print(f"lambda={fmt(mode.lam)}")
@@ -212,81 +208,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         table = dispersion.lattice_sweep(
             cfg.profile, cfg.grid, cfg.mag, cfg.params, cfg.radius
         )
-    top = dispersion.sup_rate(table)
-    xi1, lam_cap = top.xi_pair[0], top.lam_max
-    rated = [e for e in table.entries if e.member and e.lam is not None]
-    members = {Frequency(e.xi1, e.xi2): e.lam for e in rated}
-
-    # loose residual gate: the time integration is the actual check here
-    mode = _build_mode_at(cfg, xi1, mode_tol=1e-2)
-    lam = mode.lam
-    T = cfg.verify_T if cfg.verify_T is not None else 3.0 / lam
-    if cfg.verify_dt is not None:
-        dt = cfg.verify_dt
-    elif cfg.verify_T is not None:
-        dt = 0.01 / lam  # an explicit T keeps the fixed step
-    else:
-        dt = verify.default_schedule(lam, T)
-    steps = verify.time_steps(dt, T)  # the march records every step below 60
-    if steps + 1 < verify.MIN_RATE_SAMPLES:
-        need = verify.MIN_RATE_SAMPLES - 1
-        raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
-
-    # sharpness: random data at the strongest member frequencies must stay
-    # below the per-frequency rates and the sweep maximum; the rate is even
-    # in each component, so one (|xi1|, |xi2|) stands for each sign orbit
-    orbits = {Frequency(abs(x.xi1), abs(x.xi2)): lam for x, lam in members.items()}
-    ranked = sorted(
-        orbits.items(), key=lambda kv: (-kv[1], kv[0].norm, kv[0].xi1, kv[0].xi2)
-    )[:8]
-    seeds = list(cfg.seeds)
-    runs, checks = verify.sharpness_runs(cfg.mag, cfg.grid, seeds, dict(ranked))
-    # the eigenmode run joins the sharpness run of its stepped problem, if any
-    init = verify.eigenmode_column(mode)
-    (times, norms), *series = verify.march_norms(
-        cfg.profile, cfg.mag, cfg.params, cfg.grid, [(xi1, dt, T, init[:, None]), *runs]
+    xi1, _ = dispersion.sup_rate(table).xi_pair
+    check = verify.cross_check(
+        _growth_at(cfg, xi1), table, cfg.seeds, cfg.verify_dt, cfg.verify_T
     )
-    est = verify.measured_rate(list(zip(times, norms[:, 1, 0])))
-    rel_err = abs(est.rate - lam) / lam
     series_path = os.path.join(cfg.output_dir, "timeseries.csv")
-    verify.write_series(series_path, times, norms[:, :, 0])
-    write_json(
-        os.path.join(cfg.output_dir, "verify.json"),
-        {
-            "xi": [xi1.xi1, xi1.xi2],
-            "lambda_pred": lam,
-            "lambda_meas": est.rate,
-            "rel_err": rel_err,
-            "fit_residual": est.fit_residual,
-            "dt": dt,
-            "T": T,
-            "steps": steps,
-            # relative rate error of one Crank-Nicolson step
-            "cn_rate_err": (lam * dt) ** 2 / 12.0,
-        },
-    )
-    print(f"lambda_pred={fmt(lam)}")
-    print(f"lambda_meas={fmt(est.rate)}")
-    print(f"rel_err={rel_err:.3e}")
-    if not rel_err <= verify.RATE_RTOL:
-        raise RateMismatch(
-            f"xi = ({xi1.xi1:g}, {xi1.xi2:g}): measured rate {est.rate:.6g} misses "
-            f"lambda = {lam:.6g} by {rel_err:.3e} > {verify.RATE_RTOL} relative "
-            f"(dt = {dt:g}, T = {T:g})"
-        )
-
-    worst = verify.sharpness_verdict(lam_cap, seeds, checks, series)
-    write_json(
-        os.path.join(cfg.output_dir, "sharpness.json"),
-        {
-            "Lambda": lam_cap,
-            "max_measured_rate": worst,
-            "ratio": worst / lam_cap,
-            "seeds": seeds,
-            "frequencies": [[x.xi1, x.xi2] for x, _ in ranked],
-        },
-    )
-    print(f"sharpness_max={fmt(worst)}")
+    verify.write_series(series_path, check.times, check.norms)
+    write_json(os.path.join(cfg.output_dir, "verify.json"), check.rate)
+    print(f"lambda_pred={fmt(check.rate['lambda_pred'])}")
+    print(f"lambda_meas={fmt(check.rate['lambda_meas'])}")
+    print(f"rel_err={check.rate['rel_err']:.3e}")
+    if check.failure is not None:
+        raise check.failure
+    write_json(os.path.join(cfg.output_dir, "sharpness.json"), check.sharpness)
+    print(f"sharpness_max={fmt(check.sharpness['max_measured_rate'])}")
     return EXIT_OK
 
 

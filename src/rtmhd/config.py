@@ -79,6 +79,8 @@ class RunConfig:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for k, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ConfigError(f"seed {seed} is negative")
             if seed in self.seeds[:k]:
                 raise ConfigError(f"seed {seed} is listed twice")
 

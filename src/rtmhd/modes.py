@@ -34,13 +34,14 @@ divergence check of a complex vector profile.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import read_json, write_csv, write_json
-from .config import read_setup, setup_dict
+from .config import _is_number, read_setup, setup_dict
 from .errors import ConfigError, ResidualTooLarge
 from .forms import FormSet, assemble_forms
 from .growth import GrowthResult
@@ -338,24 +339,52 @@ def export_mode(mode: NormalMode, stem: str) -> tuple[str, str]:
     return json_path, csv_path
 
 
+def _finite_numbers(value, count: int, what: str) -> list[float]:
+    """value, which must be a JSON list of count finite numbers, as floats."""
+    try:
+        ok = (
+            isinstance(value, list)
+            and len(value) == count
+            and all(_is_number(v) and math.isfinite(v) for v in value)
+        )
+    except OverflowError:  # an integer too large for float
+        ok = False
+    if not ok:
+        plural = "s" * (count > 1)
+        raise ConfigError(f"mode {what} must be {count} finite number{plural}")
+    return [float(v) for v in value]
+
+
 def load_mode(json_path: str) -> NormalMode:
     """Rebuild a mode from an exported JSON file, its forms reassembled from
     the setup the file records.  ValueError unless the file holds a JSON
     object; ConfigError unless it is a mode export whose setup a run config
-    accepts."""
+    accepts, with xi two finite numbers of nonzero |xi|^2, lambda a finite
+    positive number, psi, phi, theta and pi grid.n finite numbers each and
+    residuals an object of numbers."""
     payload = read_json(json_path)
     if payload.get("kind") != "normal_mode":
         raise ConfigError(f"{json_path} is not a normal-mode export")
     spec, params, mag, grid = read_setup(payload)
+    xi = Frequency(*_finite_numbers(payload.get("xi"), 2, "xi"))
+    if xi.is_zero() or not math.isfinite(xi.norm2):
+        raise ConfigError(f"mode xi must have a finite nonzero |xi|^2, got {xi}")
+    [lam] = _finite_numbers([payload.get("lambda")], 1, "lambda")
+    if lam <= 0:
+        raise ConfigError(f"mode lambda must be positive, got {lam!r}")
+    fields = {
+        f: np.array(_finite_numbers(payload.get(f), grid.n, f))
+        for f in ("psi", "phi", "theta", "pi")
+    }
+    residuals = payload.get("residuals")
+    if not isinstance(residuals, dict) or not all(map(_is_number, residuals.values())):
+        raise ConfigError("mode residuals must be an object of numbers")
     profile = build_profile(spec, grid)
     return NormalMode(
-        forms=assemble_forms(profile, grid, Frequency(*payload["xi"]), mag, params),
-        lam=payload["lambda"],
-        psi=np.array(payload["psi"]),
-        phi=np.array(payload["phi"]),
-        theta=np.array(payload["theta"]),
-        pi=np.array(payload["pi"]),
-        residuals=payload["residuals"],
+        forms=assemble_forms(profile, grid, xi, mag, params),
+        lam=lam,
+        residuals=residuals,
+        **fields,
     )
 
 

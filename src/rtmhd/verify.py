@@ -36,8 +36,8 @@ distinct problem and marches the columns of all its runs as one block,
 the N rows of a run of the opposite field negated, recording only the
 norms, which are even in N.  The sharpness test draws each seed once, in
 (rho, u3, omega), so frequencies that share a problem step identical data
-and add one run; the ``verify`` command's eigenmode run joins the
-sharpness run of its own problem when there is one.
+and add one run; the eigenmode run of ``cross_check``, the one driver of
+``rtmhd verify``, joins the sharpness run of its problem when there is one.
 """
 
 from __future__ import annotations
@@ -47,14 +47,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import modes
 from .artifacts import write_csv
+from .dispersion import DispersionTable, sup_rate
 from .errors import (
+    ConfigError,
     DegenerateSeries,
+    RateMismatch,
+    RtmhdError,
     SharpnessViolation,
     SolverSingular,
     ZeroFrequency,
 )
-from .modes import NormalMode, magnetic_coupling, mode_fields
+from .growth import GrowthResult
 from .operators import (
     Blocks,
     block_combine,
@@ -79,8 +84,8 @@ __all__ = [
     "eigenmode_column",
     "measured_rate",
     "default_schedule",
-    "sharpness_runs",
-    "sharpness_verdict",
+    "CrossCheck",
+    "cross_check",
     "sharpness_test",
     "write_series",
 ]
@@ -90,6 +95,10 @@ RATE_RTOL = 0.02  # admissible relative error of a normal mode's measured rate
 MIN_RATE_SAMPLES = 10  # fewest norm samples ``measured_rate`` fits
 STEPS_PER_EFOLD = 20  # coarsest default step: CN rate error (1/20)^2/12 = 2.1e-4
 SAMPLE_INTERVALS = 60  # a default run samples its norm at t_k = k T / 60
+HORIZON = 3.0  # a run at rate lambda goes to T = HORIZON / lambda by default
+MAX_STEPS = 100_000  # most steps T / dt that ``cross_check`` takes on one run
+MODE_TOL = 1e-2  # loose mode residual gate: the time integration is the check
+SHARPNESS_ORBITS = 8  # strongest member sign orbits the sharpness check runs
 
 
 def splu(a):
@@ -133,10 +142,10 @@ def _stepped(grid: Grid1D, k: float, rho, u3, omega, N) -> np.ndarray:
     return np.concatenate([rho, u3, omega, chi, N])
 
 
-def eigenmode_column(mode: NormalMode) -> np.ndarray:
+def eigenmode_column(mode: modes.NormalMode) -> np.ndarray:
     """The stepped state (7n,) of the growing mode at t = 0, in the frame of
     its xi; its velocity along xi is set from u3 by the divergence row."""
-    f = mode_fields(mode)
+    f = modes.mode_fields(mode)
     k, unit = _unit(mode.forms.xi)
     _, omega, u3 = _rotate(unit, (f["u1"], f["u2"], f["u3"]))
     N = _rotate(unit, (f["N1"], f["N2"], f["N3"]))
@@ -148,11 +157,8 @@ class LinearEvolver:
 
     With A the velocity operator at dt/2 weight (viscosity, the Lorentz force
     of the induced field and the buoyancy of the advected density), the step
-    is (rho/dt - A) u+ + grad q = (rho/dt + A) u + F N - g rho e3, div u+ = 0.
-    The horizontal velocity is rotated into chi along xi and omega across it;
-    the divergence row gives chi = c D1 u3, with c = i/|xi|, and the chi row
-    fixes q, which is eliminated and never formed, so one factored system in
-    (u3, omega) remains.
+    is (rho/dt - A) u+ + grad q = (rho/dt + A) u + F N - g rho e3, div u+ = 0,
+    reduced to one system in (u3, omega) as above, chi = c D1 u3, c = i/|xi|.
     """
 
     def __init__(
@@ -177,7 +183,7 @@ class LinearEvolver:
         d1 = d1_stencil(grid)
         lap = d2_stencil(grid) + (-xi.norm2) * ident
         # induction N_t = T u and Lorentz force F N on (chi, omega, x3)
-        t_op, f_op = magnetic_coupling(field, Frequency(k, 0.0), grid)
+        t_op, f_op = modes.magnetic_coupling(field, Frequency(k, 0.0), grid)
 
         a_op = block_combine(
             (0.5 * params.mu, {(i, i): lap for i in range(3)}),
@@ -267,7 +273,8 @@ def default_schedule(lam: float, T: float) -> float:
     rate is off by the relative (lam dt)^2 / 12 <= 2.1e-4.  At T = 3/lam
     this is 60 steps, each one sampled.
     """
-    per_sample = lam * T / SAMPLE_INTERVALS * STEPS_PER_EFOLD
+    # past MAX_STEPS the run is refused anyway; the bound keeps ceil finite
+    per_sample = min(lam * T / SAMPLE_INTERVALS * STEPS_PER_EFOLD, MAX_STEPS)
     # the rounding slack keeps T = 3/lam at one step per sample
     steps_per_sample = max(1, math.ceil(per_sample * (1.0 - 1e-12)))
     return T / (SAMPLE_INTERVALS * steps_per_sample)
@@ -389,27 +396,23 @@ def measured_rate(samples: list[tuple[float, float]]) -> RateEstimate:
         raise DegenerateSeries("norm series contains non-positive values")
     half = len(t) // 2
     tt, vv = t[half:], np.log(v[half:])
+    if not tt @ tt > 0.0:  # polyfit scales the times by their norm
+        raise DegenerateSeries("sample times too small to fit a rate")
     coeffs = np.polyfit(tt, vv, 1)
     fit = np.polyval(coeffs, tt)
     rms = float(np.sqrt(np.mean((vv - fit) ** 2)))
     return RateEstimate(times=t, norms=v, rate=float(coeffs[0]), fit_residual=rms)
 
 
-def sharpness_runs(
+def _sharpness_runs(
     mag: MagneticConfig,
     grid: Grid1D,
     seeds: list[int],
     xi_rates: dict[Frequency, float],
-    horizon: float = 3.0,
+    horizon: float,
 ):
-    """The runs of ``sharpness_test`` and its checks.
-
-    Each frequency of rate lambda runs to horizon / lambda on
-    ``default_schedule``, every seed one column.  Frequencies of one stepped
-    problem step identical data, so they share one run.  Returns the runs
-    (xi, dt, T, z), one per distinct problem, for ``march_norms``, and the
-    checks (xi, lambda, index of its run) in check order.
-    """
+    """The runs (xi, dt, T, z) of ``sharpness_test``, one per stepped problem,
+    a column per seed, and its checks (xi, lambda, run index) in check order."""
     profiles = [_seed_profiles(grid, s) for s in seeds]
     runs, checks, index = [], [], {}
     for xi, lam in sorted(xi_rates.items(), key=lambda kv: (kv[0].xi1, kv[0].xi2)):
@@ -423,16 +426,14 @@ def sharpness_runs(
     return runs, checks
 
 
-def sharpness_verdict(
+def _sharpness_verdict(
     lam_cap: float,
     seeds: list[int],
     checks: list[tuple[Frequency, float, int]],
     series: list[tuple[np.ndarray, np.ndarray]],
 ) -> float:
-    """Measure each seed's rate at each check of ``sharpness_runs`` from the
-    ``march_norms`` series of its runs; raise SharpnessViolation at the
-    first rate above lambda(xi) * (1 + 2%), or if the largest one exceeds
-    lam_cap * (1 + 2%).  Returns the largest measured rate."""
+    """``sharpness_test``'s verdict on the ``march_norms`` series of the runs
+    of its checks."""
     worst = -np.inf
     for xi, lam, run in checks:
         times, norms = series[run]
@@ -459,14 +460,14 @@ def sharpness_test(
     lam_cap: float,
     seeds: list[int],
     xi_rates: dict[Frequency, float],
-    horizon: float = 3.0,
+    horizon: float = HORIZON,
 ) -> float:
     """Evolve random data at each frequency; rates must respect their bounds.
 
     xi_rates maps each swept member frequency to its predicted rate.  Raises
-    SharpnessViolation if any measured rate exceeds lambda(xi) * (1 + 2%).
-    Frequencies sharing a stepped problem are stepped once.  Returns the
-    largest measured rate.
+    SharpnessViolation if any measured rate exceeds lambda(xi) * (1 + 2%),
+    or the largest lam_cap * (1 + 2%).  Frequencies sharing a stepped problem
+    are stepped once.  Returns the largest measured rate.
 
     Each problem runs to horizon / lambda on ``default_schedule``.  Its
     error bound presumes smooth seeds, as ``_seed_profiles`` draws them:
@@ -475,9 +476,90 @@ def sharpness_test(
     up to about 0.24 lambda at n = 801.  Non-smooth seeds would need an
     L-stable step such as TR-BDF2, not more steps.
     """
-    runs, checks = sharpness_runs(mag, grid, seeds, xi_rates, horizon)
+    runs, checks = _sharpness_runs(mag, grid, seeds, xi_rates, horizon)
     series = march_norms(profile, mag, params, grid, runs)
-    return sharpness_verdict(lam_cap, seeds, checks, series)
+    return _sharpness_verdict(lam_cap, seeds, checks, series)
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    """``cross_check``'s findings: the eigenmode run's report and norm series
+    (samples, 3), the sharpness report unless a verdict failed, and the
+    first verdict that failed, the rate's before the sharpness'."""
+
+    rate: dict
+    times: np.ndarray
+    norms: np.ndarray
+    sharpness: dict | None = None
+    failure: RtmhdError | None = None
+
+
+def cross_check(
+    result: GrowthResult,
+    table: DispersionTable,
+    seeds: list[int],
+    dt: float | None = None,
+    T: float | None = None,
+) -> CrossCheck:
+    """Time-integrate the mode of ``result`` (RateMismatch unless it grows
+    at its rate within RATE_RTOL), then ``sharpness_test`` the seeds at the
+    SHARPNESS_ORBITS strongest member sign orbits of the sweep ``table``.
+    The eigenmode's T and dt default as the sharpness runs'; ConfigError,
+    before any factorization, if T / dt is not finite, above MAX_STEPS or
+    gives too few samples."""
+    forms, xi, lam, seeds = result.forms, result.forms.xi, result.lam, list(seeds)
+    T = HORIZON / lam if T is None else T
+    dt = default_schedule(lam, T) if dt is None else dt
+    if not T / dt <= MAX_STEPS:
+        raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: more than {MAX_STEPS} steps")
+    steps = time_steps(dt, T)  # the march records every step below 60
+    if steps + 1 < MIN_RATE_SAMPLES:
+        need = MIN_RATE_SAMPLES - 1
+        raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
+    init = eigenmode_column(modes.build_mode(result, mode_tol=MODE_TOL))[:, None]
+    # the rate is even in each component: (|xi1|, |xi2|) for each sign orbit
+    rated = (e for e in table.entries if e.member and e.lam is not None)
+    orbits = {Frequency(abs(e.xi1), abs(e.xi2)): e.lam for e in rated}
+    ranked = sorted(
+        orbits.items(), key=lambda kv: (-kv[1], kv[0].norm, kv[0].xi1, kv[0].xi2)
+    )[:SHARPNESS_ORBITS]
+    runs, checks = _sharpness_runs(forms.mag, forms.grid, seeds, dict(ranked), HORIZON)
+    (times, norms), *series = march_norms(
+        forms.profile, forms.mag, forms.params, forms.grid, [(xi, dt, T, init), *runs]
+    )
+    est = measured_rate(list(zip(times, norms[:, 1, 0])))
+    rel_err = abs(est.rate - lam) / lam
+    rate = {
+        "xi": [xi.xi1, xi.xi2],
+        "lambda_pred": lam,
+        "lambda_meas": est.rate,
+        "rel_err": rel_err,
+        "fit_residual": est.fit_residual,
+        "dt": dt,
+        "T": T,
+        "steps": steps,
+        # relative rate error of one Crank-Nicolson step
+        "cn_rate_err": (lam * dt) ** 2 / 12.0,
+    }
+    lam_cap = sup_rate(table).lam_max
+    try:
+        if not rel_err <= RATE_RTOL:
+            raise RateMismatch(
+                f"xi = ({xi.xi1:g}, {xi.xi2:g}): measured rate {est.rate:.6g} misses "
+                f"lambda = {lam:.6g} by {rel_err:.3e} > {RATE_RTOL} relative "
+                f"(dt = {dt:g}, T = {T:g})"
+            )
+        worst = _sharpness_verdict(lam_cap, seeds, checks, series)
+    except (RateMismatch, DegenerateSeries, SharpnessViolation) as exc:
+        return CrossCheck(rate, times, norms[:, :, 0], failure=exc)
+    sharpness = {
+        "Lambda": lam_cap,
+        "max_measured_rate": worst,
+        "ratio": worst / lam_cap,
+        "seeds": seeds,
+        "frequencies": [[x.xi1, x.xi2] for x, _ in ranked],
+    }
+    return CrossCheck(rate, times, norms[:, :, 0], sharpness)
 
 
 def write_series(path: str, times: np.ndarray, norms: np.ndarray) -> None:

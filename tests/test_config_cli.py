@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rtmhd
-from rtmhd.cli import _build_mode_at, main
+from rtmhd.cli import _growth_at, main
 from rtmhd.config import load_config, setup_dict
 from rtmhd.dispersion import critical_freq_vertical
 from rtmhd.errors import ConfigError
@@ -256,12 +256,14 @@ def test_cli_rejects_strings_and_booleans_for_numbers(
         ("sweep", "r", 2.0, "'r'"),
         ("verify", "tt", 3.0, "'tt'"),
         ("verify", "seeds", [1, 1], "seed 1"),
+        ("verify", "seeds", [0, -1], "seed -1"),
     ],
 )
 def test_cli_rejects_unknown_keys_and_duplicate_seeds(
     tmp_path, capsys, section, key, value, named
 ):
-    # a misspelt key ran with its default, and a repeated seed ran twice
+    # a misspelt key ran with its default, a repeated seed ran twice, and a
+    # negative seed failed in the random generator once verify reached it
     path = tmp_path / "c.json"
     raw = json.loads(open(_write_config(path, grid={"half_length": 8.0, "n": 33})).read())
     if section is None:
@@ -381,18 +383,18 @@ def test_cli_verify_default_schedule(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "verify, steps",
-    [({"dt": 0.05, "T": None}, 160), ({"dt": None, "T": 6.0}, 225)],
+    [({"dt": 0.05, "T": None}, 160), ({"dt": None, "T": 6.0}, 60)],
     ids=["dt", "T"],
 )
 def test_cli_verify_explicit_dt_or_T_keeps_fixed_schedule(
     tmp_path, capsys, verify, steps
 ):
-    # an explicit dt or T: dt = 0.01/lambda unless set, T = 3/lambda unless
-    # set, and a sample every steps // 60 steps and at the end
+    # an explicit dt or T: T = 3/lambda unless set, dt the default schedule
+    # to T unless set, and a sample every steps // 60 steps and at the end
     report, t = _verify_outputs(tmp_path, verify)
     lam = report["lambda_pred"]
-    dt = verify["dt"] or 0.01 / lam
     T = verify["T"] or 3.0 / lam
+    dt = verify["dt"] or rtmhd.verify.default_schedule(lam, T)
     assert (report["dt"], report["T"], report["steps"]) == (dt, T, steps)
     assert report["cn_rate_err"] == (lam * dt) ** 2 / 12
     every = steps // 60
@@ -407,7 +409,7 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
     calls = []
     monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
     grid = {"half_length": 8.0, "n": 201}
-    for verify in ({"dt": 0.1, "T": 0.3}, {"T": 0.05}):
+    for verify in ({"dt": 0.1, "T": 0.3}, {"dt": 1.0}):
         path = _write_config(tmp_path / "c.json", grid=grid, verify=verify)
         code = main(["verify", path])
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -415,6 +417,28 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
         assert err["error"] == "config"
         assert "steps" in err["message"] and "T = " in err["message"]
         assert not calls
+
+
+@pytest.mark.parametrize(
+    "verify", [{"dt": 1e-300}, {"dt": 1e-300, "T": 1e300}], ids=["tiny-dt", "infinite"]
+)
+def test_cli_verify_caps_the_steps_before_factoring(
+    tmp_path, capsys, monkeypatch, splu_calls, verify
+):
+    # T/dt above MAX_STEPS, or not finite, is a config error found before any
+    # factorization; it used to step for ever, or overflow in round(T/dt)
+    calls = []
+    monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
+    path = _write_config(
+        tmp_path / "c.json", grid={"half_length": 8.0, "n": 201}, verify=verify
+    )
+    code = main(["verify", path])
+    [line] = capsys.readouterr().out.splitlines()
+    err = json.loads(line)
+    assert code == 2
+    assert err["error"] == "config"
+    assert f"{rtmhd.verify.MAX_STEPS} steps" in err["message"]
+    assert not calls and not splu_calls
 
 
 @pytest.mark.parametrize("M", [0.0, 0.3], ids=["M0", "vertical-M0.3"])
@@ -442,7 +466,8 @@ def test_cli_verify_norm_march_matches_the_state_route(tmp_path, capsys, dt, M):
 def _check_series_is_the_column_alone(cfg, report, series):
     """The verify command's rate and norm series are those of the eigenmode
     column marched alone."""
-    mode = _build_mode_at(cfg, rtmhd.Frequency(*report["xi"]), mode_tol=1e-2)
+    growth = _growth_at(cfg, rtmhd.Frequency(*report["xi"]))
+    mode = rtmhd.build_mode(growth, mode_tol=rtmhd.verify.MODE_TOL)
     z = rtmhd.verify.eigenmode_column(mode)
     est, times, norms = run_rate(
         cfg.profile, cfg.mag, cfg.params, cfg.grid, mode.forms.xi, z,
@@ -989,7 +1014,13 @@ _XI_TEXTS = st.one_of(
 )
 
 
-def _small_config(spec, g, orientation, M, n, radius):
+# verify's own inputs: negative, tiny and huge steps, horizons and seeds
+_VERIFY_DT = [None, -1.0, 1e-300, 0.05, 1.0, 1e300]
+_VERIFY_T = [None, -1.0, 1e-300, 5.0, 1e300]
+_SEED_LISTS = st.lists(st.sampled_from([-1, 0, 7, 2**64]), min_size=1, max_size=2)
+
+
+def _small_config(spec, g, orientation, M, n, radius, dt=None, T=None, seeds=(0, 1)):
     return {
         **setup_dict(
             spec,
@@ -998,7 +1029,7 @@ def _small_config(spec, g, orientation, M, n, radius):
             rtmhd.Grid1D(8.0, n),
         ),
         "sweep": {"radius": radius},
-        "verify": {"dt": None, "T": None, "seeds": [0, 1]},
+        "verify": {"dt": dt, "T": T, "seeds": list(seeds)},
     }
 
 
@@ -1012,8 +1043,9 @@ def _paths(node, path=()):
 
 @st.composite
 def _mutated_small_configs(draw):
-    """A valid config with n = 17-33 and radius <= 2, then at most one value
-    set to an odd one, deleted or given an unknown sibling key."""
+    """A config with n = 17-33, radius <= 2 and drawn verify inputs, then at
+    most one value set to an odd one, deleted or given an unknown sibling
+    key."""
     raw = _small_config(
         draw(st.sampled_from([CANON_SPEC, JUMP_NEG_SPEC])),
         draw(st.sampled_from([1.0, 9.8])),
@@ -1021,6 +1053,9 @@ def _mutated_small_configs(draw):
         draw(st.sampled_from([0.0, 0.3, 1.2])),
         draw(st.integers(17, 33)),
         draw(st.sampled_from([0.5, 1.0, 2.0])),
+        draw(st.sampled_from(_VERIFY_DT)),
+        draw(st.sampled_from(_VERIFY_T)),
+        draw(_SEED_LISTS),
     )
     *parent, key = draw(st.sampled_from(list(_paths(raw))))
     node = raw
@@ -1049,11 +1084,14 @@ _SMALL = _small_config(CANON_SPEC, 9.8, "horizontal", 0.3, 33, 2.0)
 )
 @example(raw=_SMALL, command="growth", xi="1e-200,0")
 @example(raw=_SMALL, command="mode", xi="1e160,0")
+@example(raw={**_SMALL, "verify": {"dt": 1e-300, "seeds": [0]}}, command="verify", xi=None)
+@example(raw={**_SMALL, "verify": {"T": 1e300, "seeds": [0]}}, command="verify", xi=None)
+@example(raw={**_SMALL, "verify": {"seeds": [-1]}}, command="verify", xi=None)
 def test_cli_input_surface_exits_with_a_code_and_one_error_line(raw, command, xi):
     # every input ends in a documented exit code, a failure prints exactly
-    # one JSON error object, and no exception escapes main.  At n <= 33 the
-    # mode's residual gate stops verify before any time step, so its dt, T
-    # and seeds are parsed and checked here but never stepped with
+    # one JSON error object, and no exception escapes main.  verify checks
+    # its step count before the mode's residual gate, so a dt, T or seed
+    # that it cannot run with exits 2 here, before any time step
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(raw))

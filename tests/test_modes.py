@@ -218,7 +218,8 @@ def test_residuals_recomputed_from_file(tmp_path, horizontal_mode):
         assert again[key] == pytest.approx(value, abs=1e-12)
 
 
-# edits of an exported mode file, each to a setup a run config refuses
+# edits of an exported mode file, each to a setup a run config refuses or
+# to a mode payload that does not fit it
 MALFORMED_MODE_FILES = {
     "boolean-g": lambda p: p["params"].update(g=True),
     "string-mu": lambda p: p["params"].update(mu="1.0"),
@@ -228,6 +229,10 @@ MALFORMED_MODE_FILES = {
     "bump-not-an-object": lambda p: p["profile"]["bumps"].append(0.5),
     "unknown-orientation": lambda p: p["mag"].update(orientation="diagonal"),
     "another-kind": lambda p: p.update(kind="growth"),
+    "missing-xi": lambda p: p.pop("xi"),
+    "string-xi": lambda p: p.update(xi="ab"),
+    "string-lambda": lambda p: p.update({"lambda": "x"}),
+    "short-psi": lambda p: p.update(psi=p["psi"][:10]),
 }
 
 

@@ -188,6 +188,9 @@ def test_measured_rate_degenerate_series():
     v[7] = 0.0
     with pytest.raises(DegenerateSeries):
         measured_rate(list(zip(t, v)))
+    # times whose squares underflow: polyfit cannot scale them
+    with pytest.raises(DegenerateSeries, match="too small"):
+        measured_rate(list(zip(1e-300 * t, np.exp(t))))
     with pytest.raises(ValueError):
         measured_rate([(0.0, 1.0)] * 5)
 
