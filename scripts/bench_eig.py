@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time and count the eigen-solves: one cold and one warm solve of the
-energy pencil, one growth rate, the thresholds' M_c trace, and two cold
-solves that take the second pass (the |xi|_vc pencil and a small-spectrum
-random pencil), for one or two source trees.
+energy pencil, one growth rate (its banded Cholesky tests, banded solves
+and alpha solves), the thresholds' M_c trace, and two cold solves that take
+the second pass (the |xi|_vc pencil and a small-spectrum random pencil), for
+one or two source trees.
 
 Each tree is measured in its own child process, with its ``src`` directory
 on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
@@ -71,24 +72,30 @@ def measure() -> dict:
             "value": warm.value,
         }
 
-    # one growth rate at n = 201, with the iterations of its alpha solves
+    # one growth rate at n = 201, its work counted at the LAPACK names eig.py
+    # calls (banded Cholesky tests and banded solves) and its alpha solves
     grid = rtmhd.Grid1D(8.0, SIZES[0])
     profile = rtmhd.build_profile(spec, grid)
     forms = assemble_forms(profile, grid, rtmhd.Frequency(*XI), mag, params)
-    counts = {"solves": 0, "iterations": 0}
-    solve = growth.min_generalized_eig
+    wrapped = [(eig, name) for name in ("dpbtrf", "dgbsv", "dgtsv")]
+    wrapped.append((growth, "min_generalized_eig"))
+    counts = dict.fromkeys((name for _, name in wrapped), 0)
+    originals = [getattr(module, name) for module, name in wrapped]
 
-    def counted(*args, **kwargs):
-        pair = solve(*args, **kwargs)
-        counts["solves"] += 1
-        counts["iterations"] += pair.iterations
-        return pair
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
 
-    growth.min_generalized_eig = counted
+        return call
+
+    for (module, name), real in zip(wrapped, originals):
+        setattr(module, name, counted(name, real))
     try:
         result = growth.growth_rate(forms)
     finally:
-        growth.min_generalized_eig = solve
+        for (module, name), real in zip(wrapped, originals):
+            setattr(module, name, real)
     cases[f"growth_rate n={SIZES[0]}"] = {
         "ms": 1e3 * _timed(lambda: growth.growth_rate(forms), 11),
         **counts,
@@ -244,7 +251,8 @@ def main():
     for label in trees:
         print(f"{label}:")
         for key, row in report[label].items():
-            print(f"  {key:22s} {row['ms']:8.3f} ms  {row['iterations']:4d} iterations")
+            work = {k: v for k, v in row.items() if k not in ("ms", "value")}
+            print(f"  {key:22s} {row['ms']:8.3f} ms  {work}")
     print(f"wrote {args.out}")
 
 

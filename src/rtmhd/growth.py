@@ -1,12 +1,13 @@
-"""Growth rate of one frequency via the parameterized eigenvalue fixed point.
+"""Growth rate of one frequency as the top root of a quadratic eigenproblem.
 
-alpha(s) is the smallest eigenvalue of the pencil (|xi|^2 E0 + s E1, J); it is
-nondecreasing in s, so g(s) = s^2 + alpha(s) is strictly increasing and has
-at most one positive root.  The root s* satisfies s* = lambda(s*) =
-sqrt(-alpha(s*)) and is the physical growth rate of the frequency.  It is
-found by Newton's method on g: the J-normalized eigenvector psi of alpha(s)
-gives g'(s) = 2 s + psi^T E1 psi for free (Hellmann-Feynman), and psi warm
-starts the eigen-solve at the next iterate.
+alpha(s), the smallest eigenvalue of (|xi|^2 E0 + s E1, J), is nondecreasing
+in s, so g(s) = s^2 + alpha(s) has at most one positive root s* =
+sqrt(-alpha(s*)), the growth rate.  g(s) > 0 exactly when T(s) = |xi|^2 E0 +
+s E1 + s^2 J is positive definite, so one banded Cholesky of T(s) tells on
+which side of s* a trial s lies.  By the minimax principle of overdamped
+pencils (Duffin; Voss, Numer. Linear Algebra Appl. 16 (2009); Tisseur &
+Meerbergen, SIAM Review 43 (2001)), s* = max over psi of the Rayleigh
+functional p(psi), the positive root of psi^T T(s) psi = 0.
 """
 
 from __future__ import annotations
@@ -16,19 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import EigenPair, min_generalized_eig
+from .eig import EigenPair, _inverse_steps, _solve_shifted, definite
+from .eig import min_generalized_eig
 from .errors import BracketFailure
 from .forms import FormSet
-from .operators import band_matvec
+from .operators import band_combine, band_matvec
 
 __all__ = ["GrowthResult", "alpha", "growth_rate"]
 
-_MAX_STEPS = 100
+_START_RATIO = 1.2  # hi / lo of the Cholesky bracket the iteration starts in
+_RFI_STEPS = 6
+_FLOOR = 4.0  # the iteration's residual floor, in units of eps |T(p)| |psi|
 
 
 @dataclass
 class GrowthResult:
-    """Fixed-point solution at one frequency, with the forms it was solved on."""
+    """Certified rate at one frequency, with the forms it was solved on.
+
+    s_star = p(psi); lam = sqrt(-alpha_at_s), alpha_at_s = psi^T (|xi|^2 E0 +
+    s_star E1) psi for J-normalized psi, so lam = s_star to rounding.  The
+    rate lies within bracket_width of s_star; T(s_frontier) is positive
+    definite, so no rate of the frequency reaches s_frontier."""
 
     forms: FormSet
     lam: float
@@ -52,109 +61,100 @@ def alpha(
     return pair.value, pair
 
 
+def _above(forms: FormSet, s: float) -> bool:
+    """True iff T(s) is positive definite, i.e. s lies above the rate."""
+    return definite(forms.energy(s), forms.j, -s * s)
+
+
+def _bisect(forms: FormSet, lo: float, hi: float, done) -> tuple[float, float]:
+    """Halve [lo, hi] (T(lo) not positive definite, T(hi) positive definite)
+    at the geometric mean while hi > 2 lo > 0, until done(lo, hi)."""
+    while not done(lo, hi):
+        mid = math.sqrt(lo * hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+        if _above(forms, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _rayleigh_functional(forms: FormSet, psi: np.ndarray, steps: int):
+    """Up to `steps` steps psi <- T(p)^-1 T'(p) psi, J-normalized, with p = p(psi)
+    the positive root of a p^2 + b p + c, (a, b, c) = psi^T (J, E1, |xi|^2 E0)
+    psi (0 if c >= 0), until r = T(p) psi is at its floor.  Returns p, the pair
+    of alpha(p) = (c + p b) / a (psi, largest entry positive, |r| / |J psi|, the
+    solves, |r| |psi|) and the eigen noise |r| |psi| / psi^T T'(p) psi of p."""
+    xi2, eps = forms.xi.norm2, np.finfo(float).eps
+    for solves in range(steps + 1):
+        j_psi, e1_psi = band_matvec(forms.j, psi), band_matvec(forms.e1, psi)
+        e0_psi = xi2 * band_matvec(forms.e0, psi)
+        a, b, c = (float(psi @ v) for v in (j_psi, e1_psi, e0_psi))
+        p = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c)) if c < 0.0 else 0.0
+        r = float(np.linalg.norm(e0_psi + p * e1_psi + p * p * j_psi))
+        norm = float(np.linalg.norm(psi))
+        t = band_combine([(xi2, forms.e0), (p, forms.e1), (p * p, forms.j)])
+        if solves == steps or r <= _FLOOR * eps * np.max(np.abs(t)) * norm:
+            break
+        try:
+            psi = _solve_shifted(t, forms.j, 0.0, e1_psi + 2.0 * p * j_psi)
+        except np.linalg.LinAlgError:  # T(p) is exactly singular: psi is exact
+            break
+        psi = psi / math.sqrt(float(psi @ band_matvec(forms.j, psi)))
+    vec = psi if psi[np.argmax(np.abs(psi))] > 0 else -psi
+    pair = EigenPair((c + p * b) / a, vec, r / np.linalg.norm(j_psi), solves, r * norm)
+    return p, pair, r * norm / (b + 2.0 * p * a)
+
+
 def growth_rate(
     forms: FormSet,
     tol: float = 1e-8,
     s_lo: float | None = None,
     s_hi: float | None = None,
 ) -> GrowthResult | None:
-    """Solve s = sqrt(-alpha(s)) by Newton's method on g(s) = s^2 + alpha(s).
+    """The largest positive root of T, certified to max(tol * max(1, rate),
+    the eigen noise of psi).
 
-    The iteration keeps a sign bracket of g; a Newton iterate that leaves it
-    is replaced by the bracket midpoint.  Once an iterate s_star has
-    |s_star - lambda(s_star)| within tol/2 (or the eigenvalue noise floor),
-    one evaluation tol/2 beyond it in the direction of the Newton step must
-    show g changing sign; if it does not, bisection takes over until the
-    bracket is within tol.  s_star, lambda = sqrt(-alpha(s_star)) and psi
-    all come from the evaluation at s_star.
-
-    Returns None when the frequency admits no growing mode (alpha >= 0 at the
-    bottom of the bracket).  The default bracket is [1e-8, 1] * sqrt(g * r)
-    with r = sup drho/rho, which provably contains any root.
+    Cholesky tests bisect [s_lo, s_hi] to hi / lo <= 1.2; two inverse steps
+    with T(lo) from the constant vector start Rayleigh-functional iteration
+    (cubic) to its residual floor.  T(p + delta) positive definite and
+    T(p - delta > lo) not, delta = max(tol/2 max(1, p), eigen noise), certify
+    p; otherwise (a lower root) the Cholesky bracket is bisected to
+    tol * max(1, lo) and psi is one warm alpha solve at its lower end.
+    None if T(s_lo) is positive definite (no rate above s_lo); the default
+    [1e-8, 1] * sqrt(g sup drho/rho) provably holds any root, and T(s_hi)
+    not positive definite raises BracketFailure.
     """
-    g = forms.params.g
-    rate_cap = float(np.sqrt(g * forms.profile.sup_ratio))
-    if s_hi is None:
-        s_hi = rate_cap
-    if s_lo is None:
-        s_lo = 1e-8 * s_hi
-
-    a_lo, pair_lo = alpha(forms, s_lo)
-    if a_lo >= 0.0:
+    cap = float(np.sqrt(forms.params.g * forms.profile.sup_ratio))
+    s_hi = cap if s_hi is None else s_hi
+    s_lo = 1e-8 * s_hi if s_lo is None else s_lo
+    if _above(forms, s_lo):
         return None
-    lam_lo = float(np.sqrt(-a_lo))
-    if s_lo - lam_lo >= 0.0:
-        # root below the bottom of the bracket: the growing rate is <= s_lo,
-        # numerically indistinguishable from no growth at default tolerance
-        return None
-
-    # f is nondecreasing and f(lam_lo) >= 0, so the root lies in
-    # [s_lo, lam_lo]: f(s_hi) < 0 is possible only when s_hi < lam_lo, and
-    # only then does the check at s_hi need an evaluation
-    if s_hi < lam_lo:
-        a_hi, _ = alpha(forms, s_hi)
-        f_hi = s_hi - float(np.sqrt(max(-a_hi, 0.0)))
-        if f_hi < 0.0:
-            raise BracketFailure(
-                f"f(s_hi) = {f_hi:.6g} < 0 at s_hi = {s_hi:.6g} "
-                f"(alpha = {a_hi:.6g}); rate exceeds the sup-ratio bound, "
-                "which indicates an inconsistent discretization"
-            )
-
-    lo, hi = s_lo, min(s_hi, lam_lo)  # g(lo) < 0 <= g(hi) throughout
-    s, a, pair = s_lo, a_lo, pair_lo
-    frontier = s_lo
-    star = None  # the last evaluation that passed the fixed-point test
-    certifying = bisecting = False
-    for _ in range(_MAX_STEPS):
-        g_s = s * s + a
-        if g_s < 0.0:
-            lo = s
-        else:
-            hi = s
-        lam = float(np.sqrt(max(-a, 0.0)))
-        # the fixed-point defect cannot be certified below the eigenvalue
-        # noise floor of one solve, |r| |psi| mapped through d(lam)/d(alpha)
-        noise = 2.0 * pair.value_tol / max(lam, 1e-300)
-        settled = a < 0.0 and abs(s - lam) <= max(0.5 * tol * max(1.0, lam), noise)
-        if a < 0.0:
-            frontier = max(frontier, s)
-        if settled:
-            star, width = (s, a, pair), tol * max(1.0, lam)
-        if star is not None and star[0] in (lo, hi) and hi - lo <= width:
-            break  # g changes sign within the tolerance of s_star
-        # after a certificate that did not show the sign change, bisect: it
-        # cannot stall in the eigenvalue noise
-        bisecting = bisecting or certifying
-        certifying = settled and not bisecting
-        if certifying:
-            nxt = s + math.copysign(0.5 * tol * max(1.0, s), -g_s)
-        elif bisecting:
-            nxt = 0.5 * (lo + hi)
-        else:
-            slope = 2.0 * s + float(pair.vec @ band_matvec(forms.e1, pair.vec))
-            nxt = s - g_s / slope
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-        s = nxt
-        a, pair = alpha(forms, s, start=pair.vec)
-    else:
+    if not _above(forms, s_hi):
         raise BracketFailure(
-            f"fixed point did not settle in {_MAX_STEPS} steps: bracket "
-            f"[{lo:.6g}, {hi:.6g}] (eigenvalue noise dominates near a marginal "
-            "frequency; refine the grid or loosen tol)"
+            f"T(s_hi) is not positive definite at s_hi = {s_hi:.6g}: a rate above "
+            "the sup-ratio bound indicates an inconsistent discretization"
         )
 
-    s_star, a_star, pair_star = star
-    lam = float(np.sqrt(-a_star))
+    lo, hi = _bisect(forms, s_lo, s_hi, lambda lo, hi: hi <= _START_RATIO * lo)
+    one = np.full(forms.grid.n, 1.0 / math.sqrt(forms.grid.n))
+    start, _, inverse = _inverse_steps(
+        forms.energy(lo), forms.j, -lo * lo, one, band_matvec(forms.j, one), 2
+    )
+    p, pair, noise = _rayleigh_functional(forms, start, _RFI_STEPS)
+    pair.iterations += inverse
+    delta = max(0.5 * tol * max(1.0, p), noise)
+    below, above = p - delta, p + delta
+    if lo < below and _above(forms, above) and not _above(forms, below):
+        lo, hi = below, above
+    else:
+        lo, hi = _bisect(forms, lo, hi, lambda lo, hi: hi - lo <= tol * max(1.0, lo))
+        _, warm = alpha(forms, lo, start=pair.vec)
+        p, pair, _ = _rayleigh_functional(forms, warm.vec, 0)
+
+    lam = float(np.sqrt(max(-pair.value, 0.0)))
     if lam <= tol:
         return None
     return GrowthResult(
-        forms=forms,
-        lam=lam,
-        s_star=s_star,
-        alpha_at_s=a_star,
-        psi=pair_star,
-        bracket_width=hi - lo,
-        s_frontier=frontier,
+        forms, lam, s_star=p, alpha_at_s=pair.value, psi=pair,
+        bracket_width=max(hi - p, p - lo), s_frontier=hi,
     )

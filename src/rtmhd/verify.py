@@ -97,6 +97,9 @@ STEPS_PER_EFOLD = 20  # coarsest default step: CN rate error (1/20)^2/12 = 2.1e-
 SAMPLE_INTERVALS = 60  # a default run samples its norm at t_k = k T / 60
 HORIZON = 3.0  # a run at rate lambda goes to T = HORIZON / lambda by default
 MAX_STEPS = 100_000  # most steps T / dt that ``cross_check`` takes on one run
+# most e-folds lambda T of the eigenmode run: its squared norms grow by
+# e^(2 lambda T) <= 1e260, which leaves 48 decades of the float range
+MAX_EFOLDS = 300.0
 MODE_TOL = 1e-2  # loose mode residual gate: the time integration is the check
 SHARPNESS_ORBITS = 8  # strongest member sign orbits the sharpness check runs
 
@@ -392,7 +395,9 @@ def measured_rate(samples: list[tuple[float, float]]) -> RateEstimate:
         raise ValueError(f"need at least {MIN_RATE_SAMPLES} samples to fit a rate")
     t = np.array([s[0] for s in samples])
     v = np.array([s[1] for s in samples])
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(v)):
+        raise DegenerateSeries("norm series contains non-finite values")
+    if np.any(v <= 0.0):
         raise DegenerateSeries("norm series contains non-positive values")
     half = len(t) // 2
     tt, vv = t[half:], np.log(v[half:])
@@ -506,7 +511,7 @@ def cross_check(
     SHARPNESS_ORBITS strongest member sign orbits of the sweep ``table``.
     The eigenmode's T and dt default as the sharpness runs'; ConfigError,
     before any factorization, if T / dt is not finite, above MAX_STEPS or
-    gives too few samples."""
+    gives too few samples, or if lambda T is above MAX_EFOLDS."""
     forms, xi, lam, seeds = result.forms, result.forms.xi, result.lam, list(seeds)
     T = HORIZON / lam if T is None else T
     dt = default_schedule(lam, T) if dt is None else dt
@@ -516,6 +521,11 @@ def cross_check(
     if steps + 1 < MIN_RATE_SAMPLES:
         need = MIN_RATE_SAMPLES - 1
         raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")
+    if not lam * T <= MAX_EFOLDS:
+        raise ConfigError(
+            f"verify T = {T:g}: the mode grows by lambda T = {lam * T:.4g} e-folds, "
+            f"more than the {MAX_EFOLDS:g} its norms can hold"
+        )
     init = eigenmode_column(modes.build_mode(result, mode_tol=MODE_TOL))[:, None]
     # the rate is even in each component: (|xi1|, |xi2|) for each sign orbit
     rated = (e for e in table.entries if e.member and e.lam is not None)

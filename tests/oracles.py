@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.linalg import eig_banded, eigh, eigvalsh
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.sparse.linalg import splu
 
 from rtmhd.errors import NonPositiveDensity, NoUnstableRegion
@@ -233,6 +233,23 @@ def dense_forms(profile, grid, xi, mag, params) -> dict[str, np.ndarray]:
     e1 = params.mu * h * (4.0 * xi2 * d1.T @ d1 + core.T @ core)
     j = xi2 * mass(profile.rho(x)) + stiffness(profile.rho(xm))
     return {"e0": e0, "e1": e1, "j": j, "mass": mass(1.0)}
+
+
+def dense_growth_root(forms: dict, xi2: float, s_lo: float) -> float | None:
+    """The root of g(s) = s^2 + alpha(s), alpha(s) the smallest eigenvalue of
+    (xi2 E0 + s E1, J) by dense eigh, on the dense ``forms``; None if
+    T(s_lo) = xi2 E0 + s_lo E1 + s_lo^2 J is positive definite (g(s_lo) > 0).
+    alpha is nondecreasing, so g >= 0 at s = sqrt(-alpha(0)), the top of the
+    bracket."""
+
+    def g(s):
+        e = xi2 * forms["e0"] + s * forms["e1"]
+        return s * s + eigh(e, forms["j"], eigvals_only=True, subset_by_index=[0, 0])[0]
+
+    if g(s_lo) > 0.0:
+        return None
+    s_hi = np.sqrt(-eigh(xi2 * forms["e0"], forms["j"], eigvals_only=True)[0])
+    return brentq(g, s_lo, s_hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
 
 
 def eoc(err_coarse: float, err_fine: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,30 @@ def test_cli_verify_caps_the_steps_before_factoring(
     assert code == 2
     assert err["error"] == "config"
     assert f"{rtmhd.verify.MAX_STEPS} steps" in err["message"]
+    assert not calls and not splu_calls
+
+
+def test_cli_verify_overflowing_horizon_exits_2_before_factoring(
+    tmp_path, capsys, monkeypatch, splu_calls
+):
+    # lambda T = 0.374 * 1e4 e-folds would overflow the norms: a config error
+    # found before any factorization, with no numpy overflow warning; it used
+    # to step 20 000 times and exit 3 calling the series non-positive
+    calls = []
+    monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
+    path = _write_config(
+        tmp_path / "c.json",
+        grid={"half_length": 8.0, "n": 201},
+        verify={"dt": 0.5, "T": 1e4},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", path])
+    [line] = capsys.readouterr().out.splitlines()
+    err = json.loads(line)
+    assert code == 2
+    assert err["error"] == "config"
+    assert "e-folds" in err["message"] and "T = 10000" in err["message"]
     assert not calls and not splu_calls
 
 

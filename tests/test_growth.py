@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import rtmhd
 import rtmhd.growth
 from rtmhd.errors import BracketFailure, ZeroFrequency
 from rtmhd.forms import assemble_forms
 from rtmhd.growth import alpha, growth_rate
+from rtmhd.operators import band_to_dense
 
-from .conftest import CANON_PARAMS
+from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
+from .oracles import dense_forms, dense_growth_root
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -65,22 +68,31 @@ def test_fixed_point_residual(canon_profile, canon_grid):
 FIXED_POINT_SETUPS = (((1.0, 0.0), 0.0), ((1.0, 1.0), 0.3), ((0.0, 2.0), 1.0))
 
 
-def test_fixed_point_needs_few_alpha_evaluations(
-    canon_profile, canon_grid, monkeypatch
-):
-    calls = []
-    real = rtmhd.growth.alpha
+def test_fixed_point_work_counts(canon_profile, canon_grid, monkeypatch):
+    # the work of one rate, counted at the LAPACK names eig.py calls: banded
+    # Cholesky tests (dpbtrf) and banded solves (dgbsv, dgtsv); the certified
+    # route makes no alpha eigen-solve
+    calls = {"dpbtrf": 0, "dgbsv": 0, "dgtsv": 0, "min_generalized_eig": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(rtmhd.growth, "alpha", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("dpbtrf", "dgbsv", "dgtsv"):
+        counting(rtmhd.eig, name)
+    counting(rtmhd.growth, "min_generalized_eig")
     for xi, M in FIXED_POINT_SETUPS:
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         res = growth_rate(_forms(canon_profile, canon_grid, xi=xi, M=M))
         assert res is not None
-        assert len(calls) <= 8, f"xi = {xi}, M = {M}: {len(calls)} alpha calls"
+        assert calls["dpbtrf"] <= 14, f"xi = {xi}, M = {M}: {calls}"
+        assert calls["dgbsv"] + calls["dgtsv"] <= 5, f"xi = {xi}, M = {M}: {calls}"
+        assert calls["min_generalized_eig"] == 0, f"xi = {xi}, M = {M}: {calls}"
 
 
 def test_fixed_point_bracket_certificate(canon_profile, canon_grid):
@@ -156,3 +168,82 @@ def test_growth_rate_stable_under_grid_refinement(canon_profile):
         prof = rtmhd.build_profile(canon_profile.spec, grid)
         lams.append(growth_rate(_forms(prof, grid)).lam)
     assert lams[0] == pytest.approx(lams[1], rel=1e-3)
+
+
+# (profile, orientation, M, xi) at n = 201: both conftest profiles, both field
+# orientations, M in {0, 0.3, 1}; three of them admit no growing mode
+DENSE_SETUPS = (
+    ("canon", H, 0.0, (1.0, 0.0)),
+    ("canon", H, 0.3, (1.0, 1.0)),
+    ("canon", H, 1.0, (0.0, 2.0)),
+    ("canon", H, 1.0, (1.0, 1.0)),
+    ("canon", V, 0.3, (2.0, 0.5)),
+    ("canon", V, 1.0, (0.5, 1.0)),
+    ("canon", V, 1.0, (3.0, 0.0)),
+    ("jumpneg", H, 0.0, (0.3, 0.0)),
+    ("jumpneg", H, 0.3, (2.0, 0.5)),
+    ("jumpneg", H, 1.0, (0.5, 1.0)),
+    ("jumpneg", H, 1.0, (2.0, 0.0)),
+    ("jumpneg", V, 0.3, (0.1, 0.1)),
+    ("jumpneg", V, 1.0, (1.0, 1.0)),
+    ("jumpneg", V, 1.0, (0.3, 0.0)),
+)
+
+
+def test_growth_rate_matches_dense_root():
+    # the certified root against s^2 + alpha(s) = 0 with alpha from dense
+    # eigh on the forms written out from the paper (tests/oracles.py)
+    grid = rtmhd.Grid1D(8.0, 201)
+    specs = {"canon": CANON_SPEC, "jumpneg": JUMP_NEG_SPEC}
+    nones = 0
+    for name, orient, M, xi in DENSE_SETUPS:
+        prof = rtmhd.build_profile(specs[name], grid)
+        freq, mag = rtmhd.Frequency(*xi), rtmhd.MagneticConfig(orient, M)
+        res = growth_rate(assemble_forms(prof, grid, freq, mag, CANON_PARAMS))
+        s_lo = 1e-8 * np.sqrt(CANON_PARAMS.g * prof.sup_ratio)
+        root = dense_growth_root(
+            dense_forms(prof, grid, freq, mag, CANON_PARAMS), freq.norm2, s_lo
+        )
+        label = f"{name} {orient.value} M = {M} xi = {xi}"
+        if res is None:
+            nones += 1
+            assert root is None, f"{label}: dense root {root}"
+            continue
+        assert root is not None, label
+        assert abs(res.s_star - root) <= res.bracket_width, label
+        assert abs(res.s_star - res.lam) <= 1e-8 * max(1.0, res.lam), label
+        assert abs(res.lam - root) <= 1e-8 * max(1.0, root), label
+    assert nones == 3
+
+
+def test_certificate_rejects_a_lower_root(monkeypatch):
+    # start the iteration from the second eigenvector of (E(lambda), J): it
+    # converges to a lower root of T, which the certificate rejects, and the
+    # Cholesky fallback returns the true rate
+    grid = rtmhd.Grid1D(8.0, 201)
+    fs = _forms(rtmhd.build_profile(CANON_SPEC, grid), grid)
+    tol = 1e-8
+    truth = growth_rate(fs, tol=tol)
+    _, vecs = eigh(band_to_dense(fs.energy(truth.lam)), band_to_dense(fs.j))
+    roots, alphas = [], []
+    iterate, solve = rtmhd.growth._rayleigh_functional, rtmhd.growth.alpha
+
+    def recording(*args):
+        out = iterate(*args)
+        roots.append(out[0])
+        return out
+
+    def counting(*args, **kwargs):
+        alphas.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(
+        rtmhd.growth, "_inverse_steps", lambda *args: (vecs[:, 1], None, 0)
+    )
+    monkeypatch.setattr(rtmhd.growth, "_rayleigh_functional", recording)
+    monkeypatch.setattr(rtmhd.growth, "alpha", counting)
+    res = growth_rate(fs, tol=tol)
+    assert 0.0 < roots[0] < truth.lam - tol  # the iteration found a lower root
+    assert len(alphas) == 1  # the certificate failed: one fallback alpha solve
+    assert abs(res.lam - truth.lam) <= tol * max(1.0, truth.lam)
+    assert abs(res.s_star - truth.lam) <= res.bracket_width <= tol * max(1.0, res.lam)

@@ -186,8 +186,13 @@ def test_measured_rate_degenerate_series():
     t = np.linspace(0.0, 1.0, 12)
     v = np.exp(t)
     v[7] = 0.0
-    with pytest.raises(DegenerateSeries):
+    with pytest.raises(DegenerateSeries, match="non-positive"):
         measured_rate(list(zip(t, v)))
+    # an overflowed norm is named as such, not as a non-positive one
+    for bad in (np.inf, np.nan):
+        v[7] = bad
+        with pytest.raises(DegenerateSeries, match="non-finite"):
+            measured_rate(list(zip(t, v)))
     # times whose squares underflow: polyfit cannot scale them
     with pytest.raises(DegenerateSeries, match="too small"):
         measured_rate(list(zip(1e-300 * t, np.exp(t))))
