@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Time and count the eigen-solves: one cold and one warm solve of the
-energy pencil, one growth rate (its banded Cholesky tests, banded solves
-and alpha solves), the thresholds' M_c trace, and two cold solves that take
-the second pass (the |xi|_vc pencil and a small-spectrum random pencil), for
-one or two source trees.
+"""Time the eigen-solves and count their LAPACK calls (banded Cholesky tests,
+dpbtrf, and banded solves, dgbsv and dgtsv, at the names ``rtmhd.eig``
+calls): one cold and one warm top root of the energy pencil, one growth
+rate, the thresholds commands' solves (the M_c trace, |xi|_vc and the S(xi)
+rows) and a cold solve on a random pencil whose spectrum is narrower than
+1e-3, for one or two source trees.
 
 Each tree is measured in its own child process, with its ``src`` directory
 on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
 rounds that alternate which tree goes first, and each time is the median
-over the rounds; iteration counts are deterministic and equal in every
-round.
+over the rounds; the counts are deterministic and equal in every round.
 
 Usage:
     python scripts/bench_eig.py [--before OTHER/src] [--out FILE]
@@ -30,10 +30,27 @@ S_COLD = 1e-8  # times the rate cap sqrt(g sup rho'/rho), as growth_rate's s_lo
 S_WARM = 0.1  # the warm solve starts from the cold solve's vector
 CRITICAL_N0 = 17  # the thresholds workload's M_c trace
 CRITICAL_LZ0 = 8.0
-VERTICAL_N = 801
-M_HALF_CRITICAL = 0.5 * 0.5938125387139516  # half of JUMP_NEG_SPEC's M_c
+THRESHOLD_M = 0.3  # the thresholds workload's field, n and S(xi) radius
+THRESHOLD_N = 201
+THRESHOLD_RADIUS = 4.0
+VERTICAL_N = (201, 801)
 SMALL_SCALE = 1e-3  # A of the random pencil, so its spectrum is narrower than 1e-3
 SMALL_SEED, SMALL_N, SMALL_P = 0, 60, 2
+LAPACK = ("dpbtrf", "dgbsv", "dgtsv")
+
+
+def _top_root(eig):
+    """eig.top_root; on a tree from before it, the top root of T(s) = C0 +
+    s C1 as the largest eigenvalue of the pencil (-C0, C1)."""
+    if hasattr(eig, "top_root"):
+        return eig.top_root
+    from rtmhd.operators import band_combine
+
+    def top_root(terms, metric, lo, start=None):
+        c0, c1 = terms
+        return eig.max_generalized_eig(band_combine([(-1.0, c0)]), c1, start=start)
+
+    return top_root
 
 
 def measure() -> dict:
@@ -44,146 +61,101 @@ def measure() -> dict:
     import rtmhd.dispersion as dispersion
     import rtmhd.eig as eig
     import rtmhd.growth as growth
-    from rtmhd.eig import min_generalized_eig
     from rtmhd.forms import assemble_forms
+
+    top_root = _top_root(eig)
+    originals = {name: getattr(eig, name) for name in LAPACK}
+    counts = dict.fromkeys(LAPACK, 0)
+
+    def counted(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return call
+
+    def case(fn, repeat):
+        """fn's median time over repeat calls, its LAPACK calls (counted on
+        one more call) and its value."""
+        ms = 1e3 * _timed(fn, repeat)
+        counts.update(dict.fromkeys(LAPACK, 0))
+        for name in LAPACK:
+            setattr(eig, name, counted(name))
+        try:
+            value = fn()
+        finally:
+            for name in LAPACK:
+                setattr(eig, name, originals[name])
+        return {"ms": ms, **counts, "lapack": sum(counts.values()), "value": value}
 
     spec = rtmhd.ProfileSpec(1.0, (rtmhd.Bump(0.5, 0.0, 1.0),))
     params = rtmhd.PhysicalParams(mu=1.0, g=9.8, L=1.0)
     mag = rtmhd.MagneticConfig(rtmhd.Orientation.HORIZONTAL, 0.0)
     cases = {}
     for n in SIZES:
+        # alpha(s) < 0 at both s, so its negative is the top root above 0
         grid = rtmhd.Grid1D(8.0, n)
         profile = rtmhd.build_profile(spec, grid)
         forms = assemble_forms(profile, grid, rtmhd.Frequency(*XI), mag, params)
         cap = float(np.sqrt(params.g * profile.sup_ratio))
-        cold_a, warm_a = forms.energy(S_COLD * cap), forms.energy(S_WARM * cap)
-        cold = min_generalized_eig(cold_a, forms.j)
-        warm = min_generalized_eig(warm_a, forms.j, start=cold.vec)
-        cases[f"cold n={n}"] = {
-            "ms": 1e3 * _timed(lambda: min_generalized_eig(cold_a, forms.j), 21),
-            "iterations": cold.iterations,
-            "value": cold.value,
-        }
-        cases[f"warm n={n}"] = {
-            "ms": 1e3 * _timed(
-                lambda: min_generalized_eig(warm_a, forms.j, start=cold.vec), 21
-            ),
-            "iterations": warm.iterations,
-            "value": warm.value,
-        }
+        cold_t = (forms.energy(S_COLD * cap), forms.j)
+        warm_t = (forms.energy(S_WARM * cap), forms.j)
+        start = top_root(cold_t, forms.j, 0.0).vec
+        cases[f"cold n={n}"] = case(
+            lambda: float(top_root(cold_t, forms.j, 0.0).value), 21
+        )
+        cases[f"warm n={n}"] = case(
+            lambda: float(top_root(warm_t, forms.j, 0.0, start=start).value), 21
+        )
 
-    # one growth rate at n = 201, its work counted at the LAPACK names eig.py
-    # calls (banded Cholesky tests and banded solves) and its alpha solves
     grid = rtmhd.Grid1D(8.0, SIZES[0])
     profile = rtmhd.build_profile(spec, grid)
     forms = assemble_forms(profile, grid, rtmhd.Frequency(*XI), mag, params)
-    wrapped = [(eig, name) for name in ("dpbtrf", "dgbsv", "dgtsv")]
-    wrapped.append((growth, "min_generalized_eig"))
-    counts = dict.fromkeys((name for _, name in wrapped), 0)
-    originals = [getattr(module, name) for module, name in wrapped]
+    cases[f"growth_rate n={SIZES[0]}"] = case(lambda: growth.growth_rate(forms).lam, 11)
 
-    def counted(name, real):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        return call
-
-    for (module, name), real in zip(wrapped, originals):
-        setattr(module, name, counted(name, real))
-    try:
-        result = growth.growth_rate(forms)
-    finally:
-        for (module, name), real in zip(wrapped, originals):
-            setattr(module, name, real)
-    cases[f"growth_rate n={SIZES[0]}"] = {
-        "ms": 1e3 * _timed(lambda: growth.growth_rate(forms), 11),
-        **counts,
-        "value": result.lam,
-    }
-
-    # the M_c trace of the thresholds workload: tridiagonal pencils, the
-    # grid doubling from n0 until the trace settles
+    # the thresholds workload's three commands: the M_c trace (tridiagonal
+    # pencils, the grid doubling from n0 until the trace settles), |xi|_vc
+    # and the S(xi) rows
     neg = rtmhd.ProfileSpec(
         5.0, (rtmhd.Bump(0.6, 1.0, 0.5), rtmhd.Bump(-1.8, -1.0, 0.5))
     )
     critical_profile = rtmhd.build_profile(neg, rtmhd.Grid1D(CRITICAL_LZ0, CRITICAL_N0))
-    counts = {"solves": 0, "iterations": 0, "largest_n": 0}
-    solve = dispersion.max_generalized_eig
-
-    def counted_max(a, b, *args, **kwargs):
-        pair = solve(a, b, *args, **kwargs)
-        counts["solves"] += 1
-        counts["iterations"] += pair.iterations
-        counts["largest_n"] = max(counts["largest_n"], a.shape[1])
-        return pair
-
-    def trace():
-        return dispersion.critical_number_auto(
+    cases["M_c trace"] = case(
+        lambda: dispersion.critical_number_auto(
             critical_profile, lz0=CRITICAL_LZ0, n0=CRITICAL_N0, g=1.0
+        ).value,
+        5,
+    )
+    for n in VERTICAL_N:
+        grid = rtmhd.Grid1D(CRITICAL_LZ0, n)
+        vertical_profile = rtmhd.build_profile(neg, grid)
+        cases[f"|xi|_vc n={n}"] = case(
+            lambda: dispersion.critical_freq_vertical(
+                vertical_profile, grid, THRESHOLD_M, g=1.0
+            ),
+            11,
         )
-
-    dispersion.max_generalized_eig = counted_max
-    try:
-        critical = trace()
-    finally:
-        dispersion.max_generalized_eig = solve
-    cases["M_c trace"] = {
-        "ms": 1e3 * _timed(trace, 5),
-        **counts,
-        "value": critical.value,
-    }
-
-    # cold solves that fail the first pass's certificate and take the second
-    # pass: the ill-conditioned |xi|_vc pencil, and a random pencil whose
-    # whole spectrum is narrower than the coarse bracket width
-    def second_passes(solve):
-        widths = []
-        bisect = eig._bisect
-
-        def recording(a, b, lo, hi, width):
-            widths.append(width)
-            return bisect(a, b, lo, hi, width)
-
-        eig._bisect = recording
-        try:
-            pair = solve()
-        finally:
-            eig._bisect = bisect
-        return pair, len(widths) - 1
-
-    grid = rtmhd.Grid1D(CRITICAL_LZ0, VERTICAL_N)
-    vertical_profile = rtmhd.build_profile(neg, grid)
-    counts = {"solves": 0, "iterations": 0, "largest_n": 0}
-
-    def vertical():
-        return dispersion.critical_freq_vertical(
-            vertical_profile, grid, M_HALF_CRITICAL, g=1.0
-        )
-
-    dispersion.max_generalized_eig = counted_max
-    try:
-        xi_vc, passes = second_passes(vertical)
-    finally:
-        dispersion.max_generalized_eig = solve
-    cases[f"|xi|_vc n={VERTICAL_N}"] = {
-        "ms": 1e3 * _timed(vertical, 11),
-        **counts,
-        "second_passes": passes,
-        "value": xi_vc,
-    }
+    grid = rtmhd.Grid1D(CRITICAL_LZ0, THRESHOLD_N)
+    rows_profile = rtmhd.build_profile(neg, grid)
+    cases[f"S(xi) rows n={THRESHOLD_N}"] = case(
+        lambda: sum(
+            s
+            for _, s in dispersion.threshold_rows(
+                rows_profile, grid, THRESHOLD_M, THRESHOLD_RADIUS, 1.0, 1.0
+            )
+            if s is not None
+        ),
+        5,
+    )
 
     rng = np.random.default_rng(SMALL_SEED)
     a = rng.standard_normal((SMALL_P + 1, SMALL_N)) * SMALL_SCALE
     b = rng.standard_normal((SMALL_P + 1, SMALL_N)) * 0.3
     b[0] = np.abs(b[0]) + SMALL_P + 1.5  # diagonally dominant -> SPD
-    small, passes = second_passes(lambda: min_generalized_eig(a, b))
-    cases[f"cold A*{SMALL_SCALE:g} n={SMALL_N}"] = {
-        "ms": 1e3 * _timed(lambda: min_generalized_eig(a, b), 21),
-        "iterations": small.iterations,
-        "second_passes": passes,
-        "value": small.value,
-    }
+    lo = -float(np.min(a[0] / b[0])) - 1e-9  # minus a Rayleigh quotient, less a margin
+    cases[f"cold A*{SMALL_SCALE:g} n={SMALL_N}"] = case(
+        lambda: -float(top_root((a, b), b, lo).value), 21
+    )
     return cases
 
 
@@ -232,10 +204,14 @@ def main():
         "setup": {
             "profile": "configs/canonical.json's, half length 8, M = 0",
             "xi": list(XI),
-            "s_cold": f"{S_COLD} * rate cap",
+            "s_cold": f"{S_COLD} * rate cap; value is -alpha, the top root",
             "s_warm": f"{S_WARM} * rate cap, started from the cold vector",
             "critical": f"JUMP_NEG_SPEC, n0 = {CRITICAL_N0}, Lz0 = {CRITICAL_LZ0}",
-            "vertical": f"JUMP_NEG_SPEC, vertical field M = {M_HALF_CRITICAL!r}",
+            "vertical": f"JUMP_NEG_SPEC, vertical field M = {THRESHOLD_M}",
+            "rows": (
+                f"JUMP_NEG_SPEC, horizontal field M = {THRESHOLD_M}, radius "
+                f"{THRESHOLD_RADIUS}; value is the sum of the thresholds"
+            ),
             "small_spectrum": (
                 f"seed {SMALL_SEED}, n = {SMALL_N}, p = {SMALL_P}, "
                 f"A scaled by {SMALL_SCALE:g}"

@@ -16,9 +16,9 @@ from .dispersion import (
     lattice_sweep,
     sup_rate,
 )
-from .eig import EigenPair, max_generalized_eig, min_generalized_eig
+from .eig import EigenPair, top_root
 from .forms import FormSet, assemble_forms
-from .growth import GrowthResult, alpha, growth_rate
+from .growth import GrowthResult, growth_rate
 from .modes import (
     FieldSnapshot,
     NormalMode,

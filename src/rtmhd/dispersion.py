@@ -8,10 +8,11 @@ same threshold can be located through dedicated critical quantities: the
 critical field strength M_c (per truncation of the domain), the horizontal
 critical-frequency function S(xi) (per slope xi2/xi1) and the vertical
 critical-frequency constant |xi|_vc.  Each is the largest eigenvalue of one
-banded pencil, found by one certified ``max_generalized_eig`` call, and
-both routes agree up to solver tolerance.  The M_c pencil is condensed onto
-the nodes of the support of drho, so its size does not grow with the
-truncation length.
+banded pencil (A, B), the top root of T(s) = s B - A, found by one
+``eig.top_root`` call from the lower end 0, so no positive root means no
+threshold; both routes agree up to solver tolerance.  The M_c pencil is
+condensed onto the nodes of the support of drho, so its size does not grow
+with the truncation length.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .eig import EigenPair, definite, max_generalized_eig
+from .eig import EigenPair, definite, top_root
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange
 from .forms import FormSet, _e0_bands, assemble_forms, form_key
 from .growth import growth_rate
@@ -121,8 +122,8 @@ def _critical_pair(
     b[1, :-1] = -edge[1:-1]
     if start is not None and start.size != q.size:
         start = None
-    pair = max_generalized_eig(a, b, start=start)
-    if pair.value <= 0:
+    pair = top_root((-a, b), b, 0.0, start=start)
+    if pair is None:
         raise OutOfRange("profile admits no positive Rayleigh quotient")
     return pair
 
@@ -135,7 +136,7 @@ def _truncations(
     Each pencil lives on the nodes of the support (see ``_critical_pair``),
     which on a fixed-spacing doubling are the same nodes every time; only
     the two folded edges change.  So the previous eigenvector, unchanged,
-    starts the next solve, and max_generalized_eig certifies the result: a
+    starts the next solve, and ``eig.top_root`` certifies the result: a
     start that lands on a lower eigenvalue costs a cold solve, not a wrong
     value.
     """
@@ -219,8 +220,8 @@ def critical_number_auto(
     solves a pencil on the support's nodes alone (``_critical_pair``), so
     its cost does not depend on Lz.  Each eigen-solve after the first starts
     from the previous eigenvector, unchanged, and is certified like a cold
-    solve: a truncation after the first takes 2-4 iterations
-    (``EigenPair.iterations``) in place of a cold solve's 15-20.
+    solve: a truncation after the first takes 3-5 iterations
+    (``EigenPair.iterations``) in place of a cold solve's 13.
     """
     grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3 + max_doublings)
     trace: list[tuple[float, float]] = []
@@ -252,12 +253,13 @@ def _horizontal_pair(
     M: float,
     g: float,
     start: np.ndarray | None = None,
-) -> EigenPair:
-    """Largest eigenpair of (g|xi|^2/(M xi1)^2 drho mass - stiffness, mass)."""
+) -> EigenPair | None:
+    """Largest eigenpair of (g|xi|^2/(M xi1)^2 drho mass - stiffness, mass),
+    None if its eigenvalue is not positive."""
     drho_mass, stiffness, mass = bands
     coeff = g * xi.norm2 / (M * xi.xi1) ** 2
-    a = band_combine([(coeff, drho_mass), (-1.0, stiffness)])
-    return max_generalized_eig(a, mass, start=start)
+    minus_a = band_combine([(-coeff, drho_mass), (1.0, stiffness)])
+    return top_root((minus_a, mass), mass, 0.0, start=start)
 
 
 def critical_freq_horizontal(
@@ -267,7 +269,7 @@ def critical_freq_horizontal(
     if M * xi.xi1 == 0.0:
         raise OutOfRange("S(xi) requires M * xi1 != 0")
     pair = _horizontal_pair(_horizontal_bands(profile, grid), xi, M, g)
-    if pair.value <= 0:
+    if pair is None:
         raise OutOfRange(
             f"field ratio |M xi1|/|xi| = {abs(M * xi.xi1) / xi.norm:.6g} is at or "
             "above the critical field strength; no threshold exists"
@@ -290,8 +292,8 @@ def threshold_rows(
     depends on xi only through the slope xi2/xi1, so it is solved once per
     lattice direction (i, j)/gcd(i, j), at that reduced point, and rows of
     one slope share the value.  The directions are solved in slope order,
-    each solve starting from the eigenvector of the one before and certified
-    like a cold solve.
+    each solve starting from the eigenvector of the last one with a
+    threshold and certified like a cold solve.
     """
     points = [(i, j) for i, j in _lattice(radius, L) if i >= 1 and j >= 0]
     bands = _horizontal_bands(profile, grid)
@@ -307,8 +309,8 @@ def threshold_rows(
         s_of[(i, j)] = None
         if M * xi.xi1 != 0.0:
             pair = _horizontal_pair(bands, xi, M, g, start)
-            start = pair.vec
-            if pair.value > 0:
+            if pair is not None:
+                start = pair.vec
                 s_of[(i, j)] = float(np.sqrt(pair.value))
     return [(Frequency.lattice(i, j, L), s_of[direction(i, j)]) for i, j in points]
 
@@ -323,8 +325,8 @@ def critical_freq_vertical(
     B = g drho mass - M^2 K.  So E0 is positive definite exactly when
     t < 1/mu, mu the largest eigenvalue of (B, A), and |xi|_vc = 1/sqrt(mu):
     one eigen-solve on the bands that ``assemble_forms`` builds E0 from.  A
-    positive total density jump makes the threshold zero; mu <= 0 means the
-    field is at or above critical.
+    positive total density jump makes the threshold zero; no positive mu
+    means the field is at or above critical.
     """
     if profile.total_jump > 0:
         return 0.0
@@ -333,9 +335,9 @@ def critical_freq_vertical(
     bands = _e0_bands(profile, grid, g, True)
     m2 = M * M
     a = band_combine([(m2, bands.d2_gram)])
-    b = band_combine([(-1.0, bands.buoyancy), (-m2, bands.k_grad)])
-    pair = max_generalized_eig(b, a)
-    if pair.value <= 0:
+    minus_b = band_combine([(1.0, bands.buoyancy), (m2, bands.k_grad)])
+    pair = top_root((minus_b, a), a, 0.0)
+    if pair is None:
         raise OutOfRange(
             f"E0 is positive definite at every |xi|: M = {M:.6g} is at or above "
             "the critical field strength"

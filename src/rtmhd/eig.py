@@ -1,256 +1,219 @@
-"""Extreme eigenvalues of a symmetric banded pencil (A, B), B positive definite.
+"""The largest root of a symmetric banded family T(s) = C0 + s C1 (+ s^2 C2).
 
-By Sylvester's law of inertia, A - sigma*B is positive definite exactly when
-sigma lies below every pencil eigenvalue, and one banded Cholesky (LAPACK
-dpbtrf, info != 0 means not positive definite) answers that: ``definite``.
-
-The smallest eigenvalue is found by Rayleigh-quotient iteration, warm from
-a given vector or cold after a definiteness bisection, and certified by one
-such test just below the result or by a bisection bracket of relative width
-TOL (``min_generalized_eig``).
+The growth rate is the top root of T(s) = |xi|^2 E0 + s E1 + s^2 J, and
+M_c, S(xi) and |xi|_vc are each the largest eigenvalue of a pencil (A, B),
+the root of T(s) = s B - A.  Each family is positive definite exactly above
+its top root (Sylvester's law of inertia; for the quadratic, the minimax
+principle of overdamped pencils: Duffin; Voss, Numer. Linear Algebra Appl.
+16 (2009)), so one banded Cholesky (LAPACK dpbtrf, info != 0 means not
+positive definite) tells on which side of the root a trial s lies.  The
+root is the largest value of the Rayleigh functional p(psi), the largest
+root of psi^T T(s) psi = 0, and psi <- T(p)^-1 T'(p) psi converges to it
+cubically; for a pencil this is Rayleigh-quotient iteration (Tisseur &
+Meerbergen, SIAM Review 43 (2001); Parlett, The Symmetric Eigenvalue
+Problem (1998)).  ``top_root`` finds and certifies the root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import dgbsv, dgtsv, dpbtrf
-from .errors import FactorizationBreakdown
+from .errors import BracketFailure, FactorizationBreakdown
 from .operators import band_combine, band_matvec, band_to_lu
 
-__all__ = [
-    "EigenPair",
-    "definite",
-    "min_generalized_eig",
-    "max_generalized_eig",
-]
+__all__ = ["EigenPair", "TOL", "definite", "top_root"]
 
-TOL = 1e-10  # relative accuracy of every eigenvalue
-_RQI_STEPS = 6
-_RESIDUAL_TOL = 1e-8
-_COARSE_WIDTH = 1e-3  # relative bracket width where the cold route starts RQI
-_COLD_INVERSE_STEPS = 2
-
-
-def _band_scale(ab: np.ndarray) -> float:
-    return float(np.max(np.abs(ab))) if ab.size else 1.0
+TOL = 1e-10  # default relative accuracy of a root
+_START = 0.2  # the iteration starts once hi - lo <= _START * min(|lo|, |hi|)
+_STEPS = 6  # Rayleigh-functional steps
+_FLOOR = 4.0  # the residual floor, in units of eps |psi| sum |p|^k max|C_k|
+_EPS = float(np.finfo(float).eps)
 
 
 def definite(a: np.ndarray, b: np.ndarray, sigma: float) -> bool:
-    """True iff A - sigma*B is positive definite (its banded Cholesky exists).
-
-    By Sylvester's law this says every pencil eigenvalue lies above sigma;
-    a singular shift is not positive definite.
-    """
+    """True iff A - sigma*B is positive definite (its banded Cholesky exists):
+    every pencil eigenvalue lies above sigma.  A singular shift is not."""
     _, info = dpbtrf(band_combine([(1.0, a), (-sigma, b)]), lower=1)
     return info == 0
 
 
 @dataclass
 class EigenPair:
-    """Eigenvalue, B-normalized eigenvector, residual, and iteration count.
+    """A certified root of T and its vector.
 
-    value_tol is the first-order bound |r| |psi| on the eigenvalue error
-    implied by the residual; it is the certification floor for any decision
-    that compares eigenvalues from separate solves.
+    vec is metric-normalized with its largest-magnitude entry positive;
+    residual is |T(value) vec|; noise = residual |vec| / vec^T T'(value) vec,
+    the first-order error of value implied by the residual.  T(bracket[0])
+    is not positive definite and T(bracket[1]) is, so the tol-wide bracket
+    holds the root; it holds value too, or, after ``top_root``'s fallback
+    bisection, lies within 2 noise of it.  iterations counts the Cholesky
+    tests and banded solves.
     """
 
     value: float
     vec: np.ndarray
     residual: float
     iterations: int
-    value_tol: float = 0.0
+    noise: float
+    bracket: tuple[float, float]
 
 
-def _expand_bracket(
-    a: np.ndarray, b: np.ndarray, lo: float, hi: float
-) -> tuple[float, float, int]:
-    """Grow [lo, hi] until A - lo*B is positive definite and A - hi*B is not."""
-    iters = 0
-    span = max(1.0, abs(lo), abs(hi))
-    while not definite(a, b, lo):
-        iters += 1
-        lo -= span
-        span *= 4.0
-        if iters > 200:
-            raise FactorizationBreakdown("could not bracket the smallest eigenvalue")
-    span = max(1.0, abs(lo), abs(hi))
-    while definite(a, b, hi):
-        iters += 1
-        hi += span
-        span *= 4.0
-        if iters > 200:
-            raise FactorizationBreakdown("could not bracket the smallest eigenvalue")
-    return lo, hi, iters
-
-
-def _bisect(
-    a: np.ndarray, b: np.ndarray, lo: float, hi: float, width: float
-) -> tuple[float, float, int]:
-    """Halve [lo, hi], keeping A - lo*B positive definite and A - hi*B not,
-    until hi - lo <= width * max(1, |lo|, |hi|)."""
-    iters = 0
-    while hi - lo > width * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if definite(a, b, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, iters
-
-
-def _solve_shifted(
-    a: np.ndarray, b: np.ndarray, sigma: float, rhs: np.ndarray
-) -> np.ndarray:
-    """(A - sigma*B)^-1 rhs by LAPACK's tridiagonal (dgtsv) or general band
-    (dgbsv) solver, both with partial pivoting; LinAlgError if singular."""
-    shifted = band_combine([(1.0, a), (-sigma, b)])
-    if shifted.shape[0] == 2 and shifted.shape[1] > 1:  # dgtsv needs n > 1
-        sub = shifted[1, :-1]
+def _solve(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """t^-1 rhs for a symmetric band t (overwritten), by LAPACK's tridiagonal
+    (dgtsv) or general band (dgbsv) solver with partial pivoting;
+    LinAlgError if t is singular."""
+    if t.shape[0] == 2 and t.shape[1] > 1:  # dgtsv needs n > 1
+        sub = t[1, :-1]
         _, _, _, x, info = dgtsv(
-            sub, shifted[0], sub.copy(), rhs,
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+            sub, t[0], sub.copy(), rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
     else:
-        p = shifted.shape[0] - 1
-        _, _, x, info = dgbsv(p, p, band_to_lu(shifted), rhs, overwrite_ab=1)
+        p = t.shape[0] - 1
+        _, _, x, info = dgbsv(p, p, band_to_lu(t), rhs, overwrite_ab=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"shifted pencil is singular (info {info})")
+        raise np.linalg.LinAlgError(f"singular band (info {info})")
     return x
 
 
-def _inverse_steps(
-    a: np.ndarray, b: np.ndarray, shift: float, x: np.ndarray, bx: np.ndarray,
-    steps: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Up to `steps` B-normalized inverse-iteration solves (A - shift*B) y = B x,
-    carrying B y from the solve; stops at a singular shift or y^T B y <= 0.
-    Returns the last vector, its B-product and the number of steps made."""
-    for done in range(steps):
-        try:
-            y = _solve_shifted(a, b, shift, bx)
-        except np.linalg.LinAlgError:
-            return x, bx, done
-        by = band_matvec(b, y)
-        s = float(y @ by)
-        if not np.isfinite(s) or s <= 0.0:
-            return x, bx, done
-        root = np.sqrt(s)
-        x, bx = y / root, by / root
-    return x, bx, steps
+def top_root(
+    terms: tuple[np.ndarray, ...],
+    metric: np.ndarray,
+    lo: float,
+    hi: float | None = None,
+    start: np.ndarray | None = None,
+    tol: float = TOL,
+) -> EigenPair | None:
+    """The largest root of T(s) = sum of s^k terms[k] (two or three symmetric
+    bands, T' positive definite above lo), with a vector normalized in the
+    positive definite metric; None if T(lo) is positive definite or the
+    root is lo itself.
 
-
-def _rqi(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[EigenPair, float]:
-    """Rayleigh-quotient iteration (RQI) from x, at most _RQI_STEPS solves.
-
-    Returns the pair (B-normalized vector, its Rayleigh quotient and
-    residual |Ax - theta Bx| / |Bx|, iterations = the solves) and the
-    residual floor.  The acceptable floor scales with the matvec roundoff
-    eps*|A|*|x|/|Bx|, which dominates 1e-8 once the forms carry 1/h^3-sized
-    fourth-order entries.
+    Rayleigh-functional iteration runs until r = T(p) psi is at its floor
+    or the noise of p is at most tol/4 * scale, scale = max(1, |p|).  Two
+    Cholesky tests a tol-wide bracket apart certify p: T(p + delta) positive
+    definite and T(p - delta) not, p - delta > lo, delta = tol/2 * scale.
+    A start vector is iterated and certified first.  Otherwise, or if that
+    fails, Cholesky tests bisect [lo, hi] (if hi is None, hi = lo + max(1,
+    |lo|), stepped up by four bracket widths until T(hi) is positive
+    definite; a given T(hi) that is not raises BracketFailure), at the
+    geometric mean while hi > 2 lo > 0, until hi - lo <= 0.2 min(|lo|, |hi|)
+    or tol * max(1, |lo|, |hi|).  Two inverse steps T(hi) y = x from the
+    constant vector start the iteration (at hi, above every root, the
+    nearest root is the top one), and the certificate is tried.  Failing
+    it, the bracket is bisected to the tol width and the iteration restarted
+    at its upper end; that p is accepted within 2 noise of the bracket, or
+    FactorizationBreakdown is raised.  The slack is the first-order error
+    bound of p: where the noise exceeds tol * scale, the tests' own rounding
+    can put p outside every tol-wide Cholesky bracket (the |xi|_vc pencil at
+    n = 201 does), and p outside the slack is not the bracket's root.
     """
-    bx = band_matvec(b, x)
-    shift = float(x @ band_matvec(a, x)) / float(x @ bx)
-    iters = 0
-    residual = np.inf
-    value = shift
-    floor = _RESIDUAL_TOL
-    for _ in range(_RQI_STEPS):
-        x, bx, done = _inverse_steps(a, b, shift, x, bx, 1)
-        if not done:  # a failed step: move the shift down and retry
-            shift -= max(TOL, abs(shift) * 1e-12)
-            continue
-        iters += 1
-        ax = band_matvec(a, x)
-        value = float(x @ ax) / float(x @ bx)
-        norm_bx = float(np.linalg.norm(bx))
-        residual = float(np.linalg.norm(ax - value * bx)) / norm_bx
-        floor = max(
-            _RESIDUAL_TOL,
-            256.0
-            * np.finfo(float).eps
-            * _band_scale(band_combine([(1.0, a), (-value, b)]))
-            * float(np.linalg.norm(x))
-            / norm_bx,
-        )
-        if residual <= floor:
-            break
-        shift = value
-    k = int(np.argmax(np.abs(x)))
-    if x[k] < 0:
-        x = -x
-    value_tol = residual * float(np.linalg.norm(bx)) * float(np.linalg.norm(x))
-    return EigenPair(value, x, residual, iters, value_tol), floor
+    rows = max(len(c) for c in terms)
+    bands = [np.vstack([c, np.zeros((rows - len(c), c.shape[1]))]) for c in terms]
+    sizes = [float(np.abs(c).max()) for c in terms]
+    shared = [c is metric for c in terms]  # metric psi is then C_k psi
+    quadratic = len(terms) == 3
+    calls = 0
 
+    def at(s: float) -> np.ndarray:
+        t = bands[0] + s * bands[1]
+        if quadratic:
+            t += (s * s) * bands[2]
+        return t
 
-def min_generalized_eig(
-    a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
-) -> EigenPair:
-    """Smallest alpha with A psi = alpha B psi; psi normalized to psi^T B psi = 1.
+    def above(s: float) -> bool:
+        nonlocal calls
+        calls += 1
+        return dpbtrf(at(s), lower=1)[1] == 0
 
-    A Rayleigh quotient is never below the smallest eigenvalue alpha_min, so
-    a result for which A - (value - delta) B is positive definite (one test,
-    counted as an iteration) has value - alpha_min <= delta.  Warm,
-    Rayleigh-quotient iteration (RQI) runs from the start vector, with
-    delta = TOL*max(1, |value|) + 2*value_tol.  Otherwise, or if RQI misses
-    its residual floor or the test, the cold route grows a bracket from
-    |A| / min diag(B).  Each of at most two passes bisects it (to a relative
-    width of 1e-3, then TOL), takes two inverse steps at its lower end (where
-    A - lo*B is positive definite, so they move toward alpha_min) and runs
-    RQI.  Pass one's delta = TOL*max(1, |value|) has no slack, which proves
-    the accuracy of a bisection to TOL.  Pass two has that bisection, and
-    its bracket is the proof: value <= hi + delta + 2*value_tol, or it
-    raises FactorizationBreakdown.
-    """
-    iters = 0
+    def normalized(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m_y = band_matvec(metric, y)
+        scale = math.sqrt(float(y @ m_y))
+        return y / scale, m_y / scale
+
+    def solve(s: float, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal calls
+        calls += 1
+        return normalized(_solve(at(s), rhs))
+
+    def bisect(lo: float, hi: float, ratio: float) -> tuple[float, float]:
+        while hi - lo > max(ratio * min(abs(lo), abs(hi)), tol * max(1.0, -lo, hi)):
+            mid = math.sqrt(lo * hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        return lo, hi
+
+    def iterate(psi: np.ndarray, m_psi: np.ndarray):
+        """Rayleigh-functional steps from psi until r = T(p) psi is at its
+        floor or the noise of p is at most tol/4 * max(1, |p|), half the
+        certificate's delta: p, psi, |r| and the noise (inf if neither
+        was reached)."""
+        for step in range(_STEPS + 1):
+            v = [m_psi if k else band_matvec(c, psi) for c, k in zip(terms, shared)]
+            c, b = float(psi @ v[0]), float(psi @ v[1])
+            a = float(psi @ v[2]) if quadratic else 0.0
+            p = -2.0 * c / (b + math.sqrt(max(b * b - 4.0 * a * c, 0.0)))
+            r = v[0] + p * v[1] + (p * p) * v[2] if quadratic else v[0] + p * v[1]
+            r, norm = math.sqrt(float(r @ r)), math.sqrt(float(psi @ psi))
+            noise = r * norm / (b + 2.0 * p * a)
+            scale = sum(abs(p) ** k * size for k, size in enumerate(sizes))
+            done = r <= _FLOOR * _EPS * scale * norm
+            done = done or noise <= 0.25 * tol * max(1.0, abs(p))
+            if done or step == _STEPS:
+                break
+            try:  # T'(p) psi = C1 psi + 2 p C2 psi
+                psi, m_psi = solve(p, v[1] + (2.0 * p) * v[2] if quadratic else v[1])
+            except np.linalg.LinAlgError:  # T(p) is exactly singular: p is a root
+                done = True
+                break
+        return p, psi, r, noise if done else math.inf
+
+    def restart(s: float):
+        """The iteration from two inverse steps T(s) y = x, x constant."""
+        x = normalized(np.ones(metric.shape[1]))
+        for _ in range(2):
+            try:
+                x = solve(s, x[0])
+            except np.linalg.LinAlgError:
+                break
+        return iterate(*x)
+
+    def certify(p: float, noise: float, lo: float) -> tuple[float, float] | None:
+        delta = 0.5 * tol * max(1.0, abs(p))
+        if noise < math.inf and lo < p - delta and above(p + delta) and not above(p - delta):
+            return p - delta, p + delta
+        return None
+
+    bracket = None
     if start is not None:
-        pair, floor = _rqi(a, b, start)
-        iters = pair.iterations
-        if pair.residual <= floor:
-            iters += 1
-            delta = TOL * max(1.0, abs(pair.value)) + 2.0 * pair.value_tol
-            if definite(a, b, pair.value - delta):
-                pair.iterations = iters
-                return pair
-
-    n = a.shape[1]
-    ones = np.ones(n) / np.sqrt(n)
-    b_ones = band_matvec(b, ones)
-    guess = max(1.0, _band_scale(a) / max(np.min(b[0]), 1e-300))
-    lo, hi, k = _expand_bracket(a, b, -guess, guess)
-    iters += k
-    for width in (_COARSE_WIDTH, TOL):
-        lo, hi, k = _bisect(a, b, lo, hi, width)
-        x, _, done = _inverse_steps(a, b, lo, ones, b_ones, _COLD_INVERSE_STEPS)
-        pair, floor = _rqi(a, b, x)
-        iters += k + done + pair.iterations
-        if pair.residual > floor:
-            continue
-        delta = TOL * max(1.0, abs(pair.value))
-        if width == TOL:
-            certified = pair.value <= hi + delta + 2.0 * pair.value_tol
-        else:
-            iters += 1
-            certified = definite(a, b, pair.value - delta)
-        if certified:
-            pair.iterations = iters
-            return pair
-    raise FactorizationBreakdown(f"cold solve uncertified, |r| = {pair.residual:.3g}")
-
-
-def max_generalized_eig(
-    a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
-) -> EigenPair:
-    """Largest pencil eigenvalue, via the smallest eigenvalue of (-A, B).
-
-    A start vector is used and certified as in ``min_generalized_eig``: the
-    result is accepted only if A - (value + delta) B is negative definite,
-    so a start that converges to a lower eigenvalue falls back to the cold
-    route.
-    """
-    pair = min_generalized_eig(band_combine([(-1.0, a)]), b, start=start)
-    pair.value = -pair.value
-    return pair
+        p, psi, r, noise = iterate(*normalized(start))
+        bracket = certify(p, noise, lo)
+    if bracket is None:
+        if above(lo):
+            return None
+        lowest = lo
+        if hi is None:
+            hi = lo + max(1.0, abs(lo))
+            while not above(hi):
+                lo, hi = hi, hi + 4.0 * (hi - lo)
+                if not math.isfinite(hi):
+                    raise FactorizationBreakdown("T(s) is positive definite at no s")
+        elif not above(hi):
+            raise BracketFailure(f"T(hi) is not positive definite at hi = {hi:.6g}")
+        lo, hi = bisect(lo, hi, _START)
+        p, psi, r, noise = restart(hi)
+        bracket = certify(p, noise, lowest)
+        if bracket is None:
+            lo, hi = bisect(lo, hi, 0.0)
+            p, psi, r, noise = restart(hi)
+            if not (noise < math.inf and lo - 2.0 * noise <= p <= hi + 2.0 * noise):
+                raise FactorizationBreakdown(
+                    f"root {p:.17g} outside its Cholesky bracket [{lo:.17g}, {hi:.17g}]"
+                )
+            if p <= lowest:
+                return None
+            bracket = lo, hi
+    psi = psi if psi[np.argmax(np.abs(psi))] > 0 else -psi
+    return EigenPair(p, psi, r, calls, noise, bracket)

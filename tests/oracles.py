@@ -49,6 +49,14 @@ def dense_largest(a_band: np.ndarray, b_band: np.ndarray) -> float:
     return float(w[-1])
 
 
+def dense_alpha(forms, s: float) -> tuple[float, np.ndarray]:
+    """alpha(s), the smallest eigenvalue of (|xi|^2 E0 + s E1, J) on the
+    banded forms by dense eigh, and its J-normalized vector."""
+    a, j = band_to_dense(forms.energy(s)), band_to_dense(forms.j)
+    w, v = eigh(a, j, subset_by_index=[0, 0])
+    return float(w[0]), v[:, 0]
+
+
 def dense_count_below(a_band: np.ndarray, b_band: np.ndarray, sigma: float) -> int:
     w = eigh(band_to_dense(a_band), band_to_dense(b_band), eigvals_only=True)
     return int(np.sum(w < sigma))

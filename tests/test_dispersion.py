@@ -21,7 +21,7 @@ from rtmhd.dispersion import (
     _classify_trace,
     _truncations,
 )
-from rtmhd.eig import max_generalized_eig
+from rtmhd.eig import TOL, definite, top_root
 from rtmhd.errors import EmptyDomain, InconsistentDecision, OutOfRange, ZeroFrequency
 from rtmhd.forms import assemble_forms, form_key
 from rtmhd.growth import growth_rate
@@ -158,7 +158,7 @@ def test_critical_number_sqrt_scaling(jumpneg_profile, canon_grid):
 def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
     # each truncation after the first starts from the previous eigenvector:
     # a few solves instead of a 40-step bisection, and the cold value
-    solve = rtmhd.dispersion.max_generalized_eig
+    solve = rtmhd.dispersion.top_root
     iterations = []
 
     def counted(*args, **kwargs):
@@ -166,7 +166,7 @@ def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
         iterations.append(pair.iterations)
         return pair
 
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", counted)
     result = critical_number_auto(jumpneg_profile, lz0=8.0, n0=17, g=1.0)
     assert not result.is_infinite
     assert len(iterations) == len(result.trace) >= 4
@@ -177,7 +177,8 @@ def test_critical_trace_is_continued(jumpneg_profile, monkeypatch):
     for grid, (lz, value) in zip(grids, result.trace):
         assert lz == grid.half_length
         a = mass_band(grid, jumpneg_profile.drho(grid.points()))
-        cold = solve(a, grad_stiffness_band(grid))
+        stiffness = grad_stiffness_band(grid)
+        cold = solve((band_combine([(-1.0, a)]), stiffness), stiffness, 0.0)
         assert value == pytest.approx(np.sqrt(cold.value), rel=1e-11)
 
 
@@ -187,7 +188,7 @@ def test_critical_trace_continues_after_the_first_truncation_on_both_jump_signs(
     # on the condensed pencil the previous eigenvector also certifies the top
     # eigenvalue of a diverging trace (positive jump), so every truncation
     # after the first starts from it and costs a few solves, not a cold one
-    solve = rtmhd.dispersion.max_generalized_eig
+    solve = rtmhd.dispersion.top_root
     calls = []
 
     def recording(*args, **kwargs):
@@ -195,7 +196,7 @@ def test_critical_trace_continues_after_the_first_truncation_on_both_jump_signs(
         calls.append((kwargs.get("start"), pair.iterations))
         return pair
 
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", recording)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", recording)
     for profile, n0, g, infinite in (
         (canon_profile, 129, 9.8, True),
         (jumpneg_profile, 17, 1.0, False),
@@ -214,8 +215,8 @@ def _full_grid_pair(profile, grid, g):
     OutOfRange of a pencil with no positive eigenvalue."""
     a = mass_band(grid, g * profile.drho(grid.points()))
     b = grad_stiffness_band(grid)
-    pair = max_generalized_eig(a, b)
-    if pair.value <= 0:
+    pair = top_root((band_combine([(-1.0, a)]), b), b, 0.0)
+    if pair is None:
         raise OutOfRange("profile admits no positive Rayleigh quotient")
     return a, b, pair
 
@@ -245,14 +246,14 @@ def test_condensed_trace_matches_the_full_grid(case, canon_grid, monkeypatch):
     spec, g, lz0, n0 = CONDENSED_CASES[case]
     profile = rtmhd.build_profile(spec, canon_grid)
     grids = default_truncation_grids(profile, lz0=lz0, n0=n0, count=3)
-    solve = rtmhd.dispersion.max_generalized_eig
+    solve = rtmhd.dispersion.top_root
     condensed = []
 
-    def recording(a, b, *args, **kwargs):
-        condensed.append(a)
-        return solve(a, b, *args, **kwargs)
+    def recording(terms, *args, **kwargs):
+        condensed.append(-terms[0])  # T(s) = s B - A
+        return solve(terms, *args, **kwargs)
 
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", recording)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", recording)
     trace = list(_truncations(profile, grids, g))
     assert [lz for lz, _ in trace] == [grid.half_length for grid in grids]
     for grid, (_, value), a_window in zip(grids, trace, condensed):
@@ -287,14 +288,14 @@ def test_condensed_pencil_without_support_nodes_is_out_of_range(canon_grid):
 def test_critical_pencil_size_does_not_grow_with_lz(jumpneg_profile, monkeypatch):
     # the pencil spans the support's nodes, whatever the truncation length:
     # three traces of one spacing h = 16/130 solve pencils of one size
-    solve = rtmhd.dispersion.max_generalized_eig
+    solve = rtmhd.dispersion.top_root
     rows = []
 
-    def counted(a, b, *args, **kwargs):
-        rows.append(a.shape[1])
-        return solve(a, b, *args, **kwargs)
+    def counted(terms, *args, **kwargs):
+        rows.append(terms[0].shape[1])
+        return solve(terms, *args, **kwargs)
 
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", counted)
     sizes = set()
     for lz0, n0 in ((8.0, 129), (16.0, 259), (64.0, 1039)):
         rows.clear()
@@ -307,23 +308,29 @@ def test_critical_pencil_size_does_not_grow_with_lz(jumpneg_profile, monkeypatch
 
 
 @pytest.mark.parametrize("M", [0.3, 1.0])
-def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch):
-    solve = rtmhd.dispersion.max_generalized_eig
-    iterations = []
+def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch, lapack_calls):
+    solve = rtmhd.dispersion.top_root
+    work, solved = [], []  # LAPACK calls of each solve; those with a threshold
 
     def counted(*args, **kwargs):
+        before = sum(lapack_calls.values())
         pair = solve(*args, **kwargs)
-        iterations.append(pair.iterations)
+        if pair is not None:
+            solved.append(len(work))
+        work.append(sum(lapack_calls.values()) - before)
         return pair
 
     grid = rtmhd.Grid1D(8.0, 201)
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", counted)
     rows = threshold_rows(jumpneg_profile, grid, M, radius=4.0, L=1.0, g=1.0)
     monkeypatch.undo()
-    # one solve per slope xi2/xi1: 8 for the 12 rows; only the first is
-    # cold, each later one continues from the neighbouring slope
-    assert len(iterations) == 8
-    assert max(iterations[1:]) <= 8
+    # one solve per slope xi2/xi1: 8 for the 12 rows.  Each solve after the
+    # first, one without a threshold included, continues from the vector of
+    # the last slope with one and costs at most 8 LAPACK calls; a slope
+    # without a threshold leaves no vector, so the first slope with one is
+    # cold
+    assert len(work) == 8
+    assert all(w <= 8 for k, w in enumerate(work) if k and k != solved[0]), work
     assert [(xi.xi1, xi.xi2) for xi, _ in rows] == [
         (i, j) for i in range(1, 5) for j in range(4) if i * i + j * j <= 16
     ]
@@ -338,6 +345,31 @@ def test_threshold_rows_match_cold_solves(jumpneg_profile, M, monkeypatch):
         assert s_val == pytest.approx(cold, rel=1e-12)
     # M = 1 lies above the critical ratio for the flatter directions
     assert (blanks > 0) == (M == 1.0)
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-7, 1.0 + 1e-7])
+def test_threshold_decision_just_below_and_above_the_critical_ratio(
+    jumpneg_profile, factor
+):
+    # S(xi) exists exactly when the field ratio |M xi1| / |xi| lies below
+    # M_c of the same grid: 1e-7 below it there is a threshold, 1e-7 above
+    # it none, as the sign of the dense top eigenvalue of the S pencil says
+    grid = rtmhd.Grid1D(8.0, 201)
+    m_c = next(_truncations(jumpneg_profile, [grid], 1.0))[1]
+    xi, M = rtmhd.Frequency(1.0, 0.0), factor * m_c
+    drho_mass = mass_band(grid, jumpneg_profile.drho(grid.points()))
+    a = band_combine([(1.0 / M**2, drho_mass), (-1.0, grad_stiffness_band(grid))])
+    top = dense_largest(a, mass_band(grid))
+    rows = threshold_rows(jumpneg_profile, grid, M, radius=1.0, L=1.0, g=1.0)
+    assert [(f.xi1, f.xi2) for f, _ in rows] == [(1.0, 0.0)]
+    if factor < 1.0:
+        assert top > 0.0
+        s = critical_freq_horizontal(jumpneg_profile, grid, xi, M, g=1.0)
+        assert s == rows[0][1] == pytest.approx(np.sqrt(top), rel=1e-3)
+    else:
+        assert top < 0.0 and rows[0][1] is None
+        with pytest.raises(OutOfRange):
+            critical_freq_horizontal(jumpneg_profile, grid, xi, M, g=1.0)
 
 
 def test_threshold_rows_of_one_slope_are_bitwise_equal(jumpneg_profile):
@@ -444,7 +476,7 @@ def _vertical_pencil(profile, grid, M):
     [(201, 0.3), (801, M_HALF_CRITICAL), (801, 0.3 * M_HALF_CRITICAL)],
 )
 def test_xi_vc_is_one_solve_of_its_pencil(jumpneg_profile, n, M, monkeypatch):
-    solve = rtmhd.dispersion.max_generalized_eig
+    solve = rtmhd.dispersion.top_root
     calls = []
 
     def counted(*args, **kwargs):
@@ -452,12 +484,62 @@ def test_xi_vc_is_one_solve_of_its_pencil(jumpneg_profile, n, M, monkeypatch):
         return solve(*args, **kwargs)
 
     grid = rtmhd.Grid1D(8.0, n)
-    monkeypatch.setattr(rtmhd.dispersion, "max_generalized_eig", counted)
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", counted)
     xi_vc = critical_freq_vertical(jumpneg_profile, grid, M, g=1.0)
     monkeypatch.undo()
     assert len(calls) == 1
     mu = dense_largest(*_vertical_pencil(jumpneg_profile, grid, M))
     assert xi_vc == pytest.approx(1.0 / np.sqrt(mu), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [4001, 8001])
+def test_xi_vc_on_fine_grids_is_certified_for_its_pencil(tmp_path, monkeypatch, n):
+    # freq-thresholds printed 0.5567228263489019 at n = 4 001 and exited 3
+    # (FactorizationBreakdown) at n = 8 001.  n = 4 001 stays within 1e-6 of
+    # that value; n = 8 001 either exits 3 or prints a root inside a
+    # TOL-wide Cholesky bracket: T(lo) not positive definite, T(hi) is
+    solve, solves = rtmhd.dispersion.top_root, []
+
+    def recording(terms, metric, *args, **kwargs):
+        solves.append((terms, metric, solve(terms, metric, *args, **kwargs)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", recording)
+    config = setup_dict(
+        JUMP_NEG_SPEC,
+        rtmhd.PhysicalParams(mu=1.0, g=1.0, L=1.0),
+        rtmhd.MagneticConfig(V, 0.3),
+        rtmhd.Grid1D(8.0, n),
+    )
+    (tmp_path / "v.json").write_text(json.dumps(config))
+    argv = ["freq-thresholds", str(tmp_path / "v.json"), "--out", str(tmp_path)]
+    code = main(argv)
+    if n == 8001 and code == 3:
+        return
+    assert code == 0
+    xi_vc = json.loads((tmp_path / "thresholds.json").read_text())["xi_vc"]
+    (((c0, a), _, pair),) = solves  # T(s) = C0 + s A, C0 = -B
+    mu, (lo, hi) = pair.value, pair.bracket
+    assert xi_vc == 1.0 / np.sqrt(mu)
+    assert definite(c0, a, -hi) and not definite(c0, a, -lo)
+    assert hi - lo <= TOL * max(1.0, mu)
+    x = pair.vec.astype(np.longdouble)
+    quotient = -(x @ _matvec(c0, x)) / (x @ _matvec(a, x))
+    assert abs(float(quotient) - mu) <= pair.noise
+    if n == 4001:
+        assert abs(xi_vc - 0.5567228263489019) <= 1e-6
+        assert lo - 2.0 * pair.noise <= mu <= hi + 2.0 * pair.noise
+    else:
+        assert lo <= mu <= hi
+
+
+def _matvec(ab, x):
+    """band_matvec in the precision of x."""
+    y = ab[0] * x
+    for d in range(1, ab.shape[0]):
+        y[d:] += ab[d, : x.size - d] * x[: x.size - d]
+        y[: x.size - d] += ab[d, : x.size - d] * x[d:]
+    return y
 
 
 def test_xi_vc_out_of_range_at_and_above_critical(jumpneg_profile):

@@ -6,11 +6,12 @@ import rtmhd
 import rtmhd.growth
 from rtmhd.errors import BracketFailure, ZeroFrequency
 from rtmhd.forms import assemble_forms
-from rtmhd.growth import alpha, growth_rate
-from rtmhd.operators import band_to_dense
+from rtmhd.eig import top_root
+from rtmhd.growth import growth_rate
+from rtmhd.operators import band_combine, band_to_dense
 
 from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
-from .oracles import dense_forms, dense_growth_root
+from .oracles import dense_alpha, dense_forms, dense_growth_root
 
 H = rtmhd.Orientation.HORIZONTAL
 V = rtmhd.Orientation.VERTICAL
@@ -29,7 +30,7 @@ def _forms(profile, grid, xi=(1.0, 0.0), orient=H, M=0.0):
 
 def test_alpha_monotone_nondecreasing(canon_profile, canon_grid):
     fs = _forms(canon_profile, canon_grid)
-    values = [alpha(fs, s)[0] for s in np.linspace(1e-4, 1.2, 12)]
+    values = [dense_alpha(fs, s)[0] for s in np.linspace(1e-4, 1.2, 12)]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(values[:-1])))
     quotients = np.abs(diffs) / np.diff(np.linspace(1e-4, 1.2, 12))
@@ -40,18 +41,13 @@ def test_alpha_lower_bound(canon_profile, canon_grid):
     fs = _forms(canon_profile, canon_grid, xi=(2.0, 1.0))
     bound = -CANON_PARAMS.g * canon_profile.sup_ratio
     for s in (1e-6, 0.1, 1.0):
-        a, _ = alpha(fs, s)
+        a, _ = dense_alpha(fs, s)
         assert a >= bound - 1e-12
 
 
 def test_alpha_matches_fine_grid_oracle(canon_profile, canon_grid):
-    a, _ = alpha(_forms(canon_profile, canon_grid), 0.1)
+    a, _ = dense_alpha(_forms(canon_profile, canon_grid), 0.1)
     assert a == pytest.approx(ALPHA_FINE_ORACLE, rel=1e-3)
-
-
-def test_alpha_rejects_negative_s(canon_profile, canon_grid):
-    with pytest.raises(ValueError):
-        alpha(_forms(canon_profile, canon_grid), -0.5)
 
 
 def test_fixed_point_residual(canon_profile, canon_grid):
@@ -68,31 +64,15 @@ def test_fixed_point_residual(canon_profile, canon_grid):
 FIXED_POINT_SETUPS = (((1.0, 0.0), 0.0), ((1.0, 1.0), 0.3), ((0.0, 2.0), 1.0))
 
 
-def test_fixed_point_work_counts(canon_profile, canon_grid, monkeypatch):
-    # the work of one rate, counted at the LAPACK names eig.py calls: banded
-    # Cholesky tests (dpbtrf) and banded solves (dgbsv, dgtsv); the certified
-    # route makes no alpha eigen-solve
-    calls = {"dpbtrf": 0, "dgbsv": 0, "dgtsv": 0, "min_generalized_eig": 0}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("dpbtrf", "dgbsv", "dgtsv"):
-        counting(rtmhd.eig, name)
-    counting(rtmhd.growth, "min_generalized_eig")
+def test_fixed_point_work_counts(canon_profile, canon_grid, lapack_calls):
+    # the work of one rate: banded Cholesky tests and banded solves
+    calls = lapack_calls
     for xi, M in FIXED_POINT_SETUPS:
         calls.update(dict.fromkeys(calls, 0))
         res = growth_rate(_forms(canon_profile, canon_grid, xi=xi, M=M))
         assert res is not None
         assert calls["dpbtrf"] <= 14, f"xi = {xi}, M = {M}: {calls}"
         assert calls["dgbsv"] + calls["dgtsv"] <= 5, f"xi = {xi}, M = {M}: {calls}"
-        assert calls["min_generalized_eig"] == 0, f"xi = {xi}, M = {M}: {calls}"
 
 
 def test_fixed_point_bracket_certificate(canon_profile, canon_grid):
@@ -104,7 +84,8 @@ def test_fixed_point_bracket_certificate(canon_profile, canon_grid):
         assert res.s_frontier >= res.s_star
         # the root of g(s) = s^2 + alpha(s) lies within the bracket width
         below, above = res.s_star - res.bracket_width, res.s_star + res.bracket_width
-        assert below**2 + alpha(fs, below)[0] < 0.0 <= above**2 + alpha(fs, above)[0]
+        assert below**2 + dense_alpha(fs, below)[0] < 0.0
+        assert 0.0 <= above**2 + dense_alpha(fs, above)[0]
 
 
 def test_rate_above_s_hi_raises(canon_profile, canon_grid):
@@ -219,31 +200,28 @@ def test_growth_rate_matches_dense_root():
 def test_certificate_rejects_a_lower_root(monkeypatch):
     # start the iteration from the second eigenvector of (E(lambda), J): it
     # converges to a lower root of T, which the certificate rejects, and the
-    # Cholesky fallback returns the true rate
+    # cold route, run after it, returns the true rate
     grid = rtmhd.Grid1D(8.0, 201)
     fs = _forms(rtmhd.build_profile(CANON_SPEC, grid), grid)
     tol = 1e-8
     truth = growth_rate(fs, tol=tol)
     _, vecs = eigh(band_to_dense(fs.energy(truth.lam)), band_to_dense(fs.j))
-    roots, alphas = [], []
-    iterate, solve = rtmhd.growth._rayleigh_functional, rtmhd.growth.alpha
+    terms = (band_combine([(fs.xi.norm2, fs.e0)]), fs.e1, fs.j)
+    s_hi = float(np.sqrt(CANON_PARAMS.g * fs.profile.sup_ratio))
+    cold = top_root(terms, fs.j, 1e-8 * s_hi, s_hi, tol=tol)
+    factor, infos = rtmhd.eig.dpbtrf, []
 
-    def recording(*args):
-        out = iterate(*args)
-        roots.append(out[0])
+    def recording(ab, lower):
+        out = factor(ab, lower=lower)
+        infos.append(out[1])
         return out
 
-    def counting(*args, **kwargs):
-        alphas.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(
-        rtmhd.growth, "_inverse_steps", lambda *args: (vecs[:, 1], None, 0)
-    )
-    monkeypatch.setattr(rtmhd.growth, "_rayleigh_functional", recording)
-    monkeypatch.setattr(rtmhd.growth, "alpha", counting)
-    res = growth_rate(fs, tol=tol)
-    assert 0.0 < roots[0] < truth.lam - tol  # the iteration found a lower root
-    assert len(alphas) == 1  # the certificate failed: one fallback alpha solve
-    assert abs(res.lam - truth.lam) <= tol * max(1.0, truth.lam)
-    assert abs(res.s_star - truth.lam) <= res.bracket_width <= tol * max(1.0, res.lam)
+    monkeypatch.setattr(rtmhd.eig, "dpbtrf", recording)
+    res = top_root(terms, fs.j, 1e-8 * s_hi, s_hi, start=vecs[:, 1], tol=tol)
+    # the first test, T(p + delta), is not positive definite: the iteration
+    # found a root more than delta >= tol/2 below the rate
+    assert infos[0] != 0
+    assert res.iterations > cold.iterations  # then the cold route ran
+    assert abs(res.value - truth.lam) <= tol * max(1.0, truth.lam)
+    lo, hi = res.bracket
+    assert lo <= truth.lam <= hi and hi - lo <= 2.0 * tol * max(1.0, res.value)

@@ -162,7 +162,7 @@ if route == "fallback":
 loaded_linalg = "scipy.linalg" in sys.modules
 
 from rtmhd.config import load_config
-from rtmhd.eig import definite, min_generalized_eig
+from rtmhd.eig import definite, top_root
 from rtmhd.operators import grad_stiffness_band, mass_band
 
 cfg = load_config("configs/canonical.json")
@@ -170,9 +170,12 @@ grid = rtmhd.Grid1D(cfg.grid.half_length, 201)
 profile = rtmhd.build_profile(cfg.profile_spec, grid)
 forms = rtmhd.assemble_forms(profile, grid, rtmhd.Frequency(1.0, 0.0), cfg.mag, cfg.params)
 energy = forms.energy(1.0)
-banded = min_generalized_eig(energy, forms.j)
-tridiagonal = min_generalized_eig(grad_stiffness_band(grid), mass_band(grid))
-sigmas = [banded.value + d * max(1.0, abs(banded.value)) for d in (-1e-3, 0.0, 1e-3)]
+# the smallest eigenvalue of a pencil (A, B) is minus the top root of A + s B
+banded = top_root((energy, forms.j), forms.j, -100.0)
+mass = mass_band(grid)
+tridiagonal = top_root((grad_stiffness_band(grid), mass), mass, -1e6)
+smallest = -banded.value
+sigmas = [smallest + d * max(1.0, abs(smallest)) for d in (-1e-3, 0.0, 1e-3)]
 
 import scipy.linalg.lapack as lapack
 print(json.dumps({
