@@ -11,6 +11,7 @@ the config, the stamp of a sweep and an exported mode all carry it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from .artifacts import read_json
@@ -215,6 +216,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    try:  # the OS takes neither a NUL nor a lone surrogate in a path
+        if b"\0" in os.fsencode(output_dir):
+            raise ValueError("embedded null byte")
+    except ValueError as exc:
+        raise ConfigError(f"output_dir {output_dir!r} is not a path: {exc}") from exc
     return RunConfig(
         profile_spec=spec,
         params=params,

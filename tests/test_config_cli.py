@@ -95,8 +95,9 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "config"
-    # an output directory that is not a path
-    for value in (5, None):
+    # an output directory that is not a path: no string, or one that holds a
+    # NUL or a lone surrogate, which os.makedirs raised ValueError on
+    for value in (5, None, "a\0b", "\ud800"):
         path = _write_config(tmp_path / "outdir.json", output_dir=value)
         code = main(["profile", path])
         captured = capsys.readouterr()
@@ -401,6 +402,38 @@ def test_cli_verify_explicit_dt_or_T_keeps_fixed_schedule(
     every = steps // 60
     assert len(t) == 1 + steps // every + (steps % every > 0)
     np.testing.assert_allclose(t[1:3], [every * dt, 2 * every * dt], rtol=1e-13)
+
+
+def test_cli_failed_sweep_leaves_nothing_verify_accepts(tmp_path, capsys):
+    # a vertical field above M_c grows at no frequency: sweep exits 3 with
+    # EmptyDomain before it writes a table or a summary, so a fresh directory
+    # holds none, and another config's good sweep is left as it was, which
+    # verify of the failed config refuses as not its sweep
+    good, failed = tmp_path / "good.json", tmp_path / "failed.json"
+    good.write_text(json.dumps(_small_config(CANON_SPEC, 9.8, "horizontal", 0.0, 65, 2.0)))
+    failed.write_text(json.dumps(_small_config(JUMP_NEG_SPEC, 1.0, "vertical", 1.2, 65, 2.0)))
+    good, failed = str(good), str(failed)
+    sweep_files = ("sweep_summary.json", "dispersion.csv")
+
+    def run(*argv):
+        code = main(list(argv))
+        lines = capsys.readouterr().out.splitlines()
+        return code, json.loads(lines[-1]) if code else None
+
+    fresh = tmp_path / "fresh"
+    code, err = run("sweep", failed, "--out", str(fresh))
+    assert (code, err["error"]) == (3, "EmptyDomain")
+    assert not any((fresh / name).exists() for name in sweep_files)
+
+    stale = tmp_path / "stale"
+    assert run("sweep", good, "--out", str(stale)) == (0, None)
+    before = [(stale / name).read_bytes() for name in sweep_files]
+    code, err = run("sweep", failed, "--out", str(stale))
+    assert (code, err["error"]) == (3, "EmptyDomain")
+    assert [(stale / name).read_bytes() for name in sweep_files] == before
+    code, err = run("verify", failed, "--out", str(stale))
+    assert (code, err["error"]) == (2, "config")
+    assert "are not a sweep of this config" in err["message"]
 
 
 def test_cli_verify_short_horizon_exits_2_before_stepping(
@@ -1038,6 +1071,16 @@ _XI_TEXTS = st.one_of(
     st.builds("{!r},{!r}".format, st.floats(), st.floats()),
 )
 
+# --out below a fresh directory holding the config c.json: a missing nested
+# path, a path through the config file, the file itself, a non-ASCII name, a
+# name too long for the file system, a NUL and a lone surrogate
+_OUT_TEXTS = st.one_of(
+    st.sampled_from(
+        ["out", "a/b/c", "c.json/out", "c.json", "\u00fc-\u4e2d", "x" * 300, "a\0b", "\ud800"]
+    ),
+    st.text(alphabet="a\u00e9\u4e2d -/", min_size=1, max_size=12),
+)
+
 
 # verify's own inputs: negative, tiny and huge steps, horizons and seeds
 _VERIFY_DT = [None, -1.0, 1e-300, 0.05, 1.0, 1e300]
@@ -1106,13 +1149,20 @@ _SMALL = _small_config(CANON_SPEC, 9.8, "horizontal", 0.3, 33, 2.0)
         ["critical", "freq-thresholds", "growth", "mode", "profile", "sweep", "verify"]
     ),
     xi=st.one_of(st.none(), _XI_TEXTS),
+    out=_OUT_TEXTS,
 )
-@example(raw=_SMALL, command="growth", xi="1e-200,0")
-@example(raw=_SMALL, command="mode", xi="1e160,0")
-@example(raw={**_SMALL, "verify": {"dt": 1e-300, "seeds": [0]}}, command="verify", xi=None)
-@example(raw={**_SMALL, "verify": {"T": 1e300, "seeds": [0]}}, command="verify", xi=None)
-@example(raw={**_SMALL, "verify": {"seeds": [-1]}}, command="verify", xi=None)
-def test_cli_input_surface_exits_with_a_code_and_one_error_line(raw, command, xi):
+@example(raw=_SMALL, command="growth", xi="1e-200,0", out="out")
+@example(raw=_SMALL, command="mode", xi="1e160,0", out="out")
+@example(
+    raw={**_SMALL, "verify": {"dt": 1e-300, "seeds": [0]}}, command="verify", xi=None, out="out"
+)
+@example(
+    raw={**_SMALL, "verify": {"T": 1e300, "seeds": [0]}}, command="verify", xi=None, out="out"
+)
+@example(raw={**_SMALL, "verify": {"seeds": [-1]}}, command="verify", xi=None, out="out")
+@example(raw=_SMALL, command="profile", xi=None, out="a\0b")
+@example(raw=_SMALL, command="profile", xi=None, out="c.json/out")
+def test_cli_input_surface_exits_with_a_code_and_one_error_line(raw, command, xi, out):
     # every input ends in a documented exit code, a failure prints exactly
     # one JSON error object, and no exception escapes main.  verify checks
     # its step count before the mode's residual gate, so a dt, T or seed
@@ -1120,12 +1170,12 @@ def test_cli_input_surface_exits_with_a_code_and_one_error_line(raw, command, xi
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(raw))
-        argv = [command, str(path), "--out", str(Path(tmp) / "out")]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        argv = [command, str(path), "--out", f"{tmp}/{out}"]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
             code = main(argv if xi is None else [*argv, f"--xi={xi}"])
     assert code in (0, 2, 3, 4)
-    errors = [line for line in out.getvalue().splitlines() if line.startswith("{")]
+    errors = [line for line in stdout.getvalue().splitlines() if line.startswith("{")]
     assert len(errors) == (code != 0)
     if errors:
         assert set(json.loads(errors[0])) == {"error", "message"}

@@ -89,6 +89,27 @@ def test_dispersion_survey_tables_read_back_as_a_fresh_sweep(tmp_path):
     assert repr(back) == repr(table)  # bitwise: repr tells any two floats apart
 
 
+def test_layer_benchmark_times_and_counts_every_case():
+    # every case once, at its smallest sizes: a name of the package that the
+    # harness counts or calls and that is renamed fails here, not as a 0
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", ROOT / "scripts" / "bench_layers.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cases = bench.measure(quick=True)
+    layers = {name.split()[0].split(".")[0] for name in cases}
+    assert layers == {
+        "startup", "profile", "forms", "definite", "top_root", "sweep_point", "mode",
+        "cn", "mc_trace",
+    }
+    for name, row in cases.items():
+        assert row["s"] > 0, name
+        assert sum(row["counts"].values()) > 0, name
+    assert cases["cn.verify canonical"]["counts"]["cn_steps"] > 0
+    assert cases["sweep_point canonical n=201"]["counts"]["dpbtrf"] > 0
+
+
 def _child(code: str, *args: str) -> str:
     """stdout of ``code`` run in a fresh interpreter on the package source."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -214,6 +214,32 @@ def test_random_divfree_state_exact_constraint():
         assert stepper.norms(z)[1] > 0
 
 
+def _per_draw_profile(grid, rng):
+    """One seed profile with its window and sines formed on every draw."""
+    x = grid.points()
+    s = x / (0.8 * grid.half_length)
+    window = np.zeros_like(x)
+    inside = np.abs(s) < 1.0
+    window[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
+    phase = np.pi * (x + grid.half_length) / (2.0 * grid.half_length)
+    out = np.zeros(grid.n, dtype=complex)
+    for k in range(1, 7):
+        a, b = rng.standard_normal(2)
+        out += (a + 1j * b) * np.sin(k * phase)
+    return window * out
+
+
+@pytest.mark.parametrize("grid", [rtmhd.Grid1D(8.0, 17), rtmhd.Grid1D(6.0, 201), GRID])
+def test_seed_profiles_are_bitwise_the_per_draw_formula(grid):
+    # the window and sines are built once per grid; every draw is unchanged
+    for seed in (0, 1, 7, 2**40):
+        rng = np.random.default_rng(seed)
+        expected = [_per_draw_profile(grid, rng) for _ in range(3)]
+        for _ in range(2):  # built, then read from the cache
+            got = rtmhd.verify._seed_profiles(grid, seed)
+            assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
 def test_viscous_decay_without_sources(setup_horizontal):
     # no density perturbation, no vertical velocity, no field: Stokes decay
     prof, _, _, _ = setup_horizontal
