@@ -258,10 +258,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         os.makedirs(cfg.output_dir, exist_ok=True)
+        code = _COMMANDS[args.command](cfg, args)
+        # last, so a failed command leaves no config beside another's results
         write_json(
             os.path.join(cfg.output_dir, "effective_config.json"), cfg.to_dict()
         )
-        return _COMMANDS[args.command](cfg, args)
+        return code
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}))
         return EXIT_CONFIG

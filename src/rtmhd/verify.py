@@ -94,8 +94,7 @@ __all__ = [
 RATE_SLACK = 0.02  # admissible relative overshoot of a measured rate
 RATE_RTOL = 0.02  # admissible relative error of a normal mode's measured rate
 MIN_RATE_SAMPLES = 10  # fewest norm samples ``measured_rate`` fits
-STEPS_PER_EFOLD = 20  # coarsest default step: CN rate error (1/20)^2/12 = 2.1e-4
-SAMPLE_INTERVALS = 60  # a default run samples its norm at t_k = k T / 60
+CN_RATE_BUDGET = RATE_RTOL / 10  # most CN rate error (lam dt)^2 / 12 of a default dt
 HORIZON = 3.0  # a run at rate lambda goes to T = HORIZON / lambda by default
 MAX_STEPS = 100_000  # most steps T / dt that ``cross_check`` takes on one run
 # most e-folds lambda T of the eigenmode run: its squared norms grow by
@@ -266,29 +265,30 @@ def time_steps(dt: float, T: float) -> int:
     return max(1, int(round(T / dt)))
 
 
+def _budget_steps(efolds: float) -> int:
+    """Fewest steps over lam T = efolds with CN rate error (lam dt)^2 / 12 <=
+    CN_RATE_BUDGET; counted to MAX_STEPS + 1, as more are refused anyway."""
+    fewest = min(efolds / math.sqrt(12 * CN_RATE_BUDGET), MAX_STEPS + 1)
+    return max(1, math.ceil(fewest))
+
+
 def default_schedule(lam: float, T: float) -> float:
-    """Step of a run to time T at rate lam: the coarsest dt with lam dt <=
-    1/STEPS_PER_EFOLD that puts a whole number of steps between the
-    SAMPLE_INTERVALS + 1 sample times t_k = k T / SAMPLE_INTERVALS, which is
-    where ``_march`` then records.
+    """Step of a run to time T at rate lam: the coarsest dt = T / steps with
+    (lam dt)^2 / 12 <= CN_RATE_BUDGET.
 
     Crank-Nicolson multiplies a mode of rate lam by (1 + lam dt/2) / (1 -
     lam dt/2) = exp(lam dt (1 + (lam dt)^2 / 12 + ...)), so the measured
-    rate is off by the relative (lam dt)^2 / 12 <= 2.1e-4.  At T = 3/lam
-    this is 60 steps, each one sampled.
+    rate is off by the relative (lam dt)^2 / 12.  At T = 3/lam this is 20
+    steps and (3/20)^2 / 12 = 1.9e-3, and ``_march`` samples every step.
     """
-    # past MAX_STEPS the run is refused anyway; the bound keeps ceil finite
-    per_sample = min(lam * T / SAMPLE_INTERVALS * STEPS_PER_EFOLD, MAX_STEPS)
-    # the rounding slack keeps T = 3/lam at one step per sample
-    steps_per_sample = max(1, math.ceil(per_sample * (1.0 - 1e-12)))
-    return T / (SAMPLE_INTERVALS * steps_per_sample)
+    return T / _budget_steps(lam * T)
 
 
 def _march(stepper: LinearEvolver, z: np.ndarray, T: float):
-    """Step z from t = 0 to T, yielding (t, z) every n_steps //
-    SAMPLE_INTERVALS steps (at least every step) and at the last step."""
+    """Step z from t = 0 to T, yielding (t, z) at the last step and every
+    n_steps // 20 steps, or every step (20 the steps of a default run)."""
     n_steps = time_steps(stepper.dt, T)
-    every = max(1, n_steps // SAMPLE_INTERVALS)
+    every = max(1, n_steps // _budget_steps(HORIZON))
     t = 0.0
     for k in range(1, n_steps + 1):
         z = stepper.step(z)
@@ -489,9 +489,9 @@ def sharpness_test(
     Each problem runs to horizon / lambda on ``default_schedule``.  Its
     error bound presumes smooth seeds, as ``_seed_profiles`` draws them:
     Crank-Nicolson is not L-stable, so grid-scale content is not damped but
-    flips sign each step, and content of order one biases the rates low by
-    up to about 0.24 lambda at n = 801.  Non-smooth seeds would need an
-    L-stable step such as TR-BDF2, not more steps.
+    flips sign each step, and content of order one moves the rates by up to
+    about 0.034 lambda at n = 801.  Rough seeds would need an L-stable step
+    such as TR-BDF2, not more steps.
     """
     runs, checks = _sharpness_runs(mag, grid, seeds, xi_rates, horizon)
     series = march_norms(profile, mag, params, grid, runs)
@@ -529,7 +529,7 @@ def cross_check(
     dt = default_schedule(lam, T) if dt is None else dt
     if not T / dt <= MAX_STEPS:
         raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: more than {MAX_STEPS} steps")
-    steps = time_steps(dt, T)  # the march records every step below 60
+    steps = time_steps(dt, T)  # the march records every step below 40
     if steps + 1 < MIN_RATE_SAMPLES:
         need = MIN_RATE_SAMPLES - 1
         raise ConfigError(f"verify T = {T:g}, dt = {dt:g}: {steps} steps, need {need}")

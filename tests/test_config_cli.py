@@ -373,47 +373,51 @@ def _verify_outputs(tmp_path, verify):
 
 
 def test_cli_verify_default_schedule(tmp_path, capsys):
-    # neither dt nor T: 20 steps per e-fold to T = 3/lambda, each one sampled
+    # neither dt nor T: to T = 3/lambda in the 20 steps that keep the rate
+    # error within its budget, each one sampled
     report, t = _verify_outputs(tmp_path, {"dt": None, "T": None})
     lam, dt, T = report["lambda_pred"], report["dt"], report["T"]
-    assert T == 3.0 / lam and dt == T / 60
-    assert report["steps"] == 60
-    assert report["cn_rate_err"] == (lam * dt) ** 2 / 12 <= 2.1e-4
-    assert report["rel_err"] <= 5e-4
-    np.testing.assert_allclose(t, np.arange(61) * T / 60, rtol=1e-13, atol=0.0)
+    assert T == 3.0 / lam and dt == T / 20
+    assert report["steps"] == 20
+    budget = rtmhd.verify.CN_RATE_BUDGET
+    assert report["cn_rate_err"] == (lam * dt) ** 2 / 12 <= budget
+    assert report["rel_err"] <= 2 * budget
+    np.testing.assert_allclose(t, np.arange(21) * T / 20, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
     "verify, steps",
-    [({"dt": 0.05, "T": None}, 160), ({"dt": None, "T": 6.0}, 60)],
+    [({"dt": 0.05, "T": None}, 160), ({"dt": None, "T": 6.0}, 15)],
     ids=["dt", "T"],
 )
 def test_cli_verify_explicit_dt_or_T_keeps_fixed_schedule(
     tmp_path, capsys, verify, steps
 ):
     # an explicit dt or T: T = 3/lambda unless set, dt the default schedule
-    # to T unless set, and a sample every steps // 60 steps and at the end
+    # to T unless set, and a sample every steps // 20 steps (20 the steps of
+    # a default run) and at the end
     report, t = _verify_outputs(tmp_path, verify)
     lam = report["lambda_pred"]
     T = verify["T"] or 3.0 / lam
     dt = verify["dt"] or rtmhd.verify.default_schedule(lam, T)
     assert (report["dt"], report["T"], report["steps"]) == (dt, T, steps)
     assert report["cn_rate_err"] == (lam * dt) ** 2 / 12
-    every = steps // 60
+    every = max(1, steps // 20)
     assert len(t) == 1 + steps // every + (steps % every > 0)
     np.testing.assert_allclose(t[1:3], [every * dt, 2 * every * dt], rtol=1e-13)
 
 
 def test_cli_failed_sweep_leaves_nothing_verify_accepts(tmp_path, capsys):
     # a vertical field above M_c grows at no frequency: sweep exits 3 with
-    # EmptyDomain before it writes a table or a summary, so a fresh directory
-    # holds none, and another config's good sweep is left as it was, which
-    # verify of the failed config refuses as not its sweep
+    # EmptyDomain before it writes a table, a summary or its effective
+    # config, so a fresh directory holds none, and another config's good
+    # sweep is left as it was, which verify of the failed config refuses as
+    # not its sweep
     good, failed = tmp_path / "good.json", tmp_path / "failed.json"
     good.write_text(json.dumps(_small_config(CANON_SPEC, 9.8, "horizontal", 0.0, 65, 2.0)))
     failed.write_text(json.dumps(_small_config(JUMP_NEG_SPEC, 1.0, "vertical", 1.2, 65, 2.0)))
     good, failed = str(good), str(failed)
-    sweep_files = ("sweep_summary.json", "dispersion.csv")
+    sweep_files = ("sweep_summary.json", "dispersion.csv", "effective_config.json")
 
     def run(*argv):
         code = main(list(argv))
@@ -434,6 +438,7 @@ def test_cli_failed_sweep_leaves_nothing_verify_accepts(tmp_path, capsys):
     code, err = run("verify", failed, "--out", str(stale))
     assert (code, err["error"]) == (2, "config")
     assert "are not a sweep of this config" in err["message"]
+    assert [(stale / name).read_bytes() for name in sweep_files] == before
 
 
 def test_cli_verify_short_horizon_exits_2_before_stepping(
