@@ -70,6 +70,13 @@ def _target_xi(args) -> Frequency:
     return xi
 
 
+def _write_effective_config(cfg: RunConfig) -> None:
+    """The config with its overrides, written with a command's results: after
+    it returns, or before a failing verify writes its run, so the config
+    beside a command's results is always theirs."""
+    write_json(os.path.join(cfg.output_dir, "effective_config.json"), cfg.to_dict())
+
+
 def cmd_profile(cfg: RunConfig, args) -> int:
     grid = cfg.grid
     xs = np.concatenate(([-grid.half_length], grid.points(), [grid.half_length]))
@@ -212,6 +219,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     check = verify.cross_check(
         _growth_at(cfg, xi1), table, cfg.seeds, cfg.verify_dt, cfg.verify_T
     )
+    if check.failure is not None:  # the run is written, then the verdict raised
+        _write_effective_config(cfg)
     series_path = os.path.join(cfg.output_dir, "timeseries.csv")
     verify.write_series(series_path, check.times, check.norms)
     write_json(os.path.join(cfg.output_dir, "verify.json"), check.rate)
@@ -259,10 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _effective_config(args)
         os.makedirs(cfg.output_dir, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args)
-        # last, so a failed command leaves no config beside another's results
-        write_json(
-            os.path.join(cfg.output_dir, "effective_config.json"), cfg.to_dict()
-        )
+        _write_effective_config(cfg)
         return code
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}))

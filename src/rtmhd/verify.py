@@ -266,15 +266,15 @@ def time_steps(dt: float, T: float) -> int:
 
 
 def _budget_steps(efolds: float) -> int:
-    """Fewest steps over lam T = efolds with CN rate error (lam dt)^2 / 12 <=
-    CN_RATE_BUDGET; counted to MAX_STEPS + 1, as more are refused anyway."""
+    """Fewest steps over lam T = efolds with (lam dt)^2 / 12 <= CN_RATE_BUDGET
+    and a rate fit's samples; counted to MAX_STEPS + 1 (more are refused)."""
     fewest = min(efolds / math.sqrt(12 * CN_RATE_BUDGET), MAX_STEPS + 1)
-    return max(1, math.ceil(fewest))
+    return max(MIN_RATE_SAMPLES - 1, math.ceil(fewest))
 
 
 def default_schedule(lam: float, T: float) -> float:
-    """Step of a run to time T at rate lam: the coarsest dt = T / steps with
-    (lam dt)^2 / 12 <= CN_RATE_BUDGET.
+    """Step of a run to time T at rate lam: the coarsest dt = T / steps, of
+    at least MIN_RATE_SAMPLES - 1 steps, with (lam dt)^2 / 12 <= CN_RATE_BUDGET.
 
     Crank-Nicolson multiplies a mode of rate lam by (1 + lam dt/2) / (1 -
     lam dt/2) = exp(lam dt (1 + (lam dt)^2 / 12 + ...)), so the measured

@@ -387,15 +387,20 @@ def test_cli_verify_default_schedule(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "verify, steps",
-    [({"dt": 0.05, "T": None}, 160), ({"dt": None, "T": 6.0}, 15)],
-    ids=["dt", "T"],
+    [
+        ({"dt": 0.05, "T": None}, 160),
+        ({"dt": None, "T": 6.0}, 15),
+        ({"dt": None, "T": 1.0}, 9),
+    ],
+    ids=["dt", "T", "short-T"],
 )
 def test_cli_verify_explicit_dt_or_T_keeps_fixed_schedule(
     tmp_path, capsys, verify, steps
 ):
     # an explicit dt or T: T = 3/lambda unless set, dt the default schedule
-    # to T unless set, and a sample every steps // 20 steps (20 the steps of
-    # a default run) and at the end
+    # to T unless set (a short T still gets the 9 steps a rate fit needs),
+    # and a sample every steps // 20 steps (20 the steps of a default run)
+    # and at the end
     report, t = _verify_outputs(tmp_path, verify)
     lam = report["lambda_pred"]
     T = verify["T"] or 3.0 / lam
@@ -439,6 +444,31 @@ def test_cli_failed_sweep_leaves_nothing_verify_accepts(tmp_path, capsys):
     assert (code, err["error"]) == (2, "config")
     assert "are not a sweep of this config" in err["message"]
     assert [(stale / name).read_bytes() for name in sweep_files] == before
+
+
+def test_cli_failed_verify_writes_its_config_beside_its_run(tmp_path, capsys):
+    # verify writes its run before its verdicts; a RateMismatch (lambda dt = 1,
+    # where Crank-Nicolson measures the rate log 3 = 1.0986 lambda) leaves the
+    # run beside its own effective config, in a fresh directory and in one
+    # that held another config's verify
+    setup = _small_config(CANON_SPEC, 9.8, "horizontal", 0.0, 201, 2.0, seeds=[0])
+    good, failed = tmp_path / "good.json", tmp_path / "failed.json"
+    good.write_text(json.dumps(setup))
+    reused = tmp_path / "reused"
+    assert main(["verify", str(good), "--out", str(reused)]) == 0
+    lam = json.loads((reused / "verify.json").read_text())["lambda_pred"]
+    dt, T = 1.0 / lam, 10.0 / lam
+    failed.write_text(json.dumps({**setup, "verify": {"dt": dt, "T": T, "seeds": [0]}}))
+    for out in (tmp_path / "fresh", reused):
+        capsys.readouterr()
+        code = main(["verify", str(failed), "--out", str(out)])
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert (code, err["error"]) == (3, "RateMismatch")
+        config = json.loads((out / "effective_config.json").read_text())
+        assert config == load_config(str(failed)).to_dict() | {"output_dir": str(out)}
+        report = json.loads((out / "verify.json").read_text())
+        assert (report["dt"], report["T"], report["steps"]) == (dt, T, 10)
+        assert len((out / "timeseries.csv").read_text().splitlines()) == 12
 
 
 def test_cli_verify_short_horizon_exits_2_before_stepping(

@@ -580,7 +580,9 @@ def test_default_schedule_is_the_coarsest_on_the_sample_times(lam, horizon):
     steps = rtmhd.verify.time_steps(dt, T)
     assert dt * steps == pytest.approx(T, rel=1e-14)
     assert (lam * dt) ** 2 / 12 <= (1.0 + 1e-9) * CN_RATE_BUDGET
-    if steps > 1:  # one step fewer would exceed the budget
+    fewest = rtmhd.verify.MIN_RATE_SAMPLES - 1  # the steps a rate fit needs
+    assert steps >= fewest
+    if steps > fewest:  # one step fewer would exceed the budget
         assert (lam * T / (steps - 1)) ** 2 / 12 > CN_RATE_BUDGET
     if horizon <= 3.0:  # no more steps than a run to T = 3/lam: each is sampled
         assert steps <= 20
