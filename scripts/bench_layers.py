@@ -5,10 +5,11 @@ definiteness test, one top-root solve, one sweep point, mode reconstruction,
 one Crank-Nicolson factor and step, and the M_c truncation trace.
 
 Each case reports the median time of its repeats, after one warm-up call,
-and the work counts of one more call: the LAPACK calls at the names
-``rtmhd.eig`` calls (dpbtrf, dgbsv, dgtsv), Crank-Nicolson factors and
-steps, the points at which rho is evaluated, and the profiles, form sets
-and normal modes built.  Start-up counts the modules a fresh process loads.
+and the work counts of one more call: what the package's work record
+``rtmhd.stats`` adds over that call (LAPACK dpbtrf, dgbsv and dgtsv calls,
+Crank-Nicolson factors and steps, the points at which rho is evaluated, and
+the profiles, form sets and normal modes built), so every tree measured
+must have the record.  Start-up counts the modules a fresh process loads.
 Each tree is measured in its own child process, with its ``src`` directory
 on PYTHONPATH and one BLAS thread.  With ``--before``, the two trees run in
 rounds that alternate which tree goes first; every time is the median over
@@ -20,7 +21,6 @@ Usage:
 
 import argparse
 import contextlib
-import importlib
 import importlib.util
 import io
 import json
@@ -64,21 +64,6 @@ SETUP = {name.lower(): value for name, value in list(globals().items()) if name.
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 CONFIG = ROOT / "configs" / "canonical.json"
-
-# (module, attribute, count): the names the package does its work through,
-# counted on one call of a case.  A renamed name raises AttributeError here
-# instead of counting 0.
-WORK = (
-    ("rtmhd.eig", "dpbtrf", "dpbtrf"),
-    ("rtmhd.eig", "dgbsv", "dgbsv"),
-    ("rtmhd.eig", "dgtsv", "dgtsv"),
-    ("rtmhd.verify", "LinearEvolver.__init__", "cn_factors"),
-    ("rtmhd.verify", "LinearEvolver.step", "cn_steps"),
-    ("rtmhd.profiles", "DensityProfile.rho", "rho_points"),
-    ("rtmhd.profiles", "DensityProfile.__init__", "profiles"),
-    ("rtmhd.forms", "FormSet.__init__", "forms"),
-    ("rtmhd.modes", "NormalMode.__init__", "modes"),
-)
 
 # a cold start: timed in the child from before the first rtmhd import to
 # after the canonical config (and with it the profile) is loaded
@@ -126,33 +111,6 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def _counted(fn) -> dict:
-    """The work counts of one call of fn."""
-    import numpy as np
-
-    counts = dict.fromkeys((count for *_, count in WORK), 0)
-    saved = []
-    try:
-        for module, attr, count in WORK:
-            owner = importlib.import_module(module)
-            *path, name = attr.split(".")
-            for part in path:
-                owner = getattr(owner, part)
-            original = getattr(owner, name)
-
-            def call(*args, _original=original, _count=count, **kwargs):
-                counts[_count] += int(np.size(args[1])) if _count == "rho_points" else 1
-                return _original(*args, **kwargs)
-
-            setattr(owner, name, call)
-            saved.append((owner, name, original))
-        fn()
-    finally:
-        for owner, name, original in reversed(saved):
-            setattr(owner, name, original)
-    return counts
-
-
 def _env(pythonpath: str) -> dict:
     env = dict(os.environ, PYTHONPATH=pythonpath)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -181,7 +139,7 @@ def measure(quick: bool = False) -> dict:
     import numpy as np
 
     import rtmhd
-    from rtmhd import dispersion, eig, growth, modes, profiles, verify
+    from rtmhd import dispersion, eig, growth, modes, profiles, stats, verify
     from rtmhd.cli import main as cli
     from rtmhd.forms import assemble_forms
 
@@ -191,8 +149,10 @@ def measure(quick: bool = False) -> dict:
     def case(name, fn, repeat, peak=False):
         if not quick:
             fn()
+        before = dict(stats.counts)
         t0 = time.perf_counter()
-        counts = _counted(fn)
+        fn()
+        counts = stats.since(before)
         times = [time.perf_counter() - t0] if quick else [_seconds(fn) for _ in range(repeat)]
         cases[name] = {"counts": counts, "s": _median(times)}
         if peak:

@@ -219,8 +219,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     check = verify.cross_check(
         _growth_at(cfg, xi1), table, cfg.seeds, cfg.verify_dt, cfg.verify_T
     )
+    sharpness_path = os.path.join(cfg.output_dir, "sharpness.json")
     if check.failure is not None:  # the run is written, then the verdict raised
         _write_effective_config(cfg)
+        if os.path.exists(sharpness_path):  # an earlier run's, not this one's
+            os.remove(sharpness_path)
     series_path = os.path.join(cfg.output_dir, "timeseries.csv")
     verify.write_series(series_path, check.times, check.norms)
     write_json(os.path.join(cfg.output_dir, "verify.json"), check.rate)
@@ -229,7 +232,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     print(f"rel_err={check.rate['rel_err']:.3e}")
     if check.failure is not None:
         raise check.failure
-    write_json(os.path.join(cfg.output_dir, "sharpness.json"), check.sharpness)
+    write_json(sharpness_path, check.sharpness)
     print(f"sharpness_max={fmt(check.sharpness['max_measured_rate'])}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stats
 from ._lapack import dgbsv, dgtsv, dpbtrf
 from .errors import BracketFailure, FactorizationBreakdown
 from .operators import band_combine, band_matvec, band_to_lu
@@ -37,6 +38,7 @@ _EPS = float(np.finfo(float).eps)
 def definite(a: np.ndarray, b: np.ndarray, sigma: float) -> bool:
     """True iff A - sigma*B is positive definite (its banded Cholesky exists):
     every pencil eigenvalue lies above sigma.  A singular shift is not."""
+    stats.counts["dpbtrf"] += 1
     _, info = dpbtrf(band_combine([(1.0, a), (-sigma, b)]), lower=1)
     return info == 0
 
@@ -67,11 +69,13 @@ def _solve(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     (dgtsv) or general band (dgbsv) solver with partial pivoting;
     LinAlgError if t is singular."""
     if t.shape[0] == 2 and t.shape[1] > 1:  # dgtsv needs n > 1
+        stats.counts["dgtsv"] += 1
         sub = t[1, :-1]
         _, _, _, x, info = dgtsv(
             sub, t[0], sub.copy(), rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
     else:
+        stats.counts["dgbsv"] += 1
         p = t.shape[0] - 1
         _, _, x, info = dgbsv(p, p, band_to_lu(t), rhs, overwrite_ab=1)
     if info != 0:
@@ -127,6 +131,7 @@ def top_root(
     def above(s: float) -> bool:
         nonlocal calls
         calls += 1
+        stats.counts["dpbtrf"] += 1
         return dpbtrf(at(s), lower=1)[1] == 0
 
     def normalized(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

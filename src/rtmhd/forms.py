@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import stats
 from .errors import ZeroFrequency
 from .operators import (
     band_combine,
@@ -51,6 +52,9 @@ class FormSet:
     params: PhysicalParams
     grid: Grid1D
     profile: DensityProfile
+
+    def __post_init__(self):
+        stats.counts["forms"] += 1
 
     def energy(self, s: float) -> np.ndarray:
         """|xi|^2 E0 + s E1, the modified-problem quadratic form."""

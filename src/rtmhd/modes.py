@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stats
 from .artifacts import read_json, write_csv, write_json
 from .config import _is_number, read_setup, setup_dict
 from .errors import ConfigError, ResidualTooLarge
@@ -89,6 +90,9 @@ class NormalMode:
     theta: np.ndarray
     pi: np.ndarray
     residuals: dict
+
+    def __post_init__(self):
+        stats.counts["modes"] += 1
 
 
 @dataclass(frozen=True)

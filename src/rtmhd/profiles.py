@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import stats
 from .errors import NonPositiveDensity, NoUnstableRegion
 
 __all__ = [
@@ -251,6 +252,9 @@ class DensityProfile:
     support: tuple[float, float]
     check_grid: Grid1D
 
+    def __post_init__(self):
+        stats.counts["profiles"] += 1
+
     @functools.cached_property
     def _sampled(self) -> tuple[np.ndarray, np.ndarray]:
         """The sample points, the check grid plus 10x its density across
@@ -285,6 +289,7 @@ class DensityProfile:
 
     def rho(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        stats.counts["rho_points"] += x.size
         out = np.full_like(x, self.spec.base_density)
         for b in self.spec.bumps:
             out += b.amplitude * b.half_width * _bump_cdf((x - b.center) / b.half_width)

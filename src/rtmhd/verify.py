@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modes
+from . import modes, stats
 from .artifacts import write_csv
 from .dispersion import DispersionTable, sup_rate
 from .errors import (
@@ -200,6 +200,7 @@ class LinearEvolver:
         cancel = {(0, 0): c * d1, (0, 2): ident, (1, 1): ident}
         lhs = block_compose(block_combine((1.0, rho_dt), (-1.0, a_op)), span)
         system = block_sparse(block_compose(cancel, lhs), (2, 2)).tocsc()
+        stats.counts["cn_factors"] += 1
         try:
             self._lu = splu(system)
         except RuntimeError as exc:
@@ -240,6 +241,7 @@ class LinearEvolver:
 
     def step(self, z: np.ndarray) -> np.ndarray:
         """z at the new time, for a stacked state z of shape (7n,) or (7n, k)."""
+        stats.counts["cn_steps"] += 1
         sol = self._lu.solve(self._rhs @ z)
         return self._update @ np.concatenate([z, sol])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rtmhd
+from rtmhd import stats
 from rtmhd.eig import top_root
 from rtmhd.operators import band_combine
 
@@ -34,23 +35,18 @@ def smallest_pair(a, b, start=None):
 
 
 @pytest.fixture
-def lapack_calls(monkeypatch):
-    """Counts of the LAPACK calls made at the names eig.py calls: banded
-    Cholesky tests (dpbtrf) and banded solves (dgbsv, dgtsv)."""
-    calls = dict.fromkeys(("dpbtrf", "dgbsv", "dgtsv"), 0)
+def lapack_calls():
+    """A reader of the work record: each call returns the banded Cholesky
+    tests (dpbtrf) and banded solves (dgbsv, dgtsv) made since the previous
+    call, or since the fixture was set up."""
+    last = dict(stats.counts)
 
-    def counting(name):
-        real = getattr(rtmhd.eig, name)
+    def read():
+        added = stats.since(last)
+        last.update(stats.counts)
+        return {name: added[name] for name in ("dpbtrf", "dgbsv", "dgtsv")}
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(rtmhd.eig, name, counting(name))
-    return calls
+    return read
 
 
 @pytest.fixture(scope="session")

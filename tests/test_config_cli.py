@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rtmhd
+from rtmhd import stats
 from rtmhd.cli import _growth_at, main
 from rtmhd.config import load_config, setup_dict
 from rtmhd.dispersion import critical_freq_vertical
@@ -449,13 +450,14 @@ def test_cli_failed_sweep_leaves_nothing_verify_accepts(tmp_path, capsys):
 def test_cli_failed_verify_writes_its_config_beside_its_run(tmp_path, capsys):
     # verify writes its run before its verdicts; a RateMismatch (lambda dt = 1,
     # where Crank-Nicolson measures the rate log 3 = 1.0986 lambda) leaves the
-    # run beside its own effective config, in a fresh directory and in one
-    # that held another config's verify
+    # run beside its own effective config and no sharpness report, in a fresh
+    # directory and in one that held another config's verify
     setup = _small_config(CANON_SPEC, 9.8, "horizontal", 0.0, 201, 2.0, seeds=[0])
     good, failed = tmp_path / "good.json", tmp_path / "failed.json"
     good.write_text(json.dumps(setup))
     reused = tmp_path / "reused"
     assert main(["verify", str(good), "--out", str(reused)]) == 0
+    assert (reused / "sharpness.json").exists()
     lam = json.loads((reused / "verify.json").read_text())["lambda_pred"]
     dt, T = 1.0 / lam, 10.0 / lam
     failed.write_text(json.dumps({**setup, "verify": {"dt": dt, "T": T, "seeds": [0]}}))
@@ -469,14 +471,12 @@ def test_cli_failed_verify_writes_its_config_beside_its_run(tmp_path, capsys):
         report = json.loads((out / "verify.json").read_text())
         assert (report["dt"], report["T"], report["steps"]) == (dt, T, 10)
         assert len((out / "timeseries.csv").read_text().splitlines()) == 12
+        assert not (out / "sharpness.json").exists()
 
 
-def test_cli_verify_short_horizon_exits_2_before_stepping(
-    tmp_path, capsys, monkeypatch
-):
+def test_cli_verify_short_horizon_exits_2_before_stepping(tmp_path, capsys):
     # too few steps for the rate fit is a config error found before stepping
-    calls = []
-    monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
+    before = dict(stats.counts)
     grid = {"half_length": 8.0, "n": 201}
     for verify in ({"dt": 0.1, "T": 0.3}, {"dt": 1.0}):
         path = _write_config(tmp_path / "c.json", grid=grid, verify=verify)
@@ -485,19 +485,16 @@ def test_cli_verify_short_horizon_exits_2_before_stepping(
         assert code == 2
         assert err["error"] == "config"
         assert "steps" in err["message"] and "T = " in err["message"]
-        assert not calls
+        assert stats.since(before)["cn_steps"] == 0
 
 
 @pytest.mark.parametrize(
     "verify", [{"dt": 1e-300}, {"dt": 1e-300, "T": 1e300}], ids=["tiny-dt", "infinite"]
 )
-def test_cli_verify_caps_the_steps_before_factoring(
-    tmp_path, capsys, monkeypatch, splu_calls, verify
-):
+def test_cli_verify_caps_the_steps_before_factoring(tmp_path, capsys, verify):
     # T/dt above MAX_STEPS, or not finite, is a config error found before any
     # factorization; it used to step for ever, or overflow in round(T/dt)
-    calls = []
-    monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
+    before = dict(stats.counts)
     path = _write_config(
         tmp_path / "c.json", grid={"half_length": 8.0, "n": 201}, verify=verify
     )
@@ -507,17 +504,15 @@ def test_cli_verify_caps_the_steps_before_factoring(
     assert code == 2
     assert err["error"] == "config"
     assert f"{rtmhd.verify.MAX_STEPS} steps" in err["message"]
-    assert not calls and not splu_calls
+    work = stats.since(before)
+    assert work["cn_factors"] == work["cn_steps"] == 0
 
 
-def test_cli_verify_overflowing_horizon_exits_2_before_factoring(
-    tmp_path, capsys, monkeypatch, splu_calls
-):
+def test_cli_verify_overflowing_horizon_exits_2_before_factoring(tmp_path, capsys):
     # lambda T = 0.374 * 1e4 e-folds would overflow the norms: a config error
     # found before any factorization, with no numpy overflow warning; it used
     # to step 20 000 times and exit 3 calling the series non-positive
-    calls = []
-    monkeypatch.setattr(rtmhd.verify.LinearEvolver, "step", lambda *a: calls.append(1))
+    before = dict(stats.counts)
     path = _write_config(
         tmp_path / "c.json",
         grid={"half_length": 8.0, "n": 201},
@@ -531,7 +526,8 @@ def test_cli_verify_overflowing_horizon_exits_2_before_factoring(
     assert code == 2
     assert err["error"] == "config"
     assert "e-folds" in err["message"] and "T = 10000" in err["message"]
-    assert not calls and not splu_calls
+    work = stats.since(before)
+    assert work["cn_factors"] == work["cn_steps"] == 0
 
 
 @pytest.mark.parametrize("M", [0.0, 0.3], ids=["M0", "vertical-M0.3"])
@@ -571,24 +567,9 @@ def _check_series_is_the_column_alone(cfg, report, series):
     np.testing.assert_allclose(series[:, 1:], norms, rtol=1e-12, atol=0.0)
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """A list that collects one entry per time-step factorization."""
-    calls = []
-    real = rtmhd.verify.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rtmhd.verify, "splu", counting)
-    return calls
-
-
-def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, splu_calls):
+def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys):
     # at M = 0 the eigenmode run steps the sharpness problem of its own
     # orbit, so it adds no factorization; an explicit dt makes it its own
-    calls = splu_calls
     problems = []
     for dt in (None, 0.05):
         path = _write_config(
@@ -596,25 +577,24 @@ def test_cli_verify_factors_once_per_stepped_problem(tmp_path, capsys, splu_call
             grid={"half_length": 8.0, "n": 201},
             verify={"dt": dt, "T": None, "seeds": [0, 1]},
         )
-        calls.clear()
+        before = dict(stats.counts)
         assert main(["verify", path]) == 0
         out = load_config(path).output_dir
         sharp = json.load(open(os.path.join(out, "sharpness.json")))
         # one stepped problem per |xi|^2 at M = 0, for rates read off |xi|
         problems.append(len({x1 * x1 + x2 * x2 for x1, x2 in sharp["frequencies"]}))
-        assert len(calls) == problems[-1] + (dt is not None)
+        assert stats.since(before)["cn_factors"] == problems[-1] + (dt is not None)
     assert problems[0] == problems[1] > 1
 
 
-def test_cli_verify_eigenmode_joins_the_run_of_the_opposite_field(
-    tmp_path, capsys, splu_calls
-):
+def test_cli_verify_eigenmode_joins_the_run_of_the_opposite_field(tmp_path, capsys):
     # a horizontal field rotated onto xi1 = (0, -1) is the negative of the
     # one rotated onto its orbit's (0, 1); the step is the same under b -> -b
     # with N -> -N, so the eigenmode run adds no factorization
     path = _write_config(
         tmp_path / "c.json", mag={"orientation": "horizontal", "magnitude": 0.3}
     )
+    before = dict(stats.counts)
     assert main(["verify", path]) == 0
     cfg = load_config(path)
     report = json.load(open(os.path.join(cfg.output_dir, "verify.json")))
@@ -622,7 +602,7 @@ def test_cli_verify_eigenmode_joins_the_run_of_the_opposite_field(
     assert report["xi"] == [0.0, -1.0] and [0.0, 1.0] in sharp["frequencies"]
     # each sharpness frequency is a problem of its own, and the eigenmode
     # run joins the one of (0, 1)
-    assert len(splu_calls) == len(sharp["frequencies"]) == 5
+    assert stats.since(before)["cn_factors"] == len(sharp["frequencies"]) == 5
     series = np.loadtxt(
         os.path.join(cfg.output_dir, "timeseries.csv"), delimiter=",", skiprows=1
     )
@@ -862,20 +842,11 @@ def test_cli_sweep_point_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(os.path.join(out, "sweep_summary.json"))
 
 
-def test_cli_builds_profile_once(tmp_path, monkeypatch):
-    import rtmhd.config
-
-    calls = []
-    real = rtmhd.config.build_profile
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rtmhd.config, "build_profile", counting)
+def test_cli_builds_profile_once(tmp_path):
     path = _write_config(tmp_path / "c.json")
+    before = dict(stats.counts)
     assert main(["profile", path, "--n", "257", "--M", "0.7"]) == 0
-    assert len(calls) == 1
+    assert stats.since(before)["profiles"] == 1
 
 
 JUMP_NEG_PROFILE = {

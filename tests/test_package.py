@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 import rtmhd
+from rtmhd import stats
+from rtmhd.cli import main
+
+from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rtmhd.__path__))
 
@@ -91,7 +95,7 @@ def test_dispersion_survey_tables_read_back_as_a_fresh_sweep(tmp_path):
 
 def test_layer_benchmark_times_and_counts_every_case():
     # every case once, at its smallest sizes: a name of the package that the
-    # harness counts or calls and that is renamed fails here, not as a 0
+    # harness calls and that is renamed fails here
     spec = importlib.util.spec_from_file_location(
         "bench_layers", ROOT / "scripts" / "bench_layers.py"
     )
@@ -108,6 +112,41 @@ def test_layer_benchmark_times_and_counts_every_case():
         assert sum(row["counts"].values()) > 0, name
     assert cases["cn.verify canonical"]["counts"]["cn_steps"] > 0
     assert cases["sweep_point canonical n=201"]["counts"]["dpbtrf"] > 0
+
+
+def test_work_record_counts_each_solve_as_the_solve_does(tmp_path, monkeypatch, lapack_calls):
+    # a growth rate and |xi|_vc each add their EigenPair's iterations, a
+    # membership test one Cholesky test, and a default canonical verify
+    # steps 20 times per factorization
+    grid = rtmhd.Grid1D(8.0, 201)
+    canon = rtmhd.build_profile(CANON_SPEC, grid)
+    jump_neg = rtmhd.build_profile(JUMP_NEG_SPEC, grid)
+    mag = rtmhd.MagneticConfig(rtmhd.Orientation.HORIZONTAL, 0.0)
+    xi = rtmhd.Frequency(1.0, 0.0)
+    forms = rtmhd.assemble_forms(canon, grid, xi, mag, CANON_PARAMS)
+    lapack_calls()
+    rate = rtmhd.growth_rate(forms)
+    assert sum(lapack_calls().values()) == rate.psi.iterations > 0
+
+    pairs, solve = [], rtmhd.dispersion.top_root
+
+    def recording(*args, **kwargs):
+        pairs.append(solve(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(rtmhd.dispersion, "top_root", recording)
+    rtmhd.critical_freq_vertical(jump_neg, grid, 0.3, g=1.0)
+    [pair] = pairs
+    assert sum(lapack_calls().values()) == pair.iterations > 0
+
+    assert rtmhd.in_growing_domain(forms)
+    assert lapack_calls() == {"dpbtrf": 1, "dgbsv": 0, "dgtsv": 0}
+
+    before = dict(stats.counts)
+    config = str(ROOT / "configs" / "canonical.json")
+    assert main(["verify", config, "--n", "201", "--out", str(tmp_path)]) == 0
+    work = stats.since(before)
+    assert work["cn_steps"] == 20 * work["cn_factors"] > 0
 
 
 def _child(code: str, *args: str) -> str:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtmhd
+from rtmhd import stats
 from rtmhd.errors import (
     DegenerateSeries,
     SharpnessViolation,
@@ -413,45 +414,31 @@ def _sharpness_per_seed(prof, mag, grid, seeds, xi_rates, horizon=3.0):
     return None
 
 
-def _instrument(monkeypatch):
-    """Lists that collect one entry per factorization and every rate that
-    ``sharpness_test`` measures."""
-    calls, reported = [], []
-    real_splu, real_rate = rtmhd.verify.splu, rtmhd.verify.measured_rate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real_splu(*args, **kwargs)
+def _record_rates(monkeypatch):
+    """A list that collects every rate that ``sharpness_test`` measures."""
+    reported = []
+    real_rate = rtmhd.verify.measured_rate
 
     def recording(samples):
         est = real_rate(samples)
         reported.append(est.rate)
         return est
 
-    monkeypatch.setattr(rtmhd.verify, "splu", counting)
     monkeypatch.setattr(rtmhd.verify, "measured_rate", recording)
-    return calls, reported
+    return reported
 
-
-def test_sharpness_factors_once_per_frequency(monkeypatch):
+def test_sharpness_factors_once_per_frequency():
     grid = rtmhd.Grid1D(8.0, 201)
     prof = rtmhd.build_profile(CANON_SPEC, grid)
     mag = rtmhd.MagneticConfig(H, 0.3)
     rates = {}
     for xi in (rtmhd.Frequency(1.0, 0.0), rtmhd.Frequency(0.0, 1.0)):
         rates[xi] = growth_rate(assemble_forms(prof, grid, xi, mag, CANON_PARAMS)).lam
-    calls = []
-    real = rtmhd.verify.splu
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rtmhd.verify, "splu", counting)
     seeds = [0, 1, 2]
+    before = dict(stats.counts)
     worst = sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
                            seeds=seeds, xi_rates=rates)
-    assert len(calls) == 2
+    assert stats.since(before)["cn_factors"] == 2
     assert 0.9 * max(rates.values()) <= worst <= 1.02 * max(rates.values())
 
     # a bound 5% too small at the second frequency in check order: seeds 0
@@ -480,21 +467,22 @@ def test_sharpness_steps_each_distinct_problem_once(monkeypatch):
     seeds = [0, 1, 2]
     reference = [r[3] for r in _per_seed_rates(prof, mag, grid, seeds, rates)]
 
-    calls, reported = _instrument(monkeypatch)
+    reported = _record_rates(monkeypatch)
+    before = dict(stats.counts)
     worst = sharpness_test(prof, mag, CANON_PARAMS, grid, max(rates.values()),
                            seeds=seeds, xi_rates=rates)
-    assert len(calls) == 2
+    assert stats.since(before)["cn_factors"] == 2
     for got, ref in zip(reported, reference, strict=True):
         assert abs(got - ref) <= 1e-9 * abs(ref)
     assert worst == max(reported)
 
     # another rate at (1, 0) means another dt and horizon: nothing is shared
-    calls.clear()
     raised = dict(rates)
     raised[rtmhd.Frequency(1.0, 0.0)] *= 1.05
+    before = dict(stats.counts)
     sharpness_test(prof, mag, CANON_PARAMS, grid, max(raised.values()),
                    seeds=seeds, xi_rates=raised)
-    assert len(calls) == 3
+    assert stats.since(before)["cn_factors"] == 3
 
     # a bound 5% too small at (0, 1), the first frequency in check order;
     # the longer horizon takes every seed's fit past it
@@ -516,11 +504,11 @@ def test_sharpness_steps_each_distinct_problem_once(monkeypatch):
     }
     assert len(set(vrates.values())) == 1
     vreference = [r[3] for r in _per_seed_rates(prof, vmag, grid, seeds, vrates)]
-    calls.clear()
     reported.clear()
+    before = dict(stats.counts)
     worst = sharpness_test(prof, vmag, CANON_PARAMS, grid, max(vrates.values()),
                            seeds=seeds, xi_rates=vrates)
-    assert len(calls) == 1
+    assert stats.since(before)["cn_factors"] == 1
     for got, ref in zip(reported, vreference, strict=True):
         assert abs(got - ref) <= 1e-9 * abs(ref)
     assert worst == max(reported)
@@ -539,14 +527,15 @@ def test_sharpness_keeps_mirrored_frequencies_apart(monkeypatch):
     reference = [r[3] for r in _per_seed_rates(prof, mag, grid, seeds, rates)]
     assert reference[:2] != reference[2:]
 
-    calls, reported = _instrument(monkeypatch)
+    reported = _record_rates(monkeypatch)
+    before = dict(stats.counts)
     sharpness_test(prof, mag, CANON_PARAMS, grid, lam, seeds=seeds, xi_rates=rates)
-    assert len(calls) == 2
+    assert stats.since(before)["cn_factors"] == 2
     for got, ref in zip(reported, reference, strict=True):
         assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
-def test_march_joins_runs_of_opposite_fields(monkeypatch):
+def test_march_joins_runs_of_opposite_fields():
     # a horizontal field rotated onto xi is the negative of the one rotated
     # onto -xi; the step is the same under b -> -b with N -> -N, so both runs
     # share one stepper, and each keeps the series it has alone
@@ -559,9 +548,9 @@ def test_march_joins_runs_of_opposite_fields(monkeypatch):
         z = np.stack([_with_field(seeds[:, 0], seeds[:, 1]), seeds[:, 1]], axis=1)
         runs.append((xi, 0.1, 3.0, z))
     alone = [march_norms(prof, mag, CANON_PARAMS, grid, [run])[0] for run in runs]
-    calls, _ = _instrument(monkeypatch)
+    before = dict(stats.counts)
     joined = march_norms(prof, mag, CANON_PARAMS, grid, runs)
-    assert len(calls) == 1
+    assert stats.since(before)["cn_factors"] == 1
     for (times, norms), (t_ref, ref) in zip(joined, alone, strict=True):
         assert np.array_equal(times, t_ref)
         np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=0.0)
