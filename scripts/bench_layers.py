@@ -46,7 +46,7 @@ RATIO_POINTS, RATIO_GRID_N = 200_001, 801
 SOLVE_SIZES = (201, 801)  # assembly, definiteness, top roots, CN
 LOAD_N0 = (2049, 20001)  # critical_number_auto with its load
 XI_EIG = (1.0, 1.0)
-S_COLD = 1e-8  # times the rate cap sqrt(g sup rho'/rho), as growth_rate's s_lo
+S_COLD = 1e-8  # times the rate cap s_max (forms.rate_bound), as growth_rate's s_lo
 S_WARM = 0.1  # the warm solve starts from the cold solve's vector
 CRITICAL_N0 = 17  # the thresholds workload's M_c trace, at Lz0 = HALF_LENGTH
 THRESHOLD_M, THRESHOLD_N, THRESHOLD_RADIUS = 0.3, 201, 4.0
@@ -172,6 +172,14 @@ def measure(quick: bool = False) -> dict:
         grid = rtmhd.Grid1D(HALF_LENGTH, n)
         return grid, profiles.build_profile(spec, grid)
 
+    def rate_cap(profile, grid):
+        """The s_max that growth_rate brackets a rate by; a tree without
+        ``forms.rate_bound`` brackets by sqrt(g sup rho'/rho)."""
+        bound = getattr(rtmhd.forms, "rate_bound", None)
+        if bound is None:
+            return math.sqrt(params.g * profile.sup_ratio)
+        return bound(profile, grid, params.g)
+
     # profile build and form assembly: a load alone, a load plus the first
     # read of every metric, one large ratio, and 16 form sets
     for name, spec in specs.items():
@@ -200,7 +208,7 @@ def measure(quick: bool = False) -> dict:
         grid, profile = setup(canonical, n)
         forms = assemble_forms(profile, grid, rtmhd.Frequency(*XI_POINT),
                                horizontal(0.0), params)
-        shift = -1e-12 * params.g * profile.sup_ratio
+        shift = -1e-12 * rate_cap(profile, grid) ** 2
         case(f"definite E0 n={n}", lambda: eig.definite(forms.e0, forms.mass, shift), 21)
 
     # one top-root solve: alpha(s) < 0 at both s, so -alpha is the top root
@@ -210,7 +218,7 @@ def measure(quick: bool = False) -> dict:
         grid, profile = setup(canonical, n)
         forms = assemble_forms(profile, grid, rtmhd.Frequency(*XI_EIG),
                                horizontal(0.0), params)
-        cap = math.sqrt(params.g * profile.sup_ratio)
+        cap = rate_cap(profile, grid)
         cold = (forms.energy(S_COLD * cap), forms.j)
         warm = (forms.energy(S_WARM * cap), forms.j)
         start = eig.top_root(cold, forms.j, 0.0).vec

@@ -26,7 +26,7 @@ import numpy as np
 from .artifacts import write_csv
 from .eig import EigenPair, definite, top_root
 from .errors import EmptyDomain, InconsistentDecision, OutOfRange
-from .forms import FormSet, _e0_bands, assemble_forms, form_key
+from .forms import FormSet, _e0_bands, assemble_forms, form_key, rate_bound
 from .growth import growth_rate
 from .operators import band_combine, grad_stiffness_band, mass_band
 from .profiles import (
@@ -64,10 +64,14 @@ def in_growing_domain(forms: FormSet) -> bool:
     """True iff E0 is indefinite (negative beyond a noise floor).
 
     That is: E0 + floor * mass is not positive definite, so the smallest
-    eigenvalue of (E0, mass) is at or below -floor.
+    eigenvalue of (E0, mass) is at or below -floor, floor = 1e-12 s_max^2
+    with s_max = ``forms.s_max``.  False without a test when s_max = 0:
+    drho <= 0 at every node, so E0 is positive semidefinite.
     """
-    floor = _MEMBERSHIP_FLOOR * forms.params.g * forms.profile.sup_ratio
-    return not definite(forms.e0, forms.mass, -floor)
+    s_max = forms.s_max
+    return s_max > 0.0 and not definite(
+        forms.e0, forms.mass, -_MEMBERSHIP_FLOOR * s_max * s_max
+    )
 
 
 # --- critical field strength -------------------------------------------------
@@ -468,7 +472,8 @@ def read_table(
     writer's, every member flag is 0 or 1, the rows are the sweep's lattice
     points, each once and in order, so no point of the sweep goes missing,
     and every rate is one ``growth_rate`` returns: a member's, positive and
-    at most sqrt(g sup drho/rho) (1 + 1e-6)."""
+    at most s_max (1 + 1e-6), s_max the ``forms.rate_bound`` of the profile
+    on its check grid, the config grid the sweep ran on."""
     with open(path) as f:
         lines = f.read().splitlines()
     if lines[:1] != [",".join(_TABLE_HEADER)]:
@@ -476,7 +481,7 @@ def read_table(
     points = _lattice(radius, params.L)
     if len(lines) - 1 != len(points):
         raise ValueError(f"{path} has {len(lines) - 1} rows for {len(points)} points")
-    cap = math.sqrt(params.g * profile.sup_ratio) * (1.0 + 1e-6)
+    cap = rate_bound(profile, profile.check_grid, params.g) * (1.0 + 1e-6)
     entries = []
     for (i, j), line in zip(points, lines[1:]):
         xi = Frequency.lattice(i, j, params.L)

@@ -12,6 +12,7 @@ All forms are symmetric banded Gram assemblies on the clamped interior grid
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +36,7 @@ from .profiles import (
     PhysicalParams,
 )
 
-__all__ = ["FormSet", "assemble_forms", "form_key"]
+__all__ = ["FormSet", "assemble_forms", "form_key", "rate_bound"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,11 @@ class FormSet:
     def energy(self, s: float) -> np.ndarray:
         """|xi|^2 E0 + s E1, the modified-problem quadratic form."""
         return band_combine([(self.xi.norm2, self.e0), (s, self.e1)])
+
+    @property
+    def s_max(self) -> float:
+        """``rate_bound`` of this setup: no rate of these forms exceeds it."""
+        return rate_bound(self.profile, self.grid, self.params.g)
 
 
 def form_key(xi: Frequency, mag: MagneticConfig) -> tuple[float, float]:
@@ -95,6 +101,14 @@ def _read_only(bands: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
+def _buoyancy_band(profile: DensityProfile, grid: Grid1D, g: float) -> np.ndarray:
+    """-g drho mass, the buoyancy band of E0, built once and read-only."""
+    band = mass_band(grid, -g * profile.drho(grid.points()))
+    band.flags.writeable = False
+    return band
+
+
+@functools.lru_cache(maxsize=4)
 def _e0_bands(
     profile: DensityProfile, grid: Grid1D, g: float, vertical: bool
 ) -> _E0Bands:
@@ -103,7 +117,7 @@ def _e0_bands(
     w = np.full(grid.n, grid.h)
     return _read_only(
         _E0Bands(
-            buoyancy=mass_band(grid, -g * profile.drho(grid.points())),
+            buoyancy=_buoyancy_band(profile, grid, g),
             k_grad=grad_stiffness_band(grid),
             d2_gram=d2_stencil(grid).gram(w) if vertical else None,
         )
@@ -123,6 +137,23 @@ def _rest_bands(profile: DensityProfile, grid: Grid1D) -> _RestBands:
             j_grad=grad_stiffness_band(grid, profile.rho(grid.midpoints())),
         )
     )
+
+
+@functools.lru_cache(maxsize=4)
+def rate_bound(profile: DensityProfile, grid: Grid1D, g: float) -> float:
+    """s_max = sqrt(max(0, max_i g drho_i/rho_i)) over the grid nodes, read
+    from the diagonals of the buoyancy and rho-weighted mass bands; no root
+    of T(s) = |xi|^2 E0 + s E1 + s^2 J reaches it, at any xi or field.
+
+    E0 is diag(-g h drho) plus a positive semidefinite magnetic part, J is
+    |xi|^2 diag(h rho) plus a positive definite rho-weighted stiffness, and
+    E1 is positive semidefinite, so T(s) is positive definite once s >=
+    s_max > 0; s_max = 0 means E0 is positive semidefinite and nothing
+    grows.  The nodes are points of the line, so s_max <= sqrt(g sup
+    drho/rho).
+    """
+    ratio = -_buoyancy_band(profile, grid, g)[0] / _rest_bands(profile, grid).j_mass[0]
+    return math.sqrt(max(0.0, float(ratio.max())))
 
 
 def assemble_forms(

@@ -52,11 +52,15 @@ def growth_rate(
     the noise exceeds that: bracket_width.
 
     None if T(s_lo) is positive definite (no rate above s_lo) or the rate is
-    at most tol; the default [1e-8, 1] * sqrt(g sup drho/rho) provably holds
-    any root, and T(s_hi) not positive definite raises BracketFailure.
+    at most tol.  The default [1e-8, 1] * s_max, s_max = ``forms.s_max``
+    the grid's own bound sqrt(max(0, max_i g drho_i/rho_i)), provably holds
+    any root, and s_max = 0 (drho <= 0 at every node) returns None; a given
+    s_hi with T(s_hi) not positive definite raises BracketFailure.
     """
     if s_hi is None:
-        s_hi = float(np.sqrt(forms.params.g * forms.profile.sup_ratio))
+        s_hi = forms.s_max
+        if s_hi == 0.0:
+            return None
     s_lo = 1e-8 * s_hi if s_lo is None else s_lo
     c0 = band_combine([(forms.xi.norm2, forms.e0)])
     pair = top_root((c0, forms.e1, forms.j), forms.j, s_lo, s_hi, tol=tol)

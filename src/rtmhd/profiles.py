@@ -243,8 +243,11 @@ class DensityProfile:
     ``sup_rho`` and ``sup_ratio`` are computed on first read and then
     cached: rho is evaluated once, on the check grid plus 10x its density
     across every bump support, and ``sup_ratio`` zooms in from those
-    samples.  Equality and hashing see only the spec, the jump, the
-    support and the check grid, never the cached metrics.
+    samples.  Only ``profile_metrics`` (the ``profile`` command) reads
+    ``sup_ratio``: a growth rate is bracketed by ``forms.rate_bound``, the
+    ratio at the grid nodes, which is never above it.  Equality and hashing
+    see only the spec, the jump, the support and the check grid, never the
+    cached metrics.
     """
 
     spec: ProfileSpec

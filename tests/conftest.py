@@ -17,6 +17,18 @@ JUMP_NEG_SPEC = rtmhd.ProfileSpec(
     5.0, (rtmhd.Bump(0.6, 1.0, 0.5), rtmhd.Bump(-1.8, -1.0, 0.5))
 )
 
+# profiles whose sup drho/rho sits at different places of their supports
+SUP_SPECS = {
+    "canonical": CANON_SPEC,
+    "jump-neg": JUMP_NEG_SPEC,
+    "off-centre": rtmhd.ProfileSpec(
+        3.0, (rtmhd.Bump(0.5, 1.0, 0.5), rtmhd.Bump(-0.2, -1.0, 0.7))
+    ),
+    "two-positive": rtmhd.ProfileSpec(
+        2.0, (rtmhd.Bump(0.3, -1.0, 0.6), rtmhd.Bump(0.4, 1.2, 0.8))
+    ),
+}
+
 
 def largest_pair(a, b, start=None):
     """The largest eigenpair of (A, B), B positive definite: the top root of

@@ -902,18 +902,8 @@ def test_load_config_evaluates_no_rho_on_a_positive_floor(tmp_path, monkeypatch,
     assert set(points[2:]) == {rtmhd.profiles._ZOOM_POINTS}
 
 
-@pytest.mark.parametrize(
-    "command, profile, orientation, n, zooms",
-    [
-        ("critical", JUMP_NEG_PROFILE, "vertical", 17, 0),
-        ("freq-thresholds", JUMP_NEG_PROFILE, "vertical", 201, 0),
-        ("freq-thresholds", JUMP_NEG_PROFILE, "horizontal", 201, 0),
-        ("sweep", CANONICAL_PROFILE, "horizontal", 201, 1),
-    ],
-)
-def test_only_commands_that_read_sup_ratio_zoom_it(
-    tmp_path, monkeypatch, command, profile, orientation, n, zooms
-):
+def _count_zooms(monkeypatch) -> list[int]:
+    """One entry per sup_ratio zoom from here on."""
     calls = []
     real = rtmhd.profiles._polished_sup_ratio
     monkeypatch.setattr(
@@ -921,14 +911,58 @@ def test_only_commands_that_read_sup_ratio_zoom_it(
         "_polished_sup_ratio",
         lambda *args: calls.append(1) or real(*args),
     )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, profile, orientation, n, zooms",
+    [
+        ("critical", JUMP_NEG_PROFILE, "vertical", 17, 0),
+        ("freq-thresholds", JUMP_NEG_PROFILE, "vertical", 201, 0),
+        ("freq-thresholds", JUMP_NEG_PROFILE, "horizontal", 201, 0),
+        ("sweep", CANONICAL_PROFILE, "horizontal", 201, 0),
+        ("growth", CANONICAL_PROFILE, "horizontal", 201, 0),
+        ("verify", CANONICAL_PROFILE, "horizontal", 201, 0),
+        ("profile", CANONICAL_PROFILE, "horizontal", 201, 1),
+    ],
+)
+def test_only_commands_that_read_sup_ratio_zoom_it(
+    tmp_path, monkeypatch, command, profile, orientation, n, zooms
+):
+    # a rate is bracketed by the grid's own drho/rho, so only profile's
+    # metrics read sup_ratio; verify reads a sweep's table back, whose rate
+    # cap is that bound too
+    calls = _count_zooms(monkeypatch)
     path = _write_config(
         tmp_path / "c.json",
         profile=profile,
         mag={"orientation": orientation, "magnitude": 0.3},
         grid={"half_length": 8.0, "n": n},
     )
-    assert main([command, path]) == 0
+    if command == "verify":
+        assert main(["sweep", path]) == 0
+    extra = ["--xi", "1,0"] if command == "growth" else []
+    assert main([command, path, *extra]) == 0
     assert len(calls) == zooms
+
+
+def test_cli_grid_between_the_positive_drho_grows_nothing(tmp_path, monkeypatch, capsys):
+    # the bump's support [0.2, 0.8] lies between the nodes 0 and 8/9 of the
+    # n = 17 grid, so drho = 0 at every node: the grid bound is 0, E0 = 0,
+    # and no frequency grows, as under the sup drho/rho bracket, with no zoom
+    zooms = _count_zooms(monkeypatch)
+    path = _write_config(
+        tmp_path / "c.json",
+        profile={"base_density": 1.0,
+                 "bumps": [{"amp": 0.5, "center": 0.5, "half_width": 0.3}]},
+        grid={"half_length": 8.0, "n": 17},
+    )
+    assert main(["sweep", path]) == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "EmptyDomain"
+    assert main(["growth", path, "--xi", "1,0"]) == 0
+    assert capsys.readouterr().out == "no growing mode\n"
+    assert zooms == []
 
 
 def test_cli_verify_refuses_another_configs_sweep(tmp_path, capsys):

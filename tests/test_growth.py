@@ -6,11 +6,11 @@ import rtmhd
 import rtmhd.growth
 from rtmhd.errors import BracketFailure, ZeroFrequency
 from rtmhd.forms import assemble_forms
-from rtmhd.eig import top_root
+from rtmhd.eig import definite, top_root
 from rtmhd.growth import growth_rate
 from rtmhd.operators import band_combine, band_to_dense
 
-from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC
+from .conftest import CANON_PARAMS, CANON_SPEC, JUMP_NEG_SPEC, SUP_SPECS
 from .oracles import dense_alpha, dense_forms, dense_growth_root
 
 H = rtmhd.Orientation.HORIZONTAL
@@ -108,6 +108,29 @@ def test_rate_bounded_by_sup_ratio(canon_profile, canon_grid):
     for xi in ((1.0, 0.0), (2.0, 2.0)):
         res = growth_rate(_forms(canon_profile, canon_grid, xi=xi, M=0.2))
         assert res.lam <= cap * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("n", [17, 201, 801])
+@pytest.mark.parametrize("name", SUP_SPECS)
+def test_grid_bound_brackets_every_rate(name, n):
+    # s_max, g drho/rho at the grid nodes, makes T(s_max) positive definite
+    # at every xi and field, is never above sqrt(g sup drho/rho), and the
+    # default bracket finds the rate the sup-based one does
+    grid = rtmhd.Grid1D(8.0, n)
+    profile = rtmhd.build_profile(SUP_SPECS[name], grid)
+    cap = np.sqrt(CANON_PARAMS.g * profile.sup_ratio)
+    for orient, M in ((H, 0.0), (H, 0.3), (V, 0.3)):
+        for xi in ((1.0, 0.0), (0.5, 2.0), (3.0, 1.0)):
+            fs = _forms(profile, grid, xi=xi, orient=orient, M=M)
+            s_max = fs.s_max
+            assert 0.0 < s_max <= cap
+            t = band_combine([(fs.xi.norm2, fs.e0), (s_max, fs.e1), (s_max**2, fs.j)])
+            assert definite(t, fs.j, 0.0)
+            res, capped = growth_rate(fs), growth_rate(fs, s_hi=cap)
+            assert (res is None) == (capped is None)
+            if res is not None:
+                assert res.lam <= s_max
+                assert res.lam == pytest.approx(capped.lam, rel=1e-10, abs=0.0)
 
 
 def test_axis_frequency_always_grows_horizontal(canon_profile, canon_grid):

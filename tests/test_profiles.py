@@ -12,7 +12,7 @@ from rtmhd.config import read_setup, setup_dict
 from rtmhd.errors import NonPositiveDensity, NoUnstableRegion
 from rtmhd.profiles import _CDF_BLOCK, BUMP_INTEGRAL, _bump_cdf, _positivity_floor
 
-from .conftest import CANON_SPEC, JUMP_NEG_SPEC
+from .conftest import CANON_SPEC, JUMP_NEG_SPEC, SUP_SPECS
 from .oracles import (
     adaptive_bump_integral,
     brent_sup_ratio,
@@ -110,18 +110,6 @@ def test_sup_ratio_dominates_grid_samples(canon_profile):
     ratios = canon_profile.ratio(x)
     assert canon_profile.sup_ratio >= ratios.max() - 1e-13
     assert canon_profile.sup_ratio > 0
-
-
-SUP_SPECS = {
-    "canonical": CANON_SPEC,
-    "jump-neg": JUMP_NEG_SPEC,
-    "off-centre": rtmhd.ProfileSpec(
-        3.0, (rtmhd.Bump(0.5, 1.0, 0.5), rtmhd.Bump(-0.2, -1.0, 0.7))
-    ),
-    "two-positive": rtmhd.ProfileSpec(
-        2.0, (rtmhd.Bump(0.3, -1.0, 0.6), rtmhd.Bump(0.4, 1.2, 0.8))
-    ),
-}
 
 
 @pytest.mark.parametrize("n", [17, 201, 801])
